@@ -7,11 +7,11 @@ from .control import (LqProblem, NewtonConfig, feedback, frechet_apply,
 from .lyap_gp import (FaberConfig, GpConfig, SpectrumBounds, faber_coefficients,
                       faber_expm, initial_guess, quadrature_nodes, spai,
                       solve_lyap_gp, spectrum_bounds)
-from .lyap_lsq import CglsConfig, assemble_reduced, solve_lyap_lsq
+from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import (DescriptorModel, GridSpec, build_heat_model, build_model,
                        permute_model, place_io, setpoint)
 from .pattern import PatternConfig, apriori_pattern, inverse_pattern
 from .sparsecore import (Permutation, bandwidth, binarize, fro_inner, frobenius,
-                         pattern_power_sum, project, rcm_order, spadd, spgemm)
+                         pattern_power_sum, project, rcm_order)
 
 __version__ = "0.1.0"

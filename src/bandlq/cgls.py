@@ -1,7 +1,7 @@
-"""Conjugate Gradient Least Squares on sparse rectangular systems.
+"""Conjugate Gradient Least Squares on rectangular systems.
 
-Solves min ||b - M x||_2 by running CG implicitly on the normal equations
-M^T M x = M^T b without forming M^T M.
+Solves min ||b - M x||_2 for a matrix or ``LinearOperator`` M by running CG
+implicitly on the normal equations M^T M x = M^T b without forming M^T M.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 @dataclass
@@ -27,13 +27,13 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     Terminates when ||M^T r|| / ||M^T b|| <= tol or after max_iter
     iterations (default 10 * ncols).
     """
-    M = sp.csr_matrix(M)
+    M = spla.aslinearoperator(M)
     b = np.asarray(b, dtype=np.float64).ravel()
     ncols = M.shape[1]
     if max_iter is None:
         max_iter = max(10 * ncols, 100)
     x = np.zeros(ncols) if x0 is None else np.array(x0, dtype=np.float64)
-    Mt = M.T.tocsr()
+    Mt = M.H
 
     r = b - M @ x
     s = Mt @ r

@@ -24,7 +24,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ from .control import (LqProblem, NewtonConfig, RiccatiDivergence, feedback,
                       metric_e, newton_step_matrices, simulate_closed_loop,
                       solve_riccati)
 from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
-from .lyap_lsq import CglsConfig, assemble_reduced, solve_lyap_lsq
+from .lyap_lsq import CglsConfig, solve_lyap_lsq
 from .mmio import read_matrix, write_matrix, write_pattern
 from .modelgen import DescriptorModel, GridSpec, build_model
 from .oracle import dense_lyap
@@ -295,15 +295,14 @@ def _problem(cfg, model):
                      R=np.full(model.m, cfg.r_weight))
 
 
-def _first_step(cfg, prob):
-    Z0 = canonicalize(cfg.z0_scale * identity(prob.model.n))
-    return newton_step_matrices(Z0, prob)
+def _first_step(cfg, model):
+    Z0 = canonicalize(cfg.z0_scale * identity(model.n))
+    return newton_step_matrices(Z0, _problem(cfg, model))
 
 
 def stage_pattern(cfg, out):
     model, _meta = _load_bundle(out)
-    prob = _problem(cfg, model)
-    _F, Abar, P = _first_step(cfg, prob)
+    _F, Abar, P = _first_step(cfg, model)
     pat = apriori_pattern(Abar, model.E, P, cfg.pattern)
     write_pattern(os.path.join(out, "pattern.mtx"), pat)
     _write_json(os.path.join(out, "density.json"), {
@@ -321,8 +320,7 @@ def stage_lyap(cfg, out):
             f"{out}: pattern.mtx not found; run --stage pattern first")
     from .mmio import read_pattern
     pat = read_pattern(pat_path)
-    prob = _problem(cfg, model)
-    _F, Abar, P = _first_step(cfg, prob)
+    _F, Abar, P = _first_step(cfg, model)
     if cfg.lyap_method == "lsq":
         Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
                                 cfg=cfg.cgls, w=cfg.pattern.w)
@@ -420,63 +418,49 @@ def cmd_bench(cfg, out):
     if not sizes:
         raise ConfigError("bench.sizes is required for the bench command")
     os.makedirs(out, exist_ok=True)
+    gp_cfg = replace(cfg.gp, max_iter=int(cfg.bench["gp_max_iter"]))
+    w = str(cfg.pattern.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
     for nodes in sizes:
         nodes = tuple(int(v) for v in np.atleast_1d(nodes))
-        spec = dict(cfg.model)
-        spec["nodes"] = list(nodes)
+        spec = {**cfg.model, "nodes": list(nodes)}
         try:
             sub = parse_config({**cfg.raw, "model": spec}, source="<bench>")
             model = _build_from_config(sub)
-            prob = _problem(sub, model)
-            _F, Abar, P = _first_step(sub, prob)
+            _F, Abar, P = _first_step(sub, model)
             pat = apriori_pattern(Abar, model.E, P, sub.pattern)
         except Exception as exc:            # per-size failure, keep going
-            rows.append([str(int(np.prod(nodes))), "setup", str(cfg.pattern.w),
+            rows.append([str(int(np.prod(nodes))), "setup", w,
                          "0", "0", "0", f"error: {exc}"])
             continue
         n = model.n
-        for method in cfg.bench["methods"]:
+        methods = list(cfg.bench["methods"])
+        if cfg.oracle_enabled and n <= cfg.oracle_max_n:
+            methods.append("oracle")
+        for method in methods:
             try:
                 t0 = time.perf_counter()
                 if method == "lsq":
-                    rs = assemble_reduced(Abar, model.E, P, pat)
-                    res_nnz = rs.M1.nnz
-                    from .lyap_lsq import solve_reduced
-                    res = solve_reduced(rs, cfg.cgls)
-                    iters = res.iterations
+                    _Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
+                                             cfg=cfg.cgls, w=cfg.pattern.w)
+                    nnz, iters = rep.nnz_m1, rep.iterations
                 elif method == "gp":
-                    gp_cfg = GpConfig(
-                        delta_bar=cfg.gp.delta_bar, zeta=cfg.gp.zeta,
-                        sigma=cfg.gp.sigma,
-                        max_iter=int(cfg.bench["gp_max_iter"]),
-                        q=cfg.gp.q, k1=cfg.gp.k1,
-                        stagnation_window=cfg.gp.stagnation_window,
-                        stagnation_rtol=cfg.gp.stagnation_rtol)
-                    X0 = canonicalize(sp.csr_matrix((n, n)))
+                    X0 = sp.csr_matrix((n, n))
                     _Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
                                             cfg=gp_cfg, w=cfg.pattern.w)
-                    res_nnz = rep.extra["peak_nnz"]
-                    iters = rep.iterations
+                    nnz, iters = rep.extra["peak_nnz"], rep.iterations
+                elif method == "oracle":
+                    dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
+                    nnz, iters = n * n, 1
                 else:
                     raise ConfigError(f"unknown bench method {method!r}")
                 wall = 1e3 * (time.perf_counter() - t0)
-                rows.append([str(n), method, str(cfg.pattern.w), str(res_nnz),
-                             str(iters), f"{wall:.17g}", "ok"])
+                rows.append([str(n), method, w, str(nnz), str(iters),
+                             f"{wall:.17g}", "ok"])
             except Exception as exc:
-                rows.append([str(n), method, str(cfg.pattern.w),
-                             "0", "0", "0", f"error: {exc}"])
-        if cfg.oracle_enabled and n <= cfg.oracle_max_n:
-            try:
-                t0 = time.perf_counter()
-                dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
-                wall = 1e3 * (time.perf_counter() - t0)
-                rows.append([str(n), "oracle", str(cfg.pattern.w),
-                             str(n * n), "1", f"{wall:.17g}", "ok"])
-            except Exception as exc:
-                rows.append([str(n), "oracle", str(cfg.pattern.w),
-                             "0", "0", "0", f"error: {exc}"])
+                rows.append([str(n), method, w, "0", "0", "0",
+                             f"error: {exc}"])
     _write_csv(os.path.join(out, "bench.csv"), fields, rows)
     _write_manifest(out, cfg, "bench")
     return 0

@@ -20,7 +20,7 @@ from .lyap_lsq import CglsConfig, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import PatternConfig, apriori_pattern
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         frobenius, identity, project)
+                         frobenius, identity)
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
                 X0, _info = initial_guess(Abar, prob.model.E, P,
                                           cfg=gp_cfg, fcfg=faber_cfg)
             else:
-                X0 = project(Z, pat)
+                X0 = Z
             Z_new, lrep = solve_lyap_gp(Abar, prob.model.E, P, pat, X0,
                                         cfg=gp_cfg, w=cfg.pattern.w)
             lyap_res = lrep.final_residual

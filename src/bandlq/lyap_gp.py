@@ -12,17 +12,17 @@ Faber/Chebyshev polynomials.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .lyap_lsq import GlOperator, scatter_solution
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         fro_inner, frobenius, identity, pattern_power_sum,
-                         project)
+                         frobenius, identity, pattern_power_sum, project)
 
 _DENSE_EIG_LIMIT = 2000
 
@@ -294,68 +294,53 @@ def default_delta_bar(Abar, E):
     return 1.0 / (8.0 * frobenius(E) ** 2 * frobenius(Abar) ** 2)
 
 
-@dataclass
-class GpHistory:
-    J: list = field(default_factory=list)
-    stalled: bool = False
-    peak_nnz: int = 0
-
-
 def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
     delta^i = zeta^g delta_bar, N = -2 E R Abar^T - 2 Abar R E^T and
-    R = P - E^T Z Abar - Abar^T Z E.
+    R = P - E^T Z Abar - Abar^T Z E. Z, X0 and N enter only through their
+    values on the pattern, where the GL operator acts, so no step projects.
     """
     t0 = time.perf_counter()
-    Ec = canonicalize(E)
-    Ac = canonicalize(Abar)
-    Pc = canonicalize(P)
-    pat = binarize(Zpat)
-    Z = project(X0, pat)
+    op = GlOperator(Abar, E, Zpat)
+    p = op.vec(P)
+    z = op.restrict(X0)
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None \
-        else default_delta_bar(Ac, Ec)
+        else default_delta_bar(canonicalize(Abar), canonicalize(E))
 
-    def residual_of(Zm):
-        return canonicalize(Pc - Ec.T @ Zm @ Ac - Ac.T @ Zm @ Ec)
-
-    hist = GpHistory()
-    R = residual_of(Z)
-    J = frobenius(R) ** 2
-    hist.J.append(J)
-    converged = True
+    r = p - op @ z
+    J = float(r @ r)
+    J_history = [J]
+    stalled = False
+    peak_nnz = 0
     for _ in range(cfg.max_iter):
-        # the iterate moves only inside the pattern, so the gradient enters
-        # both the step and the Armijo inner product through its projection
-        N = project(-2.0 * (Ec @ R @ Ac.T) - 2.0 * (Ac @ R @ Ec.T), pat)
-        hist.peak_nnz = max(hist.peak_nnz, N.nnz, Z.nnz, R.nnz)
-        accepted = False
+        g = -2.0 * op.rmatvec(r)
+        peak_nnz = max(peak_nnz, np.count_nonzero(g), np.count_nonzero(z),
+                       np.count_nonzero(r))
         delta = delta_bar
         for _g in range(61):
-            Z_try = project(Z - delta * N, pat)
-            R_try = residual_of(Z_try)
-            J_try = frobenius(R_try) ** 2
-            if J - J_try >= cfg.sigma * fro_inner(N, Z - Z_try):
-                accepted = True
+            z_try = z - delta * g
+            r_try = p - op @ z_try
+            J_try = float(r_try @ r_try)
+            if J - J_try >= cfg.sigma * float(g @ (z - z_try)):
                 break
             delta *= cfg.zeta
-        if not accepted:
-            hist.stalled = True
+        else:
+            stalled = True
             break
-        Z, R, J = Z_try, R_try, J_try
-        hist.J.append(J)
+        z, r, J = z_try, r_try, J_try
+        J_history.append(J)
         win = cfg.stagnation_window
-        if win and len(hist.J) > win:
-            ref = hist.J[-win - 1]
+        if win and len(J_history) > win:
+            ref = J_history[-win - 1]
             if ref <= 0.0 or (ref - J) / ref < cfg.stagnation_rtol:
                 break
     report = SolveReport(
-        method="gp", n=Z.shape[0], w=w, nnz_pattern=pat.nnz,
-        iterations=len(hist.J) - 1, final_residual=float(np.sqrt(hist.J[-1])),
-        wall_ms=1e3 * (time.perf_counter() - t0),
-        converged=converged and not hist.stalled,
-        extra={"J_history": hist.J, "stalled": hist.stalled,
-               "peak_nnz": hist.peak_nnz},
+        method="gp", n=op.n, w=w, nnz_pattern=op.shape[1],
+        iterations=len(J_history) - 1, final_residual=float(np.sqrt(J)),
+        wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
+        extra={"J_history": J_history, "stalled": stalled,
+               "peak_nnz": peak_nnz},
     )
-    return canonicalize(Z), report
+    return scatter_solution(op, z, symmetrize=False), report

@@ -1,10 +1,9 @@
 """Method 1: pattern-reduced least-squares solution of the GL equation.
 
 The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
-is never formed. Columns of M are generated only for unknowns inside the
-a priori pattern, equations whose coefficient row is structurally empty
-are dropped (unless the right-hand side is nonzero there), and the
-reduced system is solved by CGLS.
+is never formed: CGLS runs on ``GlOperator``, which applies M and M^T to
+the unknowns inside the a priori pattern. ``assemble_reduced`` builds the
+same reduced matrix column by column, as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .cgls import cgls
 from .report import SolveReport
@@ -32,13 +32,65 @@ class CglsConfig:
             raise ValueError("CGLS tolerance must be positive")
 
 
+class GlOperator(spla.LinearOperator):
+    """The GL operator Z -> E^T Z Abar + Abar^T Z E on the pattern unknowns.
+
+    It maps the values of Z on the pattern (ordered as ``column_map``) to
+    all n^2 entries of vec(E^T Z Abar + Abar^T Z E); its adjoint maps R to
+    E R Abar^T + Abar R E^T restricted to the pattern. ``nnz`` is the
+    structural nnz of the matrix M1 that ``assemble_reduced`` builds.
+    """
+
+    def __init__(self, Abar, E, Zpat):
+        n = Abar.shape[0]
+        for M in (E, Zpat):
+            if M.shape != (n, n):
+                raise ShapeMismatchError("GlOperator", (n, n), M.shape)
+        self.n = n
+        self._E = canonicalize(E)
+        self._Abar = canonicalize(Abar)
+        i, j = binarize(Zpat).nonzero()
+        if i.size == 0:
+            raise ValueError("GlOperator: empty a priori pattern")
+        self._rows, self._cols = i, j
+        self.column_map = np.column_stack([i, j])
+        # column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
+        # Abar[i,:]): with row nnz e of E and a of Abar and c their overlap,
+        # it has e_i a_j + a_i e_j - c_i c_j entries
+        e = np.diff(self._E.indptr).astype(np.int64)
+        a = np.diff(self._Abar.indptr).astype(np.int64)
+        c = np.diff(binarize(self._E).multiply(binarize(self._Abar)).indptr)
+        self.nnz = int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
+        super().__init__(np.float64, (n * n, i.size))
+
+    def vec(self, X):
+        """vec(X), column-major, of an n x n matrix: the output space."""
+        if X.shape != (self.n, self.n):
+            raise ShapeMismatchError("vec", (self.n, self.n), X.shape)
+        return sp.csr_matrix(X).toarray().ravel(order="F")
+
+    def restrict(self, X):
+        """Values of an n x n matrix on the pattern: the input space."""
+        return self.vec(X)[self._cols * self.n + self._rows]
+
+    def _matvec(self, z):
+        Z = np.zeros((self.n, self.n))
+        Z[self._rows, self._cols] = np.ravel(z)
+        L = self._E.T @ (Z @ self._Abar) + self._Abar.T @ (Z @ self._E)
+        return L.ravel(order="F")
+
+    def _rmatvec(self, r):
+        R = np.reshape(r, (self.n, self.n), order="F")
+        G = self._E @ (R @ self._Abar.T) + self._Abar @ (R @ self._E.T)
+        return G[self._rows, self._cols]
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     M1: sp.csr_matrix
     p1: np.ndarray
     column_map: np.ndarray      # (n1, 2) unknown -> (row, col) in the pattern
     row_map: np.ndarray         # retained equation -> global index s*n + r
-    n: int
 
 
 def _colwise_kron(X, Y, n):
@@ -105,16 +157,11 @@ def assemble_reduced(Abar, E, P, Zpat):
     p1[np.searchsorted(row_map, p_glob)] = Pc.data
     return ReducedSystem(M1=M1, p1=p1,
                          column_map=np.column_stack([ui, uj]),
-                         row_map=row_map, n=n)
-
-
-def solve_reduced(sys, cfg=CglsConfig()):
-    """CGLS solve of min ||p1 - M1 z1||; returns the CGLS result object."""
-    return cgls(sys.M1, sys.p1, tol=cfg.tol, max_iter=cfg.max_iter)
+                         row_map=row_map)
 
 
 def scatter_solution(sys, z1, symmetrize=True):
-    """Scatter the reduced unknown vector back into an n x n sparse matrix."""
+    """Scatter the unknowns of ``sys.column_map`` into an n x n matrix."""
     Z = sp.coo_matrix((z1, (sys.column_map[:, 0], sys.column_map[:, 1])),
                       shape=(sys.n, sys.n)).tocsr()
     if symmetrize:
@@ -123,17 +170,17 @@ def scatter_solution(sys, z1, symmetrize=True):
 
 
 def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1):
-    """Method 1 end to end: assemble, CGLS, scatter, symmetrize."""
+    """Method 1 end to end: CGLS on the GL operator, scatter, symmetrize."""
     t0 = time.perf_counter()
-    sys = assemble_reduced(Abar, E, P, Zpat)
-    res = solve_reduced(sys, cfg)
-    Z = scatter_solution(sys, res.x)
+    op = GlOperator(Abar, E, Zpat)
+    p = op.vec(P)
+    res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter)
+    Z = scatter_solution(op, res.x)
     report = SolveReport(
-        method="lsq", n=sys.n, w=w,
-        nnz_pattern=binarize(Zpat).nnz, nnz_m1=sys.M1.nnz,
+        method="lsq", n=op.n, w=w,
+        nnz_pattern=op.shape[1], nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
-        extra={"lsq_residual_2norm":
-               float(np.linalg.norm(sys.p1 - sys.M1 @ res.x))},
+        extra={"lsq_residual_2norm": float(np.linalg.norm(p - op @ res.x))},
     )
     return Z, report

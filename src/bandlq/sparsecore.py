@@ -42,29 +42,11 @@ def binarize(A):
     return B
 
 
-def pattern_of(A):
-    return binarize(A)
-
-
-def spgemm(A, B):
-    """Sparse-sparse product A @ B in canonical CSR."""
-    if A.shape[1] != B.shape[0]:
-        raise ShapeMismatchError("spgemm", A.shape, B.shape)
-    return canonicalize(sp.csr_matrix(A) @ sp.csr_matrix(B))
-
-
-def spadd(A, B, alpha=1.0, beta=1.0):
-    """alpha*A + beta*B in canonical CSR."""
-    if A.shape != B.shape:
-        raise ShapeMismatchError("spadd", A.shape, B.shape)
-    return canonicalize(alpha * sp.csr_matrix(A) + beta * sp.csr_matrix(B))
-
-
 def project(Q, X):
     """Keep entries of Q where the pattern X has a structural nonzero.
 
-    Realizes the masking operator used by both approximation methods; the
-    result's pattern is contained in X and the operator is idempotent.
+    Realizes the pattern masking operator; the result's pattern is
+    contained in X and the operator is idempotent.
     """
     if Q.shape != X.shape:
         raise ShapeMismatchError("project", Q.shape, X.shape)

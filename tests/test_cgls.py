@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bandlq.cgls import cgls
 from bandlq.sparsecore import canonicalize, identity
@@ -30,10 +31,15 @@ def test_matches_dense_normal_equations():
         M += np.diag(rng.standard_normal(n - abs(d)), k=d)
     M += 5.0 * np.eye(n)
     b = rng.standard_normal(n)
-    res = cgls(canonicalize(sp.csr_matrix(M)), b, tol=1e-8)
+    Ms = canonicalize(sp.csr_matrix(M))
+    res = cgls(Ms, b, tol=1e-8)
     ref = np.linalg.solve(M.T @ M, M.T @ b)
     assert res.converged
     assert np.linalg.norm(res.x - ref) <= 1e-6 * np.linalg.norm(ref)
+    # the same run through the matrix-free interface
+    res_op = cgls(spla.aslinearoperator(Ms), b, tol=1e-8)
+    assert res_op.iterations == res.iterations
+    np.testing.assert_allclose(res_op.x, res.x, rtol=0, atol=1e-14)
 
 
 def test_overdetermined_least_squares():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bandlq.cgls import cgls
 from bandlq.control import metric_e, newton_step_matrices
-from bandlq.lyap_lsq import (CglsConfig, assemble_reduced, scatter_solution,
-                             solve_lyap_lsq, solve_reduced)
+from bandlq.lyap_lsq import (CglsConfig, GlOperator, assemble_reduced,
+                             scatter_solution, solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
 from bandlq.pattern import PatternConfig, apriori_pattern
 from bandlq.sparsecore import binarize, canonicalize, frobenius, identity
@@ -15,6 +16,24 @@ from conftest import full_pattern, heat_problem, random_stable_instance
 
 def _csr(M):
     return canonicalize(sp.csr_matrix(np.asarray(M, dtype=np.float64)))
+
+
+def _check_operator(Abar, E, pat, rs, M):
+    """GlOperator against the explicit Kronecker matrix M and the assembled
+    reduced system rs: same columns, same nnz(M1), and a true adjoint."""
+    n = Abar.shape[0]
+    op = GlOperator(Abar, E, pat)
+    np.testing.assert_array_equal(op.column_map, rs.column_map)
+    cols = op.column_map[:, 1] * n + op.column_map[:, 0]
+    unit = np.eye(op.shape[1])
+    op_cols = np.column_stack([op.matvec(u) for u in unit])
+    np.testing.assert_allclose(op_cols, M[:, cols], rtol=0, atol=1e-15)
+    assert op.nnz == rs.M1.nnz
+    probe = np.random.default_rng(0)
+    z = probe.standard_normal(op.shape[1])
+    r = probe.standard_normal(n * n)
+    lhs = float((op @ z) @ r)
+    assert lhs == pytest.approx(float(z @ op.rmatvec(r)), rel=1e-12)
 
 
 class TestAssembleReduced:
@@ -44,6 +63,7 @@ class TestAssembleReduced:
             cols = rs.column_map[:, 1] * n + rs.column_map[:, 0]
             ref = M[np.ix_(rs.row_map, cols)]
             np.testing.assert_allclose(rs.M1.toarray(), ref, atol=1e-15)
+            _check_operator(Abar, E, pat, rs, M)
 
     def test_partial_pattern_columns(self, rng):
         n = 6
@@ -55,6 +75,7 @@ class TestAssembleReduced:
         cols = rs.column_map[:, 1] * n + rs.column_map[:, 0]
         ref = M[np.ix_(rs.row_map, cols)]
         np.testing.assert_allclose(rs.M1.toarray(), ref, atol=1e-15)
+        _check_operator(Abar, E, pat, rs, M)
 
     def test_rhs_rows_with_zero_coefficients_retained(self):
         # diagonal pattern but P has an off-diagonal entry: that equation
@@ -102,11 +123,12 @@ class TestSolve:
         n = 10
         Abar, E, P = random_stable_instance(n, rng)
         pat = full_pattern(n)
-        rs = assemble_reduced(Abar, E, P, pat)
-        res = solve_reduced(rs, CglsConfig(tol=1e-10))
-        Z = scatter_solution(rs, res.x, symmetrize=False)
+        op = GlOperator(Abar, E, pat)
+        p = op.vec(P)
+        res = cgls(op, p, tol=1e-10)
+        Z = scatter_solution(op, res.x, symmetrize=False)
         R = canonicalize(P - E.T @ Z @ Abar - Abar.T @ Z @ E)
-        vec_res = np.linalg.norm(rs.p1 - rs.M1 @ res.x)
+        vec_res = np.linalg.norm(p - op @ res.x)
         assert frobenius(R) == pytest.approx(vec_res, abs=1e-12)
 
     def test_heat_model_w1_recorded_error(self):

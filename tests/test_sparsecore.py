@@ -4,84 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.sparsecore import (Permutation, ShapeMismatchError, bandwidth,
-                               binarize, canonicalize, fro_inner, frobenius,
-                               identity, pattern_power_sum, project,
-                               rcm_order, spadd, spgemm)
+from bandlq.sparsecore import (Permutation, bandwidth, binarize, canonicalize,
+                               fro_inner, frobenius, identity,
+                               pattern_power_sum, project, rcm_order)
 from conftest import random_banded
-
-
-def _csr_canonical(A):
-    """Column indices strictly increasing within each row, no stored zeros."""
-    A = sp.csr_matrix(A)
-    for i in range(A.shape[0]):
-        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        assert np.all(np.diff(cols) > 0)
-    assert not np.any(A.data == 0.0)
-
-
-class TestSpgemm:
-    def test_identity(self, rng):
-        X = canonicalize(sp.csr_matrix(random_banded(3, 1, rng)))
-        out = spgemm(identity(3), X)
-        assert (out != X).nnz == 0
-
-    def test_stencil_column(self):
-        T = sp.diags([np.ones(2), -2 * np.ones(3), np.ones(2)],
-                     [-1, 0, 1], format="csr")
-        e1 = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
-        out = spgemm(canonicalize(T), canonicalize(e1))
-        np.testing.assert_allclose(out.toarray().ravel(), [-2.0, 1.0, 0.0])
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.3)
-        B = rng.standard_normal((8, 8)) * (rng.random((8, 8)) < 0.3)
-        out = spgemm(canonicalize(sp.csr_matrix(A)),
-                     canonicalize(sp.csr_matrix(B)))
-        np.testing.assert_allclose(out.toarray(), A @ B, atol=1e-14)
-        _csr_canonical(out)
-
-    def test_random_sizes_vs_dense(self, rng):
-        for n in (5, 17, 64):
-            A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
-            B = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
-            out = spgemm(canonicalize(sp.csr_matrix(A)),
-                         canonicalize(sp.csr_matrix(B)))
-            ref = A @ B
-            scale = max(np.linalg.norm(ref), 1.0)
-            assert np.linalg.norm(out.toarray() - ref) <= 1e-12 * scale
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatchError) as err:
-            spgemm(identity(3), identity(4))
-        assert "3" in str(err.value) and "4" in str(err.value)
-
-
-class TestSpadd:
-    def test_cancellation_drops_zeros(self, rng):
-        A = canonicalize(sp.csr_matrix(random_banded(5, 2, rng)))
-        out = spadd(A, A, alpha=1.0, beta=-1.0)
-        assert out.nnz == 0
-
-    def test_zero_beta(self, rng):
-        A = canonicalize(sp.csr_matrix(random_banded(5, 2, rng)))
-        B = canonicalize(sp.csr_matrix(random_banded(5, 2, rng)))
-        out = spadd(A, B, alpha=1.0, beta=0.0)
-        assert (out != A).nnz == 0
-
-    def test_matches_dense(self, rng):
-        A = random_banded(6, 2, rng)
-        B = random_banded(6, 2, rng)
-        out = spadd(canonicalize(sp.csr_matrix(A)),
-                    canonicalize(sp.csr_matrix(B)), alpha=1.5, beta=-0.25)
-        np.testing.assert_allclose(out.toarray(), 1.5 * A - 0.25 * B,
-                                   atol=1e-15)
-        _csr_canonical(out)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            spadd(identity(3), identity(4))
 
 
 class TestProject:
