@@ -11,7 +11,7 @@ from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import (DescriptorModel, GridSpec, build_heat_model, build_model,
                        permute_model, place_io, setpoint)
 from .pattern import PatternConfig, apriori_pattern, inverse_pattern
-from .sparsecore import (Permutation, bandwidth, binarize, fro_inner, frobenius,
+from .sparsecore import (Permutation, bandwidth, binarize, frobenius,
                          pattern_power_sum, project, rcm_order)
 
 __version__ = "0.1.0"

@@ -69,8 +69,14 @@ class NewtonIterationReport:
 
 
 class RiccatiDivergence(RuntimeError):
+    """The Newton loop stopped on a non-finite or persistently grown v_k."""
+
     def __init__(self, reports):
-        super().__init__("Riccati residual grew for 3 consecutive iterations")
+        last = reports[-1]
+        super().__init__(
+            f"Riccati residual is not finite at Newton step {last.k}"
+            if not np.isfinite(last.v_k)
+            else "Riccati residual grew for 3 consecutive iterations")
         self.reports = reports
 
 
@@ -128,7 +134,9 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
     The a priori pattern is recomputed for the first
     ``cfg.pattern.freeze_after_newton_iter`` iterations and then frozen.
     ``pattern_override`` replaces the computed pattern (e.g. a full
-    pattern for oracle-equivalence runs).
+    pattern for oracle-equivalence runs). Raises ``RiccatiDivergence``
+    with the reports so far when v_k is not finite or has stayed above
+    10 v_1 for 3 consecutive steps.
     """
     n = prob.model.n
     Z = canonicalize(cfg.Z0_scale * identity(n))
@@ -164,6 +172,8 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
             k=k, v_k=v_k, lyap_residual=lyap_res, nnz_Z=Z.nnz,
             nnz_F=feedback(Z, prob).nnz,
             wall_ms=1e3 * (time.perf_counter() - t0)))
+        if not np.isfinite(v_k):
+            raise RiccatiDivergence(reports)
         if v1 is None:
             v1 = v_k
         if v_k <= cfg.residual_tol * v1:

@@ -6,7 +6,7 @@ the projection arc. It is initialized from a quadrature of matrix
 exponentials: a sparse approximate inverse of E turns the GL equation into
 a non-generalized one, a sinh-based quadrature discretizes its integral
 representation, and each matrix exponential is expanded in sparsified
-Faber/Chebyshev polynomials.
+Faber/Chebyshev polynomials of one basis shared by all quadrature nodes.
 """
 
 from __future__ import annotations
@@ -207,37 +207,41 @@ def _faber_constants(bounds):
     return c1, c2, c3, c4
 
 
-def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), proj_pattern=None):
-    """Sparse banded approximation of exp(t_scaled * A1).
+def _collapses(sb):
+    """The scaled spectrum is the single point c4 (to 1e-14)."""
+    return 0.5 * (sb.lambda_RL - sb.lambda_RS) <= 1e-14 \
+        and sb.lambda_IL <= 1e-14
 
-    Chebyshev three-term recurrence in the shifted variable
-    A2 = (t A1 - c4 I)/sqrt(c3), projected after each step onto the
-    pattern of I + A2 + ... + A2^k2 (or a caller-supplied pattern), summed
-    with the Faber coefficients.
+
+def faber_basis(A1, bounds, cfg=FaberConfig(), proj_pattern=None):
+    """Weighted, projected Chebyshev matrices of A1 on their union pattern.
+
+    Runs the three-term recurrence in the shifted variable
+    A2 = (A1 - c4 I)/sqrt(c3), projected after each step onto the pattern
+    of I + A2 + ... + A2^k2 (or a caller-supplied pattern). Returns
+    (S, V): the union pattern S of T_0..T_p and the (p+1) x nnz(S) array
+    whose row l holds the values of T_l on S, weighted by 2 scale^l for
+    l >= 1, so that a Faber sum is a @ V on S. The ellipse constants c1,
+    c2 and c4 scale as t and c3 as t^2, so A2 and scale = sqrt(c3)/(2 c2),
+    hence S and V, are the same for t A1 with the bounds scaled by t.
     """
     n = A1.shape[0]
-    sb = bounds.scaled(t_scaled)
-    c1, c2, c3, c4 = _faber_constants(sb)
-    if c1 <= 1e-14 and sb.lambda_IL <= 1e-14:
-        # spectrum collapses to the single point c4
-        return canonicalize(np.exp(c4) * identity(n))
+    _c1, c2, c3, c4 = _faber_constants(bounds)
     if c3 <= 0:
         raise ValueError(
-            f"invalid spectral ellipse (c3 = {c3:.3e}); bounds {sb}")
-    A2 = canonicalize((t_scaled * sp.csr_matrix(A1) - c4 * identity(n))
-                      / np.sqrt(c3))
+            f"invalid spectral ellipse (c3 = {c3:.3e}); bounds {bounds}")
+    A2 = canonicalize((sp.csr_matrix(A1) - c4 * identity(n)) / np.sqrt(c3))
     if proj_pattern is None and cfg.k2 < n:
         proj_pattern = pattern_power_sum(binarize(A2), cfg.k2)
-    a = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p)
     scale = np.sqrt(c3) / (2.0 * c2)
 
-    K = a[0] * identity(n)
+    terms = [(1.0, identity(n))]
     T_prev = identity(n)
     T_cur = A2
     if cfg.p >= 1:
-        K = canonicalize(K + a[1] * 2.0 * scale * T_cur)
+        terms.append((2.0 * scale, T_cur))
     pw = scale
-    for l in range(2, cfg.p + 1):
+    for _l in range(2, cfg.p + 1):
         T_next = 2.0 * (A2 @ T_cur) - T_prev
         if proj_pattern is not None:
             T_next = project(T_next, proj_pattern)
@@ -245,8 +249,39 @@ def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), proj_pattern=None):
             T_next = canonicalize(T_next)
         T_prev, T_cur = T_cur, T_next
         pw *= scale
-        K = canonicalize(K + a[l] * 2.0 * pw * T_cur)
-    return K
+        terms.append((2.0 * pw, T_cur))
+    S = binarize(sum(binarize(T) for _w, T in terms))
+    keys = _linear_keys(S)
+    V = np.zeros((len(terms), S.nnz))
+    for l, (w, T) in enumerate(terms):
+        V[l, np.searchsorted(keys, _linear_keys(T))] = w * T.data
+    return S, V
+
+
+def _linear_keys(A):
+    """Row-major linear indices of the entries of a canonical CSR matrix."""
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    return rows * A.shape[1] + A.indices
+
+
+def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), proj_pattern=None,
+               basis=None):
+    """Sparse banded approximation of exp(t_scaled * A1).
+
+    Sums the Faber coefficients of the scaled spectrum bounds over the
+    projected Chebyshev basis of A1 (``faber_basis(A1, bounds, cfg,
+    proj_pattern)``, built here unless the caller passes it as ``basis``).
+    """
+    n = A1.shape[0]
+    sb = bounds.scaled(t_scaled)
+    _c1, c2, c3, c4 = _faber_constants(sb)
+    if _collapses(sb):
+        return canonicalize(np.exp(c4) * identity(n))
+    S, V = basis if basis is not None else faber_basis(A1, bounds, cfg,
+                                                       proj_pattern)
+    K = S.copy()
+    K.data = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p) @ V
+    return canonicalize(K)
 
 
 def transformed_problem(Abar, E, P, k1):
@@ -267,7 +302,8 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
     """Quadrature-of-exponentials initial guess for the gradient iteration.
 
     X3 = -sum_j psi omega_j K~_j P1 K~_j^T over the sinh-quadrature nodes,
-    with each K~_j a sparsified Faber approximation of exp(t~_j A1).
+    with each K~_j a sparsified Faber approximation of exp(t~_j A1). All
+    nodes share one Faber basis of A1; only the coefficients vary.
     """
     A1, P1, spai_residual = transformed_problem(Abar, E, P, cfg.k1)
     bounds = spectrum_bounds(A1)
@@ -275,8 +311,11 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
     n = A1.shape[0]
     X3 = sp.csr_matrix((n, n))
     peak_nnz = 0
+    basis = None            # built at the first node that does not collapse
     for t_j, omega_j in nodes:
-        K = faber_expm(A1, t_j, bounds, fcfg)
+        if basis is None and not _collapses(bounds.scaled(t_j)):
+            basis = faber_basis(A1, bounds, fcfg)
+        K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
         X3 = canonicalize(X3 - psi * omega_j * (K @ P1 @ K.T))
         peak_nnz = max(peak_nnz, K.nnz, X3.nnz)
     X3 = canonicalize(0.5 * (X3 + X3.T))

@@ -81,13 +81,6 @@ def frobenius(A):
     return float(np.sqrt(np.sum(A.data * A.data)))
 
 
-def fro_inner(A, B):
-    """Frobenius inner product trace(A^T B) = vec(A)^T vec(B)."""
-    if A.shape != B.shape:
-        raise ShapeMismatchError("fro_inner", A.shape, B.shape)
-    return float(sp.csr_matrix(A).multiply(sp.csr_matrix(B)).sum())
-
-
 def bandwidth(A):
     """max |i - j| over structural nonzeros (0 for an empty matrix)."""
     A = sp.coo_matrix(A)

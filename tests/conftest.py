@@ -56,6 +56,28 @@ def scalar_problem():
     return model, LqProblem(model, Q=np.ones(1), R=np.ones(1))
 
 
+def nan_lyap_solve_at(monkeypatch, step):
+    """Make Newton step ``step`` receive a NaN Method-1 solution.
+
+    Wraps ``bandlq.control.solve_lyap_lsq``; returns the list of the steps
+    it was called at.
+    """
+    import bandlq.control
+    solve = bandlq.control.solve_lyap_lsq
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(len(calls) + 1)
+        Z, rep = solve(*args, **kwargs)
+        if calls[-1] == step:
+            Z = Z.copy()
+            Z.data[:] = np.nan
+        return Z, rep
+
+    monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", wrapped)
+    return calls
+
+
 def full_pattern(n):
     from bandlq.sparsecore import binarize
     return binarize(sp.csr_matrix(np.ones((n, n))))

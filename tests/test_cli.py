@@ -7,6 +7,7 @@ import pytest
 
 from bandlq.cli import ConfigError, main, parse_config
 from bandlq.mmio import read_matrix
+from conftest import nan_lyap_solve_at
 
 
 def _write_config(tmp_path, name, cfg):
@@ -159,6 +160,19 @@ class TestSolveStages:
         rc = main(["solve", "--config", cfg, "--stage", "riccati"])
         assert rc == 2
         assert (tmp_path / "run_nc" / "newton_report.csv").exists()
+
+    def test_non_finite_residual_exit_code_two(self, tmp_path, monkeypatch):
+        cfg = _heat_config(tmp_path, out="run_nan")
+        assert main(["genmodel", "--config", cfg]) == 0
+        calls = nan_lyap_solve_at(monkeypatch, step=2)
+        rc = main(["solve", "--config", cfg, "--stage", "riccati"])
+        assert rc == 2 and calls == [1, 2]
+        out = tmp_path / "run_nan"
+        rows = (out / "newton_report.csv").read_text().splitlines()
+        assert rows[0].startswith("k,v_k,") and len(rows) == 3
+        assert rows[2].split(",")[1] == "nan"
+        assert not (out / "Zricc.mtx").exists()
+        assert not (out / "F.mtx").exists()
 
     def test_simulate_stage(self, tmp_path):
         cfg = _heat_config(tmp_path, out="run_sim")

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.control import (LqProblem, NewtonConfig, feedback, frechet_apply,
-                            metric_e, newton_step_matrices, riccati_residual,
+from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
+                            feedback, frechet_apply, metric_e,
+                            newton_step_matrices, riccati_residual,
                             simulate_closed_loop, solve_riccati)
 from bandlq.lyap_lsq import CglsConfig
 from bandlq.oracle import dense_riccati, pencil_eigs
 from bandlq.pattern import PatternConfig
 from bandlq.sparsecore import canonicalize, frobenius, identity
-from conftest import full_pattern, heat_problem, random_banded, scalar_problem
+from conftest import (full_pattern, heat_problem, nan_lyap_solve_at,
+                      random_banded, scalar_problem)
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 
@@ -131,6 +133,16 @@ class TestSolveRiccati:
         Z, reports = solve_riccati(prob, cfg=cfg)
         assert frobenius(Z - Z.T) <= 1e-10 * max(frobenius(Z), 1.0)
         assert len(reports) <= 6
+
+    def test_non_finite_residual_stops_the_loop(self, monkeypatch):
+        _model, prob = heat_problem((4, 4))
+        calls = nan_lyap_solve_at(monkeypatch, step=2)
+        with pytest.raises(RiccatiDivergence, match="not finite") as exc:
+            solve_riccati(prob, cfg=NewtonConfig(N_max=20, residual_tol=0.0))
+        reports = exc.value.reports
+        assert calls == [1, 2]
+        assert [r.k for r in reports] == [1, 2]
+        assert np.isfinite(reports[0].v_k) and np.isnan(reports[1].v_k)
 
     def test_feedback_sparsity_fraction_w0(self):
         # actuator-row selection of a banded Z keeps the feedback sparse

@@ -7,13 +7,14 @@ import scipy.sparse as sp
 
 from bandlq.control import metric_e, newton_step_matrices
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
-                            UnstableMatrixError, default_delta_bar,
+                            UnstableMatrixError, _faber_constants,
+                            default_delta_bar, faber_basis,
                             faber_coefficients, faber_expm, initial_guess,
                             quadrature_nodes, solve_lyap_gp, spai,
                             spectrum_bounds, transformed_problem)
 from bandlq.pattern import PatternConfig, apriori_pattern, inverse_pattern
-from bandlq.sparsecore import (binarize, canonicalize, identity,
-                               project)
+from bandlq.sparsecore import (binarize, canonicalize, frobenius, identity,
+                               pattern_power_sum, project)
 from bandlq.oracle import dense_expm, dense_lyap
 from conftest import full_pattern, heat_problem, random_banded
 
@@ -26,6 +27,36 @@ def _fe_mass(n, h=0.1):
     return canonicalize((h / 6.0) * sp.diags(
         [np.ones(n - 1), 4.0 * np.ones(n), np.ones(n - 1)],
         [-1, 0, 1], format="csr"))
+
+
+def _heat_a1(nodes, k1=3):
+    model, prob = heat_problem(nodes)
+    _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+    A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=k1)
+    return A1
+
+
+def _per_node_faber(A1, t, bounds, cfg):
+    """Reference: the projected recurrence run afresh for one node t."""
+    n = A1.shape[0]
+    _c1, c2, c3, c4 = _faber_constants(bounds.scaled(t))
+    A2 = canonicalize((t * A1 - c4 * identity(n)) / np.sqrt(c3))
+    pat = pattern_power_sum(binarize(A2), cfg.k2) if cfg.k2 < n else None
+    a = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p)
+    scale = np.sqrt(c3) / (2.0 * c2)
+    K = a[0] * identity(n)
+    T_prev, T_cur = identity(n), A2
+    if cfg.p >= 1:
+        K = canonicalize(K + a[1] * 2.0 * scale * T_cur)
+    pw = scale
+    for l in range(2, cfg.p + 1):
+        T_next = 2.0 * (A2 @ T_cur) - T_prev
+        T_next = project(T_next, pat) if pat is not None \
+            else canonicalize(T_next)
+        T_prev, T_cur = T_cur, T_next
+        pw *= scale
+        K = canonicalize(K + a[l] * 2.0 * pw * T_cur)
+    return K
 
 
 class TestSpai:
@@ -99,6 +130,14 @@ class TestSpectrumBounds:
         assert lam.real.min() >= b.lambda_RS - 1e-9
         assert lam.real.max() <= b.lambda_RL + 1e-9
         assert np.abs(lam.imag).max() <= b.lambda_IL + 1e-9
+
+    def test_arpack_bounds_enclose_dense_bounds(self):
+        A1 = _heat_a1((10, 10))
+        dense = spectrum_bounds(A1)
+        arpack = spectrum_bounds(A1, dense_limit=0)
+        assert arpack.lambda_RS <= dense.lambda_RS
+        assert arpack.lambda_RL >= dense.lambda_RL
+        assert arpack.lambda_IL >= dense.lambda_IL
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -198,11 +237,38 @@ class TestFaberExpm:
                                    atol=1e-8)
 
     def test_symmetric_constants_identity(self):
-        from bandlq.lyap_gp import _faber_constants
         b = SpectrumBounds(-7.0, -0.25, 0.0)
         c1, c2, c3, c4 = _faber_constants(b)
         assert c2 == pytest.approx(c1 / 2.0, abs=1e-12)
         assert c3 == pytest.approx(c1 * c1, abs=1e-12)
+
+    @pytest.mark.parametrize("bounds", [SpectrumBounds(-7.0, -0.25, 0.0),
+                                        SpectrumBounds(-8.0, -2.0, 1.0),
+                                        SpectrumBounds(-3.0, -1.0, 5.0)])
+    def test_constants_scale_with_t(self, bounds):
+        # c1, c2, c4 scale as t and c3 as t^2, so A2 and the weights
+        # sqrt(c3)/(2 c2) of the Faber basis do not depend on t
+        c = np.array(_faber_constants(bounds))
+        for t in (1e-3, 0.37, 2.5, 40.0):
+            ct = np.array(_faber_constants(bounds.scaled(t)))
+            np.testing.assert_allclose(ct, c * [t, t, t * t, t],
+                                       rtol=1e-13)
+
+    @pytest.mark.parametrize("k2", [0, 1, 4, 100])
+    @pytest.mark.parametrize("p", [0, 1, 30])
+    def test_shared_basis_matches_per_node_recurrence(self, k2, p):
+        # k2 = 0 leaves T_1 = A2 outside the projection pattern;
+        # k2 = 100 >= n runs the recurrence without projection
+        A1 = _heat_a1((8, 8))
+        b = spectrum_bounds(A1)
+        cfg = FaberConfig(p=p, k2=k2)
+        basis = faber_basis(A1, b, cfg)
+        _psi, nodes = quadrature_nodes(40, b)
+        for t, _w in nodes[::20]:
+            ref = _per_node_faber(A1, t, b, cfg)
+            for K in (faber_expm(A1, t, b, cfg, basis=basis),
+                      faber_expm(A1, t, b, cfg)):
+                assert frobenius(K - ref) <= 1e-12 * frobenius(ref)
 
     def test_heat_model_error_decreases_with_p(self):
         model, prob = heat_problem((8, 8))

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.sparsecore import (Permutation, bandwidth, binarize, canonicalize,
-                               fro_inner, frobenius, identity,
-                               pattern_power_sum, project, rcm_order)
+                               frobenius, identity, pattern_power_sum, project,
+                               rcm_order)
 from conftest import random_banded
 
 
@@ -118,21 +118,6 @@ class TestRcmOrder:
 class TestNorms:
     def test_frobenius_identity(self):
         assert frobenius(identity(4)) == pytest.approx(2.0)
-
-    def test_fro_inner_zero(self, rng):
-        A = canonicalize(sp.csr_matrix(random_banded(5, 1, rng)))
-        assert fro_inner(A, canonicalize(sp.csr_matrix((5, 5)))) == 0.0
-
-    def test_fro_inner_vs_trace(self, rng):
-        A = rng.standard_normal((7, 7))
-        B = rng.standard_normal((7, 7))
-        out = fro_inner(canonicalize(sp.csr_matrix(A)),
-                        canonicalize(sp.csr_matrix(B)))
-        assert out == pytest.approx(np.trace(A.T @ B), abs=1e-13)
-
-    def test_fro_inner_self(self, rng):
-        A = canonicalize(sp.csr_matrix(random_banded(6, 2, rng)))
-        assert fro_inner(A, A) == pytest.approx(frobenius(A) ** 2)
 
 
 class TestPermutation:
