@@ -25,7 +25,8 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     """Run CGLS on min ||b - M x||.
 
     Terminates when ||M^T r|| / ||M^T b|| <= tol or after max_iter
-    iterations (default 10 * ncols).
+    iterations (default 10 * ncols). A non-finite value in b or in an
+    operator product stops it at once, unconverged.
     """
     M = spla.aslinearoperator(M)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -38,6 +39,10 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     r = b - M @ x
     s = Mt @ r
     norm_s0 = np.linalg.norm(Mt @ b)
+    if not np.isfinite(norm_s0):
+        return CglsResult(x=x, converged=False, iterations=0,
+                          residual=float("nan"),
+                          normal_residual_history=[float("nan")])
     if norm_s0 == 0.0:
         return CglsResult(x=x, converged=True, iterations=0, residual=0.0,
                           normal_residual_history=[0.0])
@@ -49,7 +54,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     while not converged and it < max_iter:
         q = M @ p
         qq = float(q @ q)
-        if qq == 0.0:
+        if qq == 0.0 or not np.isfinite(qq):
             break
         alpha = gamma / qq
         x += alpha * p
@@ -59,6 +64,8 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
         rel = np.sqrt(gamma_new) / norm_s0
         history.append(rel)
         it += 1
+        if not np.isfinite(rel):
+            break
         if rel <= tol:
             converged = True
             break

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lyap_lsq import GlOperator, scatter_solution
+from .lyap_lsq import GlOperator
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
@@ -338,8 +338,10 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
     delta^i = zeta^g delta_bar, N = -2 E R Abar^T - 2 Abar R E^T and
-    R = P - E^T Z Abar - Abar^T Z E. Z, X0 and N enter only through their
-    values on the pattern, where the GL operator acts, so no step projects.
+    R = P - E^T Z Abar - Abar^T Z E. Z is sought among the symmetric
+    matrices supported on Zpat, which must be symmetric; X0 is read through
+    its symmetric part on the pattern. Z and N are held as the GL
+    operator's coordinates, so no step projects.
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat)
@@ -355,7 +357,7 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
     peak_nnz = 0
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
-        peak_nnz = max(peak_nnz, np.count_nonzero(g), np.count_nonzero(z),
+        peak_nnz = max(peak_nnz, op.entries(g), op.entries(z),
                        np.count_nonzero(r))
         delta = delta_bar
         for _g in range(61):
@@ -376,10 +378,10 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
             if ref <= 0.0 or (ref - J) / ref < cfg.stagnation_rtol:
                 break
     report = SolveReport(
-        method="gp", n=op.n, w=w, nnz_pattern=op.shape[1],
+        method="gp", n=op.n, w=w, nnz_pattern=op.nnz_pattern,
         iterations=len(J_history) - 1, final_residual=float(np.sqrt(J)),
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,
                "peak_nnz": peak_nnz},
     )
-    return scatter_solution(op, z, symmetrize=False), report
+    return op.scatter(z), report

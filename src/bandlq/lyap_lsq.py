@@ -2,8 +2,9 @@
 
 The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
 is never formed: CGLS runs on ``GlOperator``, which applies M and M^T to
-the unknowns inside the a priori pattern. ``assemble_reduced`` builds the
-same reduced matrix column by column, as the reference for the tests.
+coordinates of the symmetric matrices inside the a priori pattern.
+``assemble_reduced`` builds the reduced matrix over all pattern entries
+column by column, as the reference for the tests.
 """
 
 from __future__ import annotations
@@ -33,12 +34,16 @@ class CglsConfig:
 
 
 class GlOperator(spla.LinearOperator):
-    """The GL operator Z -> E^T Z Abar + Abar^T Z E on the pattern unknowns.
+    """The GL operator Z -> E^T Z Abar + Abar^T Z E on symmetric Z in the pattern.
 
-    It maps the values of Z on the pattern (ordered as ``column_map``) to
-    all n^2 entries of vec(E^T Z Abar + Abar^T Z E); its adjoint maps R to
-    E R Abar^T + Abar R E^T restricted to the pattern. ``nnz`` is the
-    structural nnz of the matrix M1 that ``assemble_reduced`` builds.
+    The unknowns are orthonormal coordinates of the symmetric matrices
+    supported on the pattern, which must be symmetric: one per pattern entry
+    (i, j) with i <= j, ordered as ``column_map``, with Z[i, j] = Z[j, i] =
+    z / sqrt(2) off the diagonal and Z[i, i] = z on it, so ||z|| = ||Z||_F.
+    The operator maps them to all n^2 entries of vec(E^T Z Abar + Abar^T Z
+    E). ``nnz`` is the structural nnz of the matrix M1 that
+    ``assemble_reduced`` builds and ``nnz_pattern`` the number of pattern
+    entries.
     """
 
     def __init__(self, Abar, E, Zpat):
@@ -49,19 +54,33 @@ class GlOperator(spla.LinearOperator):
         self.n = n
         self._E = canonicalize(E)
         self._Abar = canonicalize(Abar)
-        i, j = binarize(Zpat).nonzero()
-        if i.size == 0:
+        Zp = binarize(Zpat)
+        if Zp.nnz == 0:
             raise ValueError("GlOperator: empty a priori pattern")
-        self._rows, self._cols = i, j
-        self.column_map = np.column_stack([i, j])
+        if (Zp != Zp.T).nnz:
+            raise ValueError("GlOperator: the a priori pattern is not "
+                             "symmetric")
+        self.nnz_pattern = Zp.nnz
         # column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
         # Abar[i,:]): with row nnz e of E and a of Abar and c their overlap,
         # it has e_i a_j + a_i e_j - c_i c_j entries
+        i, j = Zp.nonzero()
         e = np.diff(self._E.indptr).astype(np.int64)
         a = np.diff(self._Abar.indptr).astype(np.int64)
         c = np.diff(binarize(self._E).multiply(binarize(self._Abar)).indptr)
         self.nnz = int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
-        super().__init__(np.float64, (n * n, i.size))
+        upper = i <= j
+        self._rows, self._cols = i[upper], j[upper]
+        self.column_map = np.column_stack([self._rows, self._cols])
+        # unknown (i, j) has the basis matrix B = w (e_i e_j^T + e_j e_i^T)
+        # with w = 1/2 on the diagonal and 1/sqrt(2) off it, so B has unit
+        # norm and <B, X> = w (X[i, j] + X[j, i])
+        self._off = self._rows != self._cols
+        self._weight = np.where(self._off, np.sqrt(0.5), 0.5)
+        # every product below is CSR @ C-contiguous dense
+        self._ET = self._E.T.tocsr()
+        self._AbarT = self._Abar.T.tocsr()
+        super().__init__(np.float64, (n * n, self._rows.size))
 
     def vec(self, X):
         """vec(X), column-major, of an n x n matrix: the output space."""
@@ -69,20 +88,43 @@ class GlOperator(spla.LinearOperator):
             raise ShapeMismatchError("vec", (self.n, self.n), X.shape)
         return sp.csr_matrix(X).toarray().ravel(order="F")
 
+    def _coords(self, X):
+        """Coordinates of the symmetric part of the dense X on the pattern."""
+        r, c = self._rows, self._cols
+        return (X[r, c] + X[c, r]) * self._weight
+
     def restrict(self, X):
-        """Values of an n x n matrix on the pattern: the input space."""
-        return self.vec(X)[self._cols * self.n + self._rows]
+        """Coordinates of sym(X) on the pattern: the input space."""
+        return self._coords(self.vec(X).reshape((self.n, self.n), order="F"))
+
+    def scatter(self, z):
+        """The symmetric matrix with coordinates z, as canonical CSR."""
+        U = sp.coo_matrix((np.ravel(z) * self._weight,
+                           (self._rows, self._cols)), shape=(self.n, self.n))
+        return canonicalize(U + U.T)
+
+    def entries(self, z):
+        """Number of nonzero matrix entries of the matrix with coordinates z."""
+        nz = np.ravel(z) != 0
+        return int(np.count_nonzero(nz) + np.count_nonzero(nz & self._off))
 
     def _matvec(self, z):
+        v = np.ravel(z) * self._weight
         Z = np.zeros((self.n, self.n))
-        Z[self._rows, self._cols] = np.ravel(z)
-        L = self._E.T @ (Z @ self._Abar) + self._Abar.T @ (Z @ self._E)
-        return L.ravel(order="F")
+        Z[self._rows, self._cols] = v
+        Z[self._cols, self._rows] += v
+        # U = Abar^T Z = (Z Abar)^T, S = E^T Z Abar; L = S + S^T is
+        # symmetric, so its row- and column-major vecs agree
+        U = self._AbarT @ Z
+        S = self._ET @ np.ascontiguousarray(U.T)
+        return (S + S.T).ravel()
 
     def _rmatvec(self, r):
-        R = np.reshape(r, (self.n, self.n), order="F")
-        G = self._E @ (R @ self._Abar.T) + self._Abar @ (R @ self._E.T)
-        return G[self._rows, self._cols]
+        R = np.reshape(r, (self.n, self.n))
+        # H = E (R + R^T) Abar^T; only H + H^T enters the coordinates,
+        # so its transpose Abar (R + R^T) E^T serves as well
+        V = self._E @ (R + R.T)
+        return self._coords(self._Abar @ np.ascontiguousarray(V.T))
 
 
 @dataclass(frozen=True)
@@ -160,17 +202,17 @@ def assemble_reduced(Abar, E, P, Zpat):
                          row_map=row_map)
 
 
-def scatter_solution(sys, z1, symmetrize=True):
-    """Scatter the unknowns of ``sys.column_map`` into an n x n matrix."""
-    Z = sp.coo_matrix((z1, (sys.column_map[:, 0], sys.column_map[:, 1])),
-                      shape=(sys.n, sys.n)).tocsr()
-    if symmetrize:
-        Z = 0.5 * (Z + Z.T)
-    return canonicalize(Z)
+def scatter_solution(op, z):
+    """The symmetric n x n matrix with the coordinates z of ``op``."""
+    return op.scatter(z)
 
 
 def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1):
-    """Method 1 end to end: CGLS on the GL operator, scatter, symmetrize."""
+    """Method 1 end to end: CGLS on the GL operator, then scatter.
+
+    Z is sought among the symmetric matrices supported on Zpat, which must
+    be symmetric; the result is exactly symmetric.
+    """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat)
     p = op.vec(P)
@@ -178,7 +220,7 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1):
     Z = scatter_solution(op, res.x)
     report = SolveReport(
         method="lsq", n=op.n, w=w,
-        nnz_pattern=op.shape[1], nnz_m1=op.nnz,
+        nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
         extra={"lsq_residual_2norm": float(np.linalg.norm(p - op @ res.x))},

@@ -70,3 +70,33 @@ def test_normal_residual_window_monotone():
     h = res.normal_residual_history
     for i in range(len(h) - 5):
         assert min(h[i + 1:i + 6]) <= h[i] * (1.0 + 1e-12)
+
+
+def test_nan_in_rhs_stops_at_once():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((30, 10))
+    b = rng.standard_normal(30)
+    b[7] = np.nan
+    res = cgls(canonicalize(sp.csr_matrix(M)), b, tol=1e-12)
+    assert not res.converged
+    assert res.iterations <= 1
+    assert np.isnan(res.residual)
+
+
+def test_nan_from_operator_stops_at_once():
+    # the operator's products turn non-finite from the first one inside
+    # the loop on
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((30, 10))
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        y = M @ x
+        return y if len(calls) < 2 else np.full_like(y, np.nan)
+
+    op = spla.LinearOperator(M.shape, matvec=matvec,
+                             rmatvec=lambda r: M.T @ r, dtype=np.float64)
+    res = cgls(op, rng.standard_normal(30), tol=1e-12)
+    assert not res.converged
+    assert res.iterations == 0

@@ -139,6 +139,23 @@ class TestSolveStages:
         e_k = float(lines[1].split(",")[header.index("e_k")])
         assert e_k <= 1e-6
 
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    def test_report_counts_pattern_entries(self, tmp_path, method):
+        # the operator has one unknown per entry on or above the diagonal,
+        # but the report counts every entry of the pattern
+        cfg = _heat_config(tmp_path, out=f"run_nnz_{method}",
+                           lyap={"method": method, "cgls_tol": 1e-9,
+                                 "gp": {"max_iter": 50}})
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "lyap"]) == 0
+        out = tmp_path / f"run_nnz_{method}"
+        nnz = json.loads((out / "density.json").read_text())["nnz"]
+        header, row = [ln.split(",") for ln in
+                       (out / "lyap_report.csv").read_text().splitlines()]
+        assert row[header.index("method")] == method
+        assert int(row[header.index("nnz_pattern")]) == nnz
+
     def test_missing_prerequisite_exit_code(self, tmp_path, capsys):
         cfg = _heat_config(tmp_path, out="run_dep")
         assert main(["genmodel", "--config", cfg]) == 0

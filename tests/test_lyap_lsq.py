@@ -18,22 +18,47 @@ def _csr(M):
     return canonicalize(sp.csr_matrix(np.asarray(M, dtype=np.float64)))
 
 
+def _sym_columns(M, index, column_map):
+    """Columns of M in the operator's coordinates, where column index[i, j]
+    of M belongs to entry (i, j): (M[:, index[i, j]] + M[:, index[j, i]])
+    / sqrt(2) for i < j and M[:, index[i, i]] for i = j."""
+    i, j = column_map[:, 0], column_map[:, 1]
+    scale = np.where(i == j, 0.5, np.sqrt(0.5))
+    return (M[:, index[i, j]] + M[:, index[j, i]]) * scale
+
+
 def _check_operator(Abar, E, pat, rs, M):
     """GlOperator against the explicit Kronecker matrix M and the assembled
-    reduced system rs: same columns, same nnz(M1), and a true adjoint."""
+    reduced system rs: the same columns in symmetric coordinates, the same
+    nnz(M1), a true adjoint, and restrict/scatter as an isometry pair."""
     n = Abar.shape[0]
     op = GlOperator(Abar, E, pat)
-    np.testing.assert_array_equal(op.column_map, rs.column_map)
-    cols = op.column_map[:, 1] * n + op.column_map[:, 0]
+    upper = rs.column_map[:, 0] <= rs.column_map[:, 1]
+    np.testing.assert_array_equal(op.column_map, rs.column_map[upper])
     unit = np.eye(op.shape[1])
     op_cols = np.column_stack([op.matvec(u) for u in unit])
-    np.testing.assert_allclose(op_cols, M[:, cols], rtol=0, atol=1e-15)
+    vec_index = np.arange(n * n).reshape((n, n), order="F")
+    np.testing.assert_allclose(op_cols, _sym_columns(M, vec_index,
+                                                     op.column_map),
+                               rtol=0, atol=1e-15 * np.abs(M).max())
     assert op.nnz == rs.M1.nnz
+    assert op.nnz_pattern == binarize(pat).nnz
     probe = np.random.default_rng(0)
     z = probe.standard_normal(op.shape[1])
     r = probe.standard_normal(n * n)
     lhs = float((op @ z) @ r)
     assert lhs == pytest.approx(float(z @ op.rmatvec(r)), rel=1e-12)
+    Z = op.scatter(z)
+    assert frobenius(Z - Z.T) == 0.0
+    assert (binarize(Z) - binarize(pat).multiply(binarize(Z))).nnz == 0
+    assert frobenius(Z) == pytest.approx(np.linalg.norm(z), rel=1e-14)
+    np.testing.assert_allclose(op.restrict(Z), z, rtol=0, atol=1e-14)
+    # restrict reads the symmetric part, and entries counts both triangles
+    X = sp.csr_matrix(probe.standard_normal((n, n)))
+    np.testing.assert_allclose(op.restrict(X), op.restrict(0.5 * (X + X.T)),
+                               rtol=0, atol=1e-14)
+    z[::2] = 0.0
+    assert op.entries(z) == op.scatter(z).nnz
 
 
 class TestAssembleReduced:
@@ -75,7 +100,12 @@ class TestAssembleReduced:
         cols = rs.column_map[:, 1] * n + rs.column_map[:, 0]
         ref = M[np.ix_(rs.row_map, cols)]
         np.testing.assert_allclose(rs.M1.toarray(), ref, atol=1e-15)
-        _check_operator(Abar, E, pat, rs, M)
+        # the operator acts on symmetric matrices only
+        assert (pat != pat.T).nnz > 0
+        with pytest.raises(ValueError, match="symmetric"):
+            GlOperator(Abar, E, pat)
+        sym = binarize(pat + pat.T)
+        _check_operator(Abar, E, sym, assemble_reduced(Abar, E, P, sym), M)
 
     def test_rhs_rows_with_zero_coefficients_retained(self):
         # diagonal pattern but P has an off-diagonal entry: that equation
@@ -118,15 +148,34 @@ class TestSolve:
         assert frobenius(Z - Z.T) <= 1e-12 * max(frobenius(Z), 1.0)
         assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
 
+    def test_matches_symmetrized_dense_lstsq(self, rng):
+        # the least-squares solution over the symmetric matrices in the
+        # pattern, from the assembled M1 taken to symmetric coordinates
+        n = 9
+        Abar, E, P = random_stable_instance(n, rng)
+        mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
+        pat = binarize(identity(n) + mask + mask.T)
+        rs = assemble_reduced(Abar, E, P, pat)
+        op = GlOperator(Abar, E, pat)
+        index = np.zeros((n, n), dtype=np.int64)
+        index[rs.column_map[:, 0], rs.column_map[:, 1]] = \
+            np.arange(rs.column_map.shape[0])
+        Ms = _sym_columns(rs.M1.toarray(), index, op.column_map)
+        z, *_ = np.linalg.lstsq(Ms, rs.p1, rcond=None)
+        Zref = op.scatter(z)
+        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=CglsConfig(tol=1e-12))
+        assert rep.converged and rep.nnz_pattern == pat.nnz
+        assert frobenius(Z - Zref) <= 1e-8 * frobenius(Zref)
+
     def test_residual_identity(self, rng):
-        # vector-form and matrix-form residuals agree before symmetrization
+        # vector-form and matrix-form residuals agree
         n = 10
         Abar, E, P = random_stable_instance(n, rng)
         pat = full_pattern(n)
         op = GlOperator(Abar, E, pat)
         p = op.vec(P)
         res = cgls(op, p, tol=1e-10)
-        Z = scatter_solution(op, res.x, symmetrize=False)
+        Z = scatter_solution(op, res.x)
         R = canonicalize(P - E.T @ Z @ Abar - Abar.T @ Z @ E)
         vec_res = np.linalg.norm(p - op @ res.x)
         assert frobenius(R) == pytest.approx(vec_res, abs=1e-12)
