@@ -114,9 +114,14 @@ def _spai_one_sided(E, pat):
         if support.size == 0:
             cols.append((np.empty(0, dtype=np.int64), np.empty(0)))
             continue
-        sub = Ecsc[:, support]
-        rows = np.unique(sub.tocoo().row)
-        A_sub = np.asarray(sub[rows, :].todense())
+        # the stored entries of E's columns in support, read off its arrays
+        starts = Ecsc.indptr[support]
+        counts = Ecsc.indptr[support + 1] - starts
+        k = np.repeat(starts - np.cumsum(counts) + counts, counts) \
+            + np.arange(counts.sum())
+        rows, at = np.unique(Ecsc.indices[k], return_inverse=True)
+        A_sub = np.zeros((rows.size, support.size))
+        A_sub[at, np.repeat(np.arange(support.size), counts)] = Ecsc.data[k]
         b = (rows == j).astype(np.float64)
         x, *_ = np.linalg.lstsq(A_sub, b, rcond=None)
         cols.append((support, x))
@@ -272,6 +277,8 @@ def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), proj_pattern=None,
     projected Chebyshev basis of A1 (``faber_basis(A1, bounds, cfg,
     proj_pattern)``, built here unless the caller passes it as ``basis``).
     """
+    if basis is not None and proj_pattern is not None:
+        raise ValueError("pass proj_pattern to faber_basis, not with a basis")
     n = A1.shape[0]
     sb = bounds.scaled(t_scaled)
     _c1, c2, c3, c4 = _faber_constants(sb)
@@ -303,26 +310,28 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
 
     X3 = -sum_j psi omega_j K~_j P1 K~_j^T over the sinh-quadrature nodes,
     with each K~_j a sparsified Faber approximation of exp(t~_j A1). All
-    nodes share one Faber basis of A1; only the coefficients vary.
+    nodes share one Faber basis of A1; only the coefficients vary. X3 is
+    accumulated in one dense n x n array, each term as two CSR x dense
+    products, and returned symmetrized as canonical CSR.
     """
     A1, P1, spai_residual = transformed_problem(Abar, E, P, cfg.k1)
     bounds = spectrum_bounds(A1)
     psi, nodes = quadrature_nodes(cfg.q, bounds)
     n = A1.shape[0]
-    X3 = sp.csr_matrix((n, n))
-    peak_nnz = 0
+    P1t = P1.T.toarray()
+    X3 = np.zeros((n, n))
     basis = None            # built at the first node that does not collapse
     for t_j, omega_j in nodes:
         if basis is None and not _collapses(bounds.scaled(t_j)):
             basis = faber_basis(A1, bounds, fcfg)
         K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
-        X3 = canonicalize(X3 - psi * omega_j * (K @ P1 @ K.T))
-        peak_nnz = max(peak_nnz, K.nnz, X3.nnz)
+        term = K @ (K @ P1t).T          # K (K P1^T)^T = K P1 K^T
+        term *= psi * omega_j
+        X3 -= term
     X3 = canonicalize(0.5 * (X3 + X3.T))
     info = {
         "spai_residual": spai_residual,
         "fill": X3.nnz / float(n * n),
-        "peak_nnz": max(peak_nnz, P1.nnz),
         "bounds": bounds,
     }
     return X3, info

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from bandlq.control import metric_e, newton_step_matrices
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
-                            UnstableMatrixError, _faber_constants,
+                            UnstableMatrixError, _collapses,
+                            _faber_constants, _spai_one_sided,
                             default_delta_bar, faber_basis,
                             faber_coefficients, faber_expm, initial_guess,
                             quadrature_nodes, solve_lyap_gp, spai,
@@ -59,6 +60,40 @@ def _per_node_faber(A1, t, bounds, cfg):
     return K
 
 
+def _sparse_x3(Abar, E, P, cfg, fcfg=FaberConfig()):
+    """Reference: X3 accumulated as canonical CSR, one triple product per
+    node."""
+    A1, P1, _res = transformed_problem(Abar, E, P, cfg.k1)
+    bounds = spectrum_bounds(A1)
+    psi, nodes = quadrature_nodes(cfg.q, bounds)
+    n = A1.shape[0]
+    X3 = sp.csr_matrix((n, n))
+    basis = None
+    for t_j, omega_j in nodes:
+        if basis is None and not _collapses(bounds.scaled(t_j)):
+            basis = faber_basis(A1, bounds, fcfg)
+        K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
+        X3 = canonicalize(X3 - psi * omega_j * (K @ P1 @ K.T))
+    return canonicalize(0.5 * (X3 + X3.T))
+
+
+def _spai_slicing(E, pat):
+    """Reference: per-column least-squares blocks cut by scipy slicing."""
+    n = E.shape[0]
+    Ecsc, patc = E.tocsc(), pat.tocsc()
+    X = sp.lil_matrix((n, n))
+    for j in range(n):
+        support = patc.indices[patc.indptr[j]:patc.indptr[j + 1]]
+        if support.size == 0:
+            continue
+        sub = Ecsc[:, support]
+        rows = np.unique(sub.tocoo().row)
+        x, *_ = np.linalg.lstsq(np.asarray(sub[rows, :].todense()),
+                                (rows == j).astype(np.float64), rcond=None)
+        X[support, j] = x[:, None]
+    return canonicalize(X)
+
+
 class TestSpai:
     def test_identity(self):
         X, res = spai(identity(5), full_pattern(5))
@@ -101,6 +136,27 @@ class TestSpai:
         if r_right > r_left:
             Ref = Ref.T
         np.testing.assert_allclose(X.toarray(), Ref, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["mass30-k1", "mass30-k2", "mass30-k3",
+                                      "fe7x7", "empty-column"])
+    def test_one_sided_matches_slicing_reference(self, case):
+        if case.startswith("mass30"):
+            E = _fe_mass(30)
+            pat = inverse_pattern(E, int(case[-1]))
+        elif case == "fe7x7":
+            E = canonicalize(heat_problem((7, 7))[0].E)
+            pat = inverse_pattern(E, 2)
+        else:
+            E = _fe_mass(12)
+            pat = inverse_pattern(E, 1).tolil()
+            pat[:, 5] = 0.0
+        pat = binarize(pat)
+        assert case != "empty-column" or pat.getcol(5).nnz == 0
+        for Es, ps in ((E, pat), (E.T.tocsr(), pat.T.tocsr())):
+            X, ref = _spai_one_sided(Es, ps), _spai_slicing(Es, ps)
+            assert np.array_equal(X.indptr, ref.indptr)
+            assert np.array_equal(X.indices, ref.indices)
+            assert np.array_equal(X.data, ref.data)
 
     def test_rank_deficient_subproblem_no_failure(self):
         E = _csr([[1.0, 1.0], [1.0, 1.0]])     # singular
@@ -270,6 +326,13 @@ class TestFaberExpm:
                       faber_expm(A1, t, b, cfg)):
                 assert frobenius(K - ref) <= 1e-12 * frobenius(ref)
 
+    def test_basis_with_projection_pattern_rejected(self):
+        A1 = _csr(np.diag([-1.0, -2.0]))
+        b = spectrum_bounds(A1)
+        basis = faber_basis(A1, b)
+        with pytest.raises(ValueError, match="proj_pattern"):
+            faber_expm(A1, 1.0, b, basis=basis, proj_pattern=identity(2))
+
     def test_heat_model_error_decreases_with_p(self):
         model, prob = heat_problem((8, 8))
         _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
@@ -339,6 +402,44 @@ class TestInitialGuess:
                 X2 -= psi * w_j * (K @ P1.toarray() @ K.T)
             errs.append(np.linalg.norm(X2 - Xex) / np.linalg.norm(Xex))
         assert errs[1] < errs[0]
+
+    @pytest.mark.parametrize("case", ["heat-q5", "heat-q40", "scalar",
+                                      "diagonal"])
+    def test_dense_accumulation_matches_sparse_reference(self, case):
+        fcfg = FaberConfig()
+        if case.startswith("heat"):
+            model, prob = heat_problem((10, 10))
+            _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+            E, cfg = model.E, GpConfig(q=int(case[6:]))
+        elif case == "scalar":          # every node collapses
+            Abar, E, P = _csr([[-1.0]]), identity(1), _csr([[-2.0]])
+            cfg, fcfg = GpConfig(q=40), FaberConfig(p=20)
+        else:
+            Abar, E, P = _csr(np.diag([-1.0, -2.0])), identity(2), \
+                _csr(-np.eye(2))
+            cfg = GpConfig(q=40)
+        X3, info = initial_guess(Abar, E, P, cfg=cfg, fcfg=fcfg)
+        ref = _sparse_x3(Abar, E, P, cfg, fcfg)
+        assert X3.nnz == ref.nnz
+        assert info["fill"] == ref.nnz / float(ref.shape[0] ** 2)
+        assert frobenius(X3 - ref) <= 1e-13 * frobenius(ref)
+
+    @pytest.mark.parametrize("q", [1, 5])
+    def test_probed_functions_called_through_module(self, monkeypatch, q):
+        # perfbench times X3 by wrapping these module-level names; inlining
+        # one of them would leave its span empty
+        import bandlq.lyap_gp as lyap_gp
+        calls = {}
+        for name in ("spai", "spectrum_bounds", "faber_expm"):
+            def counted(*args, _f=getattr(lyap_gp, name), _n=name, **kw):
+                calls[_n] = calls.get(_n, 0) + 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(lyap_gp, name, counted)
+        model, prob = heat_problem((4, 4))
+        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        initial_guess(Abar, model.E, P, cfg=GpConfig(q=q))
+        assert calls == {"spai": 1, "spectrum_bounds": 1,
+                         "faber_expm": 2 * q + 1}
 
     def test_unstable_input_rejected(self):
         with pytest.raises(UnstableMatrixError):
