@@ -9,7 +9,7 @@ from .lyap_gp import (FaberConfig, GpConfig, SpectrumBounds, faber_coefficients,
                       solve_lyap_gp, spectrum_bounds)
 from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import (DescriptorModel, GridSpec, build_heat_model, build_model,
-                       permute_model, place_io, setpoint)
+                       permute_model, place_io)
 from .pattern import PatternConfig, apriori_pattern, inverse_pattern
 from .sparsecore import (Permutation, bandwidth, binarize, frobenius,
                          pattern_power_sum, project, rcm_order)

@@ -25,8 +25,10 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     """Run CGLS on min ||b - M x||.
 
     Terminates when ||M^T r|| / ||M^T b|| <= tol or after max_iter
-    iterations (default 10 * ncols). A non-finite value in b or in an
-    operator product stops it at once, unconverged.
+    iterations (default 10 * ncols). A start x0 (copied, never modified)
+    keeps this target relative to ||M^T b||, not to its own first residual.
+    A non-finite value in b or in an operator product stops it at once,
+    unconverged.
     """
     M = spla.aslinearoperator(M)
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -49,7 +51,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     p = s.copy()
     gamma = float(s @ s)
     history = [np.linalg.norm(s) / norm_s0]
-    converged = history[-1] <= tol
+    converged = bool(history[-1] <= tol)
     it = 0
     while not converged and it < max_iter:
         q = M @ p

@@ -357,10 +357,10 @@ def stage_riccati(cfg, out):
         F = feedback(Z, prob)
         write_matrix(os.path.join(out, "Zricc.mtx"), Z)
         write_matrix(os.path.join(out, "F.mtx"), F)
-    rows = [[_fmt(r.k), _fmt(r.v_k), _fmt(r.lyap_residual),
-             _fmt(r.nnz_Z), _fmt(r.nnz_F)] for r in reports]
-    _write_csv(os.path.join(out, "newton_report.csv"),
-               ("k", "v_k", "lyap_residual", "nnz_Z", "nnz_F"), rows)
+    fields = ("k", "v_k", "lyap_residual", "nnz_Z", "nnz_F",
+              "lyap_iterations", "lyap_converged")
+    rows = [[_fmt(getattr(r, f)) for f in fields] for r in reports]
+    _write_csv(os.path.join(out, "newton_report.csv"), fields, rows)
     _write_json(os.path.join(out, "timings.json"),
                 {"newton_wall_ms": [r.wall_ms for r in reports]})
     if Z is None:

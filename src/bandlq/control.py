@@ -65,6 +65,8 @@ class NewtonIterationReport:
     lyap_residual: float    # inner-solve residual (the Newton inexactness)
     nnz_Z: int
     nnz_F: int
+    lyap_iterations: int    # inner-solve iterations
+    lyap_converged: bool    # the inner solve's converged flag
     wall_ms: float
 
 
@@ -151,16 +153,17 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
             pat = binarize(pattern_override)
         elif pat is None or k <= cfg.pattern.freeze_after_newton_iter:
             pat = apriori_pattern(Abar, prob.model.E, P, cfg.pattern)
+        # inner solves start from the previous Newton iterate; step 1
+        # starts LSQ from zero and GP from the X3 initial guess
+        X0 = Z if k > 1 else None
         if cfg.lyap_method == "lsq":
             Z_new, lrep = solve_lyap_lsq(Abar, prob.model.E, P, pat,
-                                         cfg=cgls_cfg, w=cfg.pattern.w)
+                                         cfg=cgls_cfg, w=cfg.pattern.w, X0=X0)
             lyap_res = lrep.extra["lsq_residual_2norm"]
         elif cfg.lyap_method == "gp":
-            if k == 1:
+            if X0 is None:
                 X0, _info = initial_guess(Abar, prob.model.E, P,
                                           cfg=gp_cfg, fcfg=faber_cfg)
-            else:
-                X0 = Z
             Z_new, lrep = solve_lyap_gp(Abar, prob.model.E, P, pat, X0,
                                         cfg=gp_cfg, w=cfg.pattern.w)
             lyap_res = lrep.final_residual
@@ -170,7 +173,8 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
         v_k = frobenius(riccati_residual(Z, prob))
         reports.append(NewtonIterationReport(
             k=k, v_k=v_k, lyap_residual=lyap_res, nnz_Z=Z.nnz,
-            nnz_F=feedback(Z, prob).nnz,
+            nnz_F=feedback(Z, prob).nnz, lyap_iterations=lrep.iterations,
+            lyap_converged=lrep.converged,
             wall_ms=1e3 * (time.perf_counter() - t0)))
         if not np.isfinite(v_k):
             raise RiccatiDivergence(reports)

@@ -207,16 +207,18 @@ def scatter_solution(op, z):
     return op.scatter(z)
 
 
-def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1):
+def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1, X0=None):
     """Method 1 end to end: CGLS on the GL operator, then scatter.
 
     Z is sought among the symmetric matrices supported on Zpat, which must
-    be symmetric; the result is exactly symmetric.
+    be symmetric; the result is exactly symmetric. CGLS starts from zero,
+    or from X0 read through its symmetric part on the pattern.
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat)
     p = op.vec(P)
-    res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter)
+    x0 = None if X0 is None else op.restrict(X0)
+    res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     Z = scatter_solution(op, res.x)
     report = SolveReport(
         method="lsq", n=op.n, w=w,

@@ -2,8 +2,7 @@
 
 Structured-grid FD/FE discretizations of the heat equation with
 homogeneous Dirichlet boundaries (interior nodes only), seeded actuator
-and sensor placement, RCM permutation into banded form, and set-point
-computation.
+and sensor placement, and RCM permutation into banded form.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .cgls import cgls
 from .sparsecore import (Permutation, bandwidth, binarize, canonicalize,
                          identity, rcm_order)
 
@@ -65,22 +63,6 @@ class DescriptorModel:
     @property
     def r(self):
         return self.C.shape[0]
-
-
-@dataclass(frozen=True)
-class SetPoint:
-    y_d: np.ndarray
-    x_d: np.ndarray
-    u_d: np.ndarray
-    residual: float
-
-
-class SetpointError(RuntimeError):
-    def __init__(self, residual, iterations):
-        super().__init__(
-            f"set-point CGLS did not converge in {iterations} iterations "
-            f"(normal residual {residual:.3e})")
-        self.residual = residual
 
 
 def _tridiag(n, lo, di, up):
@@ -186,22 +168,3 @@ def permute_model(model):
         grid=model.grid,
     )
 
-
-def setpoint(model, y_d, tol=1e-10, max_iter=None):
-    """Least-squares (x_d, u_d) with A x_d + B u_d = 0 and C x_d = y_d.
-
-    Solves the stacked system [[A, B], [C, 0]] (x; u) = (0; y_d) by CGLS
-    and reports the 2-norm residual of the stacked equations.
-    """
-    y_d = np.asarray(y_d, dtype=np.float64).ravel()
-    if y_d.size != model.r:
-        raise ValueError(f"y_d has size {y_d.size}, expected {model.r}")
-    n, m = model.n, model.m
-    K = sp.bmat([[model.A, model.B],
-                 [model.C, None]], format="csr")
-    rhs = np.concatenate([np.zeros(n), y_d])
-    res = cgls(K, rhs, tol=tol, max_iter=max_iter)
-    if not res.converged:
-        raise SetpointError(res.residual, res.iterations)
-    residual = float(np.linalg.norm(rhs - K @ res.x))
-    return SetPoint(y_d=y_d, x_d=res.x[:n], u_d=res.x[n:], residual=residual)

@@ -1,6 +1,7 @@
 """CGLS least-squares solver."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -100,3 +101,52 @@ def test_nan_from_operator_stops_at_once():
     res = cgls(op, rng.standard_normal(30), tol=1e-12)
     assert not res.converged
     assert res.iterations == 0
+
+
+def _lstsq_instance():
+    rng = np.random.default_rng(4)
+    M = canonicalize(sp.csr_matrix(rng.standard_normal((30, 10))))
+    b = rng.standard_normal(30)
+    ref, *_ = np.linalg.lstsq(M.toarray(), b, rcond=None)
+    return M, b, ref, rng
+
+
+def test_x0_at_solution_returns_at_once():
+    M, b, ref, _rng = _lstsq_instance()
+    res = cgls(M, b, tol=1e-10, x0=ref)
+    assert res.converged and res.iterations == 0
+    np.testing.assert_array_equal(res.x, ref)
+
+
+def test_x0_keeps_the_cold_absolute_target():
+    # the target is tol * ||M^T b||, not tol times the start's own normal
+    # residual: the run stops at the first iterate under it
+    M, b, ref, rng = _lstsq_instance()
+    tol = 1e-8
+    norm_s0 = np.linalg.norm(M.T @ b)
+    cold = cgls(M, b, tol=tol)
+    x0 = ref + 1e-3 * rng.standard_normal(ref.size)
+    warm = cgls(M, b, tol=tol, x0=x0)
+    h = warm.normal_residual_history
+    assert cold.converged and cold.normal_residual_history[0] == 1.0
+    assert warm.converged and warm.iterations >= 1
+    assert h[0] == pytest.approx(
+        np.linalg.norm(M.T @ (b - M @ x0)) / norm_s0, rel=1e-12)
+    assert all(v > tol for v in h[:-1]) and h[-1] <= tol
+    # a start already under the absolute target needs no iteration, although
+    # its own normal residual is far from reduced by tol
+    d = x0 - ref
+    near = ref + 0.5 * tol * norm_s0 / np.linalg.norm(M.T @ (M @ d)) * d
+    res = cgls(M, b, tol=tol, x0=near)
+    assert res.converged and res.iterations == 0
+    assert res.residual == pytest.approx(0.5 * tol, rel=1e-3)
+
+
+def test_x0_not_modified():
+    M, b, ref, rng = _lstsq_instance()
+    x0 = rng.standard_normal(ref.size)
+    before = x0.copy()
+    res = cgls(M, b, tol=1e-10, x0=x0)
+    assert res.iterations >= 1
+    np.testing.assert_array_equal(x0, before)
+    assert res.x is not x0

@@ -1,5 +1,6 @@
 """CLI: config validation, stages, artifacts, exit codes, determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -190,6 +191,18 @@ class TestSolveStages:
         assert rows[2].split(",")[1] == "nan"
         assert not (out / "Zricc.mtx").exists()
         assert not (out / "F.mtx").exists()
+
+    def test_newton_report_records_inner_solves(self, tmp_path):
+        cfg = _heat_config(tmp_path, out="run_nr")
+        assert main(["genmodel", "--config", cfg]) == 0
+        main(["solve", "--config", cfg, "--stage", "riccati"])
+        with open(tmp_path / "run_nr" / "newton_report.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == ["k", "v_k", "lyap_residual", "nnz_Z",
+                                 "nnz_F", "lyap_iterations",
+                                 "lyap_converged"]
+        assert int(rows[0]["lyap_iterations"]) > 0
+        assert all(r["lyap_converged"] == "True" for r in rows)
 
     def test_simulate_stage(self, tmp_path):
         cfg = _heat_config(tmp_path, out="run_sim")

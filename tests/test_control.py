@@ -1,5 +1,7 @@
 """Inexact Newton Riccati solver, feedback, metrics, closed-loop simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -143,6 +145,35 @@ class TestSolveRiccati:
         assert calls == [1, 2]
         assert [r.k for r in reports] == [1, 2]
         assert np.isfinite(reports[0].v_k) and np.isnan(reports[1].v_k)
+
+    def test_warm_start_halves_inner_iterations(self, monkeypatch):
+        # steps k >= 2 start CGLS from Z_{k-1}; the cold reference drops X0.
+        # On fd-5point 6x6 the w = 1 pattern is truncated (584 of 1296
+        # entries), so v_k levels off at the truncation error, far above the
+        # inner tolerance, where both loops must agree
+        import bandlq.control
+        _model, prob = heat_problem((6, 6), discretization="fd-5point")
+        cfg = NewtonConfig(N_max=8, residual_tol=1e-9,
+                           pattern=PatternConfig(w=1))
+        _Z, warm = solve_riccati(prob, cfg=cfg)
+        solve = bandlq.control.solve_lyap_lsq
+
+        def cold_solve(*args, X0=None, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
+        _Z, cold = solve_riccati(prob, cfg=cfg)
+        assert len(warm) == len(cold) == 8
+        assert all(r.lyap_converged for r in warm + cold)
+        warm_its = sum(r.lyap_iterations for r in warm)
+        cold_its = sum(r.lyap_iterations for r in cold)
+        assert warm_its <= cold_its / 2
+        first = dataclasses.asdict(warm[0])
+        first_cold = dataclasses.asdict(cold[0])
+        del first["wall_ms"], first_cold["wall_ms"]
+        assert first == first_cold
+        for a, b in zip(warm, cold):
+            assert a.v_k == pytest.approx(b.v_k, rel=1e-5)
 
     def test_feedback_sparsity_fraction_w0(self):
         # actuator-row selection of a banded Z keeps the feedback sparse

@@ -167,6 +167,47 @@ class TestSolve:
         assert rep.converged and rep.nnz_pattern == pat.nnz
         assert frobenius(Z - Zref) <= 1e-8 * frobenius(Zref)
 
+    def test_x0_read_through_symmetric_part_on_pattern(self, rng):
+        # an X0 with an antisymmetric part and entries off the pattern starts
+        # CGLS where sym(X0) restricted to the pattern does
+        n = 9
+        Abar, E, P = random_stable_instance(n, rng)
+        mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
+        pat = binarize(identity(n) + mask + mask.T)
+        X0 = _csr(rng.standard_normal((n, n)))
+        X0_sym = canonicalize(0.5 * (X0 + X0.T)).multiply(pat).tocsr()
+        assert frobenius(X0 - X0.T) > 0 and (X0 - X0.multiply(pat)).nnz > 0
+        cfg = CglsConfig(tol=1e-12, max_iter=3)
+        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=X0)
+        Z_sym, rep_sym = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=X0_sym)
+        Z_cold, _rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg)
+        assert rep.iterations == rep_sym.iterations == 3
+        assert frobenius(Z - Z_sym) <= 1e-14 * frobenius(Z_sym)
+        assert frobenius(Z - Z_cold) > 1e-6 * frobenius(Z_cold)
+
+    def test_x0_at_previous_solution_returns_at_once(self, rng):
+        n = 12
+        Abar, E, P = random_stable_instance(n, rng)
+        mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
+        pat = binarize(identity(n) + mask + mask.T)
+        cfg = CglsConfig(tol=1e-8)
+        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg)
+        Z2, rep2 = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=Z)
+        assert rep.iterations > 0
+        assert rep2.converged and rep2.iterations == 0
+        assert frobenius(Z2 - Z) <= 1e-14 * frobenius(Z)
+
+    def test_x0_none_is_the_cold_start(self, rng):
+        n = 12
+        Abar, E, P = random_stable_instance(n, rng)
+        pat = full_pattern(n)
+        Z, rep = solve_lyap_lsq(Abar, E, P, pat)
+        Z_none, rep_none = solve_lyap_lsq(Abar, E, P, pat, X0=None)
+        assert rep.iterations == rep_none.iterations
+        np.testing.assert_array_equal(Z.indptr, Z_none.indptr)
+        np.testing.assert_array_equal(Z.indices, Z_none.indices)
+        np.testing.assert_array_equal(Z.data, Z_none.data)
+
     def test_residual_identity(self, rng):
         # vector-form and matrix-form residuals agree
         n = 10

@@ -1,14 +1,13 @@
-"""Heat-model generation, actuator/sensor placement, permutation, set-points."""
+"""Heat-model generation, actuator/sensor placement, permutation."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bandlq.modelgen import (DescriptorModel, GridSpec, SetpointError,
-                             build_heat_model, build_model, permute_model,
-                             place_io, setpoint)
+from bandlq.modelgen import (DescriptorModel, GridSpec, build_heat_model,
+                             build_model, permute_model, place_io)
 from bandlq.oracle import pencil_eigs
-from bandlq.sparsecore import Permutation, bandwidth, identity
+from bandlq.sparsecore import Permutation, bandwidth
 
 
 class TestBuildHeatModel:
@@ -152,47 +151,3 @@ class TestPermuteModel:
         for a, b in ((m1.E, m2.E), (m1.A, m2.A), (m1.B, m2.B), (m1.C, m2.C)):
             assert (a != b).nnz == 0
 
-
-class TestSetpoint:
-    def test_zero_target(self):
-        grid = GridSpec(dimension=1, nodes=(10,), lengths=(1.0,),
-                        diffusivity=1.0, discretization="fd-5point")
-        model = build_model(grid, 0.5, seed=2)
-        spt = setpoint(model, np.zeros(model.r))
-        np.testing.assert_allclose(spt.x_d, 0.0, atol=1e-12)
-        np.testing.assert_allclose(spt.u_d, 0.0, atol=1e-12)
-
-    def test_recovers_constructed_state(self):
-        # B = I lets any state be held: u* = -A x*
-        grid = GridSpec(dimension=1, nodes=(3,), lengths=(1.0,),
-                        diffusivity=1.0, discretization="fd-5point")
-        E, A = build_heat_model(grid)
-        model = DescriptorModel(E=E, A=A, B=identity(3), C=identity(3),
-                                permutation=Permutation.identity(3),
-                                grid=grid)
-        x_star = np.array([1.0, -0.5, 2.0])
-        spt = setpoint(model, x_star, tol=1e-13)
-        np.testing.assert_allclose(spt.x_d, x_star, atol=1e-8)
-        np.testing.assert_allclose(spt.u_d, -(A @ x_star), atol=1e-7)
-
-    def test_inconsistent_target_matches_dense_residual(self):
-        grid = GridSpec(dimension=1, nodes=(12,), lengths=(1.0,),
-                        diffusivity=1.0, discretization="fd-5point")
-        model = build_model(grid, 0.25, seed=6)      # m = 3 < r = 3? keep small
-        rng = np.random.default_rng(3)
-        y_d = rng.standard_normal(model.r)
-        spt = setpoint(model, y_d, tol=1e-13, max_iter=20000)
-        K = np.block([[model.A.toarray(), model.B.toarray()],
-                      [model.C.toarray(),
-                       np.zeros((model.r, model.m))]])
-        rhs = np.concatenate([np.zeros(model.n), y_d])
-        ref, ref_res, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        ref_norm = np.linalg.norm(rhs - K @ ref)
-        assert spt.residual == pytest.approx(ref_norm, abs=1e-8)
-
-    def test_nonconvergence_raises(self):
-        grid = GridSpec(dimension=1, nodes=(10,), lengths=(1.0,),
-                        diffusivity=1.0, discretization="fd-5point")
-        model = build_model(grid, 0.5, seed=2)
-        with pytest.raises(SetpointError):
-            setpoint(model, np.ones(model.r), tol=1e-16, max_iter=1)
