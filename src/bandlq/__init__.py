@@ -3,7 +3,7 @@ and sparse LQ feedback synthesis for discretized PDE descriptor models."""
 
 from .control import (LqProblem, NewtonConfig, feedback, frechet_apply,
                       metric_e, riccati_residual, simulate_closed_loop,
-                      solve_riccati)
+                      solve_lyap, solve_riccati)
 from .lyap_gp import (FaberConfig, GpConfig, SpectrumBounds, faber_coefficients,
                       faber_expm, initial_guess, quadrature_nodes, spai,
                       solve_lyap_gp, spectrum_bounds)

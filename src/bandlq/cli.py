@@ -24,7 +24,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,9 +32,12 @@ import scipy.sparse as sp
 from . import __version__
 from .control import (LqProblem, NewtonConfig, RiccatiDivergence, feedback,
                       metric_e, newton_step_matrices, simulate_closed_loop,
-                      solve_riccati)
-from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
-from .lyap_lsq import CglsConfig, solve_lyap_lsq
+                      solve_lyap, solve_riccati)
+from .lyap_gp import FaberConfig, GpConfig
+from .lyap_lsq import CglsConfig
+# not called here; kept because perfbench/probes.py wraps them by name here
+from .lyap_gp import initial_guess, solve_lyap_gp  # noqa: F401
+from .lyap_lsq import solve_lyap_lsq  # noqa: F401
 from .mmio import read_matrix, write_matrix, write_pattern
 from .modelgen import DescriptorModel, GridSpec, build_model
 from .oracle import dense_lyap
@@ -65,14 +68,10 @@ def _section(raw, name, allowed, required=(), path=""):
 class RunConfig:
     output_dir: str
     model: dict
-    pattern: PatternConfig
-    lyap_method: str
+    newton: NewtonConfig
     cgls: CglsConfig
     gp: GpConfig
     faber: FaberConfig
-    z0_scale: float
-    n_max: int
-    residual_tol: float
     q_weight: float
     r_weight: float
     sim: dict
@@ -109,9 +108,7 @@ def parse_config(raw, source="<config>"):
         model.setdefault("seed", 0)
 
     pat_raw = _section(raw.get("pattern", {}), "pattern",
-                       ("w", "binarize_each_step", "use_absolute_values",
-                        "freeze_after_newton_iter"), path=path)
-    pattern = PatternConfig(**pat_raw)
+                       ("w", "freeze_after_newton_iter"), path=path)
 
     lyap_raw = dict(_section(raw.get("lyap", {}), "lyap",
                              ("method", "cgls_tol", "cgls_max_iter", "gp"),
@@ -143,19 +140,18 @@ def parse_config(raw, source="<config>"):
     orc = _section(raw.get("oracle", {}), "oracle", ("enabled", "max_n"),
                    path=path)
     bench = dict(_section(raw.get("bench", {}), "bench",
-                          ("sizes", "methods", "gp_max_iter"), path=path))
+                          ("sizes", "methods"), path=path))
     bench.setdefault("methods", ["lsq"])
-    bench.setdefault("gp_max_iter", 200)
 
     return RunConfig(
         output_dir=raw["output_dir"],
         model=model,
-        pattern=pattern,
-        lyap_method=method,
+        newton=NewtonConfig(
+            Z0_scale=float(ric_raw.get("Z0_scale", 10.0)),
+            N_max=int(ric_raw.get("N_max", 20)), lyap_method=method,
+            residual_tol=float(ric_raw.get("residual_tol", 1e-6)),
+            pattern=PatternConfig(**pat_raw)),
         cgls=cgls, gp=gp, faber=faber,
-        z0_scale=float(ric_raw.get("Z0_scale", 10.0)),
-        n_max=int(ric_raw.get("N_max", 20)),
-        residual_tol=float(ric_raw.get("residual_tol", 1e-6)),
         q_weight=float(ric_raw.get("q_weight", 1.0)),
         r_weight=float(ric_raw.get("r_weight", 1.0)),
         sim=sim,
@@ -201,17 +197,14 @@ def _write_csv(path, fields, rows):
         writer.writerows(rows)
 
 
-def _write_manifest(out, cfg, command, extra=None):
-    manifest = {
+def _write_manifest(out, cfg, command):
+    _write_json(os.path.join(out, "manifest.json"), {
         "command": command,
         "version": f"bandlq-{__version__}",
         "config_sha256": _config_hash(cfg),
         "seeds": {"model": cfg.model.get("seed"),
                   "x0": cfg.sim.get("x0_seed")},
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    })
 
 
 def _build_from_config(cfg):
@@ -264,30 +257,18 @@ class DependencyError(RuntimeError):
 
 
 def _load_bundle(out):
-    meta_path = os.path.join(out, "model.json")
-    if not os.path.exists(meta_path):
+    if not os.path.exists(os.path.join(out, "model.json")):
         raise DependencyError(
             f"{out}: model bundle not found; run genmodel first")
-    with open(meta_path) as f:
-        meta = json.load(f)
     mats = {name: read_matrix(os.path.join(out, f"{name}.mtx"))
             for name in ("E", "A", "B", "C")}
     forward = np.loadtxt(os.path.join(out, "perm.txt"),
                          dtype=np.int64, ndmin=1)
     inverse = np.empty_like(forward)
     inverse[forward] = np.arange(forward.size)
-    grid = None
-    if meta.get("grid"):
-        g = meta["grid"]
-        grid = GridSpec(dimension=g["dimension"], nodes=tuple(g["nodes"]),
-                        lengths=tuple(g["lengths"]),
-                        diffusivity=g["diffusivity"],
-                        discretization=g["discretization"])
-    model = DescriptorModel(E=mats["E"], A=mats["A"], B=mats["B"], C=mats["C"],
-                            permutation=Permutation(forward=forward,
-                                                    inverse=inverse),
-                            grid=grid)
-    return model, meta
+    return DescriptorModel(E=mats["E"], A=mats["A"], B=mats["B"], C=mats["C"],
+                           permutation=Permutation(forward=forward,
+                                                   inverse=inverse))
 
 
 def _problem(cfg, model):
@@ -296,39 +277,35 @@ def _problem(cfg, model):
 
 
 def _first_step(cfg, model):
-    Z0 = canonicalize(cfg.z0_scale * identity(model.n))
+    Z0 = canonicalize(cfg.newton.Z0_scale * identity(model.n))
     return newton_step_matrices(Z0, _problem(cfg, model))
 
 
 def stage_pattern(cfg, out):
-    model, _meta = _load_bundle(out)
+    model = _load_bundle(out)
     _F, Abar, P = _first_step(cfg, model)
-    pat = apriori_pattern(Abar, model.E, P, cfg.pattern)
+    pat = apriori_pattern(Abar, model.E, P, cfg.newton.pattern)
     write_pattern(os.path.join(out, "pattern.mtx"), pat)
     _write_json(os.path.join(out, "density.json"), {
-        "w": cfg.pattern.w, "n": model.n, "nnz": int(pat.nnz),
+        "w": cfg.newton.pattern.w, "n": model.n, "nnz": int(pat.nnz),
         "density": pattern_density(pat),
     })
     return 0
 
 
 def stage_lyap(cfg, out):
-    model, _meta = _load_bundle(out)
+    model = _load_bundle(out)
     pat_path = os.path.join(out, "pattern.mtx")
     if not os.path.exists(pat_path):
         raise DependencyError(
             f"{out}: pattern.mtx not found; run --stage pattern first")
+    # looked up at call time, where perfbench/probes.py wraps it
     from .mmio import read_pattern
     pat = read_pattern(pat_path)
     _F, Abar, P = _first_step(cfg, model)
-    if cfg.lyap_method == "lsq":
-        Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
-                                cfg=cfg.cgls, w=cfg.pattern.w)
-    else:
-        X0, _info = initial_guess(Abar, model.E, P,
-                                  cfg=cfg.gp, fcfg=cfg.faber)
-        Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
-                               cfg=cfg.gp, w=cfg.pattern.w)
+    Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton.lyap_method,
+                        cgls_cfg=cfg.cgls, gp_cfg=cfg.gp, faber_cfg=cfg.faber,
+                        w=cfg.newton.pattern.w)
     if cfg.oracle_enabled and model.n <= cfg.oracle_max_n:
         Zex = dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
         rep.e_k = metric_e(Z, sp.csr_matrix(Zex))
@@ -342,13 +319,10 @@ def stage_lyap(cfg, out):
 
 
 def stage_riccati(cfg, out):
-    model, _meta = _load_bundle(out)
+    model = _load_bundle(out)
     prob = _problem(cfg, model)
-    ncfg = NewtonConfig(Z0_scale=cfg.z0_scale, N_max=cfg.n_max,
-                        lyap_method=cfg.lyap_method,
-                        residual_tol=cfg.residual_tol, pattern=cfg.pattern)
     try:
-        Z, reports = solve_riccati(prob, cfg=ncfg, cgls_cfg=cfg.cgls,
+        Z, reports = solve_riccati(prob, cfg=cfg.newton, cgls_cfg=cfg.cgls,
                                    gp_cfg=cfg.gp, faber_cfg=cfg.faber)
     except RiccatiDivergence as exc:
         reports = exc.reports
@@ -365,12 +339,12 @@ def stage_riccati(cfg, out):
                 {"newton_wall_ms": [r.wall_ms for r in reports]})
     if Z is None:
         return 2
-    converged = reports[-1].v_k <= cfg.residual_tol * reports[0].v_k
+    converged = reports[-1].v_k <= cfg.newton.residual_tol * reports[0].v_k
     return 0 if converged else 2
 
 
 def stage_simulate(cfg, out):
-    model, _meta = _load_bundle(out)
+    model = _load_bundle(out)
     f_path = os.path.join(out, "F.mtx")
     if not os.path.exists(f_path):
         raise DependencyError(
@@ -418,8 +392,7 @@ def cmd_bench(cfg, out):
     if not sizes:
         raise ConfigError("bench.sizes is required for the bench command")
     os.makedirs(out, exist_ok=True)
-    gp_cfg = replace(cfg.gp, max_iter=int(cfg.bench["gp_max_iter"]))
-    w = str(cfg.pattern.w)
+    w = str(cfg.newton.pattern.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
     for nodes in sizes:
@@ -429,7 +402,7 @@ def cmd_bench(cfg, out):
             sub = parse_config({**cfg.raw, "model": spec}, source="<bench>")
             model = _build_from_config(sub)
             _F, Abar, P = _first_step(sub, model)
-            pat = apriori_pattern(Abar, model.E, P, sub.pattern)
+            pat = apriori_pattern(Abar, model.E, P, sub.newton.pattern)
         except Exception as exc:            # per-size failure, keep going
             rows.append([str(int(np.prod(nodes))), "setup", w,
                          "0", "0", "0", f"error: {exc}"])
@@ -441,20 +414,18 @@ def cmd_bench(cfg, out):
         for method in methods:
             try:
                 t0 = time.perf_counter()
-                if method == "lsq":
-                    _Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
-                                             cfg=cfg.cgls, w=cfg.pattern.w)
-                    nnz, iters = rep.nnz_m1, rep.iterations
-                elif method == "gp":
-                    X0 = sp.csr_matrix((n, n))
-                    _Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
-                                            cfg=gp_cfg, w=cfg.pattern.w)
-                    nnz, iters = rep.extra["peak_nnz"], rep.iterations
-                elif method == "oracle":
+                if method == "oracle":
                     dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
                     nnz, iters = n * n, 1
                 else:
-                    raise ConfigError(f"unknown bench method {method!r}")
+                    _Z, rep = solve_lyap(Abar, model.E, P, pat, method,
+                                         cgls_cfg=cfg.cgls, gp_cfg=cfg.gp,
+                                         faber_cfg=cfg.faber,
+                                         w=cfg.newton.pattern.w)
+                    # the storage each solve needs: Method 2's peak nnz,
+                    # Method 1's nnz(M1)
+                    nnz = rep.extra.get("peak_nnz", rep.nnz_m1)
+                    iters = rep.iterations
                 wall = 1e3 * (time.perf_counter() - t0)
                 rows.append([str(n), method, w, str(nnz), str(iters),
                              f"{wall:.17g}", "ok"])

@@ -128,6 +128,24 @@ def newton_step_matrices(Z_prev, prob):
     return F, Abar, P
 
 
+def solve_lyap(Abar, E, P, pat, method, X0=None, cgls_cfg=CglsConfig(),
+               gp_cfg=GpConfig(), faber_cfg=FaberConfig(), w=-1):
+    """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
+
+    ``method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2, gradient
+    projection). Both start from X0 when given; without it LSQ starts from
+    zero and GP from the X3 initial guess. Returns (Z, SolveReport), whose
+    ``extra["residual_2norm"]`` is ||p - M z|| for either method.
+    """
+    if method == "lsq":
+        return solve_lyap_lsq(Abar, E, P, pat, cfg=cgls_cfg, w=w, X0=X0)
+    if method == "gp":
+        if X0 is None:
+            X0, _info = initial_guess(Abar, E, P, cfg=gp_cfg, fcfg=faber_cfg)
+        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=gp_cfg, w=w)
+    raise ValueError(f"unknown Lyapunov method {method!r}")
+
+
 def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
                   gp_cfg=GpConfig(), faber_cfg=FaberConfig(),
                   pattern_override=None):
@@ -140,40 +158,32 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
     with the reports so far when v_k is not finite or has stayed above
     10 v_1 for 3 consecutive steps.
     """
-    n = prob.model.n
-    Z = canonicalize(cfg.Z0_scale * identity(n))
+    E = prob.model.E
+    Z = canonicalize(cfg.Z0_scale * identity(prob.model.n))
+    # the step matrices of each new Z give its report's nnz_F and the next
+    # step's GL equation
+    F, Abar, P = newton_step_matrices(Z, prob)
     reports = []
     pat = None
     v1 = None
     growth_streak = 0
     for k in range(1, cfg.N_max + 1):
         t0 = time.perf_counter()
-        F, Abar, P = newton_step_matrices(Z, prob)
         if pattern_override is not None:
             pat = binarize(pattern_override)
         elif pat is None or k <= cfg.pattern.freeze_after_newton_iter:
-            pat = apriori_pattern(Abar, prob.model.E, P, cfg.pattern)
+            pat = apriori_pattern(Abar, E, P, cfg.pattern)
         # inner solves start from the previous Newton iterate; step 1
         # starts LSQ from zero and GP from the X3 initial guess
-        X0 = Z if k > 1 else None
-        if cfg.lyap_method == "lsq":
-            Z_new, lrep = solve_lyap_lsq(Abar, prob.model.E, P, pat,
-                                         cfg=cgls_cfg, w=cfg.pattern.w, X0=X0)
-            lyap_res = lrep.extra["lsq_residual_2norm"]
-        elif cfg.lyap_method == "gp":
-            if X0 is None:
-                X0, _info = initial_guess(Abar, prob.model.E, P,
-                                          cfg=gp_cfg, fcfg=faber_cfg)
-            Z_new, lrep = solve_lyap_gp(Abar, prob.model.E, P, pat, X0,
-                                        cfg=gp_cfg, w=cfg.pattern.w)
-            lyap_res = lrep.final_residual
-        else:
-            raise ValueError(f"unknown lyap_method {cfg.lyap_method!r}")
-        Z = canonicalize(0.5 * (Z_new + Z_new.T))
+        Z, lrep = solve_lyap(Abar, E, P, pat, cfg.lyap_method,
+                             X0=Z if k > 1 else None, cgls_cfg=cgls_cfg,
+                             gp_cfg=gp_cfg, faber_cfg=faber_cfg,
+                             w=cfg.pattern.w)
         v_k = frobenius(riccati_residual(Z, prob))
+        F, Abar, P = newton_step_matrices(Z, prob)
         reports.append(NewtonIterationReport(
-            k=k, v_k=v_k, lyap_residual=lyap_res, nnz_Z=Z.nnz,
-            nnz_F=feedback(Z, prob).nnz, lyap_iterations=lrep.iterations,
+            k=k, v_k=v_k, lyap_residual=lrep.extra["residual_2norm"],
+            nnz_Z=Z.nnz, nnz_F=F.nnz, lyap_iterations=lrep.iterations,
             lyap_converged=lrep.converged,
             wall_ms=1e3 * (time.perf_counter() - t0)))
         if not np.isfinite(v_k):

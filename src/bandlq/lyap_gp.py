@@ -25,6 +25,10 @@ from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
                          frobenius, identity, pattern_power_sum, project)
 
 _DENSE_EIG_LIMIT = 2000
+# the gradient iteration stops when J fell by less than this share over
+# this many iterations
+_STAGNATION_WINDOW = 20
+_STAGNATION_RTOL = 1e-12
 
 
 class UnstableMatrixError(RuntimeError):
@@ -71,8 +75,6 @@ class GpConfig:
     max_iter: int = 4000
     q: int = 40                      # quadrature half-width
     k1: int = 3                      # SPAI pattern order
-    stagnation_window: int = 20      # 0 disables the stagnation stop
-    stagnation_rtol: float = 1e-12
 
     def __post_init__(self):
         if self.delta_bar is not None and self.delta_bar <= 0:
@@ -218,12 +220,12 @@ def _collapses(sb):
         and sb.lambda_IL <= 1e-14
 
 
-def faber_basis(A1, bounds, cfg=FaberConfig(), proj_pattern=None):
+def faber_basis(A1, bounds, cfg=FaberConfig()):
     """Weighted, projected Chebyshev matrices of A1 on their union pattern.
 
     Runs the three-term recurrence in the shifted variable
     A2 = (A1 - c4 I)/sqrt(c3), projected after each step onto the pattern
-    of I + A2 + ... + A2^k2 (or a caller-supplied pattern). Returns
+    of I + A2 + ... + A2^k2 (not at all when k2 >= n). Returns
     (S, V): the union pattern S of T_0..T_p and the (p+1) x nnz(S) array
     whose row l holds the values of T_l on S, weighted by 2 scale^l for
     l >= 1, so that a Faber sum is a @ V on S. The ellipse constants c1,
@@ -236,8 +238,8 @@ def faber_basis(A1, bounds, cfg=FaberConfig(), proj_pattern=None):
         raise ValueError(
             f"invalid spectral ellipse (c3 = {c3:.3e}); bounds {bounds}")
     A2 = canonicalize((sp.csr_matrix(A1) - c4 * identity(n)) / np.sqrt(c3))
-    if proj_pattern is None and cfg.k2 < n:
-        proj_pattern = pattern_power_sum(binarize(A2), cfg.k2)
+    proj_pattern = pattern_power_sum(binarize(A2), cfg.k2) \
+        if cfg.k2 < n else None
     scale = np.sqrt(c3) / (2.0 * c2)
 
     terms = [(1.0, identity(n))]
@@ -269,23 +271,19 @@ def _linear_keys(A):
     return rows * A.shape[1] + A.indices
 
 
-def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), proj_pattern=None,
-               basis=None):
+def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), basis=None):
     """Sparse banded approximation of exp(t_scaled * A1).
 
     Sums the Faber coefficients of the scaled spectrum bounds over the
-    projected Chebyshev basis of A1 (``faber_basis(A1, bounds, cfg,
-    proj_pattern)``, built here unless the caller passes it as ``basis``).
+    projected Chebyshev basis of A1 (``faber_basis(A1, bounds, cfg)``,
+    built here unless the caller passes it as ``basis``).
     """
-    if basis is not None and proj_pattern is not None:
-        raise ValueError("pass proj_pattern to faber_basis, not with a basis")
     n = A1.shape[0]
     sb = bounds.scaled(t_scaled)
     _c1, c2, c3, c4 = _faber_constants(sb)
     if _collapses(sb):
         return canonicalize(np.exp(c4) * identity(n))
-    S, V = basis if basis is not None else faber_basis(A1, bounds, cfg,
-                                                       proj_pattern)
+    S, V = basis if basis is not None else faber_basis(A1, bounds, cfg)
     K = S.copy()
     K.data = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p) @ V
     return canonicalize(K)
@@ -381,16 +379,16 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
             break
         z, r, J = z_try, r_try, J_try
         J_history.append(J)
-        win = cfg.stagnation_window
-        if win and len(J_history) > win:
-            ref = J_history[-win - 1]
-            if ref <= 0.0 or (ref - J) / ref < cfg.stagnation_rtol:
+        if len(J_history) > _STAGNATION_WINDOW:
+            ref = J_history[-_STAGNATION_WINDOW - 1]
+            if ref <= 0.0 or (ref - J) / ref < _STAGNATION_RTOL:
                 break
+    residual = float(np.sqrt(J))
     report = SolveReport(
         method="gp", n=op.n, w=w, nnz_pattern=op.nnz_pattern,
-        iterations=len(J_history) - 1, final_residual=float(np.sqrt(J)),
+        iterations=len(J_history) - 1, final_residual=residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,
-               "peak_nnz": peak_nnz},
+               "peak_nnz": peak_nnz, "residual_2norm": residual},
     )
     return op.scatter(z), report

@@ -225,6 +225,6 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1, X0=None):
         nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
-        extra={"lsq_residual_2norm": float(np.linalg.norm(p - op @ res.x))},
+        extra={"residual_2norm": float(np.linalg.norm(p - op @ res.x))},
     )
     return Z, report

@@ -6,11 +6,10 @@ The pattern is built from the recursion
     G_{i+1} = E (E^T G_i Abar + Abar^T G_i E) Abar^T
             + Abar (E^T G_i Abar + Abar^T G_i E) E^T,   i = 1..w
 
-and the result is the support of I + G_1 + ... + G_{w+1}. With safeguards
-on (the default) all inputs are replaced by their elementwise absolute
-values and each G_i is binarized before the next step, so accidental
-numeric cancellation, overflow, or underflow cannot delete structurally
-present entries.
+and the result is the support of I + G_1 + ... + G_{w+1}. All inputs are
+replaced by their elementwise absolute values and each G_i is binarized
+before the next step, so accidental numeric cancellation, overflow, or
+underflow cannot delete structurally present entries.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .sparsecore import ShapeMismatchError, binarize, canonicalize, identity, pa
 @dataclass(frozen=True)
 class PatternConfig:
     w: int = 1
-    binarize_each_step: bool = True
-    use_absolute_values: bool = True
     freeze_after_newton_iter: int = 1
 
     def __post_init__(self):
@@ -52,20 +49,14 @@ def apriori_pattern(Abar, E, P, cfg=PatternConfig()):
     for M in (Abar, E, P):
         if M.shape != (n, n):
             raise ShapeMismatchError("apriori_pattern", (n, n), M.shape)
-    A = _abs(Abar) if cfg.use_absolute_values else canonicalize(Abar)
-    Em = _abs(E) if cfg.use_absolute_values else canonicalize(E)
-    Pm = _abs(P) if cfg.use_absolute_values else canonicalize(P)
+    A, Em, Pm = _abs(Abar), _abs(E), _abs(P)
 
-    G = A @ Pm @ Em.T + Em @ Pm @ A.T
-    if cfg.binarize_each_step:
-        G = binarize(G)
-    acc = binarize(identity(n) + binarize(G))
+    G = binarize(A @ Pm @ Em.T + Em @ Pm @ A.T)
+    acc = binarize(identity(n) + G)
     for _ in range(cfg.w):
         H = Em.T @ G @ A + A.T @ G @ Em
-        G = Em @ H @ A.T + A @ H @ Em.T
-        if cfg.binarize_each_step:
-            G = binarize(G)
-        acc = binarize(acc + binarize(G))
+        G = binarize(Em @ H @ A.T + A @ H @ Em.T)
+        acc = binarize(acc + G)
     # exact Lyapunov solutions are symmetric; keep the pattern symmetric too
     return binarize(acc + acc.T)
 

@@ -19,16 +19,14 @@ class SolveReport:
     converged: bool = True
     extra: dict = field(default_factory=dict)
 
-    CSV_FIELDS = ("method", "n", "w", "nnz_pattern", "nnz_m1", "iterations",
-                  "final_residual", "e_k", "wall_ms", "converged")
     # fields whose values are reproducible bit-for-bit under a fixed seed;
     # wall-clock time is reported separately so CSV artifacts stay diffable
     DETERMINISTIC_FIELDS = ("method", "n", "w", "nnz_pattern", "nnz_m1",
                             "iterations", "final_residual", "e_k", "converged")
 
-    def to_row(self, fields=None):
+    def to_row(self, fields):
         vals = []
-        for name in fields if fields is not None else self.CSV_FIELDS:
+        for name in fields:
             v = getattr(self, name)
             if isinstance(v, float):
                 vals.append(f"{v:.17g}")

@@ -221,8 +221,8 @@ class TestBench:
     def test_bench_rows_and_oracle_cap(self, tmp_path):
         cfg = _heat_config(
             tmp_path, out="run_bench",
-            bench={"sizes": [[4, 4], [6, 6]], "methods": ["lsq", "gp"],
-                   "gp_max_iter": 50},
+            lyap={"method": "lsq", "cgls_tol": 1e-9, "gp": {"max_iter": 50}},
+            bench={"sizes": [[4, 4], [6, 6]], "methods": ["lsq", "gp"]},
             oracle={"enabled": True, "max_n": 30})
         assert main(["bench", "--config", cfg]) == 0
         lines = (tmp_path / "run_bench" / "bench.csv") \
@@ -233,8 +233,16 @@ class TestBench:
         assert ("16", "oracle") in by
         assert ("36", "oracle") not in by
         assert by[("16", "lsq")][6] == "ok"
+        # GP is capped by lyap.gp.max_iter, as in solve --stage lyap
+        assert 0 < int(by[("16", "gp")][4]) <= 50
         # Method 2 peak storage below the reduced-system size at equal w
         assert int(by[("16", "gp")][3]) < int(by[("16", "lsq")][3])
+
+    def test_bench_gp_cap_is_the_lyap_section(self):
+        # bench runs what solve --stage lyap runs, with lyap.gp.max_iter
+        with pytest.raises(ConfigError, match="gp_max_iter"):
+            parse_config({"output_dir": "x", "model": {"kind": "scalar"},
+                          "bench": {"sizes": [[4, 4]], "gp_max_iter": 50}})
 
     def test_bench_requires_sizes(self, tmp_path, capsys):
         cfg = _heat_config(tmp_path, out="run_nobench")

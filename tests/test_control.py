@@ -9,10 +9,11 @@ import scipy.sparse as sp
 from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             feedback, frechet_apply, metric_e,
                             newton_step_matrices, riccati_residual,
-                            simulate_closed_loop, solve_riccati)
-from bandlq.lyap_lsq import CglsConfig
+                            simulate_closed_loop, solve_lyap, solve_riccati)
+from bandlq.lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
+from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.oracle import dense_riccati, pencil_eigs
-from bandlq.pattern import PatternConfig
+from bandlq.pattern import PatternConfig, apriori_pattern
 from bandlq.sparsecore import canonicalize, frobenius, identity
 from conftest import (full_pattern, heat_problem, nan_lyap_solve_at,
                       random_banded, scalar_problem)
@@ -96,6 +97,66 @@ class TestFrechet:
         np.testing.assert_allclose(lhs - P.toarray(), DZ + Dprime, atol=1e-10)
 
 
+def _bitwise_equal(X, Y):
+    return all(np.array_equal(a, b) for a, b in
+               ((X.indptr, Y.indptr), (X.indices, Y.indices),
+                (X.data, Y.data)))
+
+
+class TestSolveLyap:
+    CGLS = CglsConfig(tol=1e-9)
+    GP = GpConfig(max_iter=30, q=10)
+    FABER = FaberConfig(p=10)
+
+    @pytest.fixture(scope="class")
+    def step1(self):
+        model, prob = heat_problem((6, 6))
+        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=1))
+        return Abar, model.E, P, pat
+
+    def _solve(self, step1, method, X0=None):
+        return solve_lyap(*step1, method, X0=X0, cgls_cfg=self.CGLS,
+                          gp_cfg=self.GP, faber_cfg=self.FABER, w=1)
+
+    def test_lsq_from_zero_is_method_1(self, step1):
+        Z, rep = self._solve(step1, "lsq")
+        Zref, ref = solve_lyap_lsq(*step1, cfg=self.CGLS, w=1)
+        assert _bitwise_equal(Z, Zref)
+        assert rep.iterations == ref.iterations
+
+    def test_gp_from_x3_is_method_2(self, step1):
+        Abar, E, P, pat = step1
+        Z, rep = self._solve(step1, "gp")
+        X3, _info = initial_guess(Abar, E, P, cfg=self.GP, fcfg=self.FABER)
+        Zref, ref = solve_lyap_gp(Abar, E, P, pat, X3, cfg=self.GP, w=1)
+        assert _bitwise_equal(Z, Zref)
+        assert rep.extra["J_history"] == ref.extra["J_history"]
+
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    def test_given_start_is_used(self, step1, method):
+        X0 = self._solve(step1, "lsq")[0]
+        Z, _rep = self._solve(step1, method, X0=X0)
+        if method == "lsq":
+            Zref, _ = solve_lyap_lsq(*step1, cfg=self.CGLS, w=1, X0=X0)
+        else:
+            Zref, _ = solve_lyap_gp(*step1, X0, cfg=self.GP, w=1)
+        assert _bitwise_equal(Z, Zref)
+
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    def test_residual_2norm_is_the_gl_residual(self, step1, method):
+        Abar, E, P, pat = step1
+        Z, rep = self._solve(step1, method)
+        op = GlOperator(Abar, E, pat)
+        r = op.vec(P) - op @ op.restrict(Z)
+        assert rep.extra["residual_2norm"] == pytest.approx(
+            np.linalg.norm(r), rel=1e-12)
+
+    def test_unknown_method_rejected(self, step1):
+        with pytest.raises(ValueError, match="direct"):
+            self._solve(step1, "direct")
+
+
 class TestSolveRiccati:
     def test_scalar_converges_to_root(self):
         _model, prob = scalar_problem()
@@ -135,6 +196,26 @@ class TestSolveRiccati:
         Z, reports = solve_riccati(prob, cfg=cfg)
         assert frobenius(Z - Z.T) <= 1e-10 * max(frobenius(Z), 1.0)
         assert len(reports) <= 6
+
+    def test_feedback_computed_once_per_iterate(self, monkeypatch):
+        # Z_0 and each of the N new iterates get one feedback, which serves
+        # both the report's nnz_F and the next step's GL equation
+        import bandlq.control
+        _model, prob = heat_problem((6, 6), discretization="fd-5point")
+        fb = bandlq.control.feedback
+        calls = []
+
+        def counted(Z, prob):
+            calls.append(Z)
+            return fb(Z, prob)
+
+        monkeypatch.setattr(bandlq.control, "feedback", counted)
+        Z, reports = solve_riccati(
+            prob, cfg=NewtonConfig(N_max=4, residual_tol=0.0))
+        assert len(reports) == 4 and len(calls) == 5
+        assert calls[-1] is Z
+        assert reports[-1].nnz_F == fb(Z, prob).nnz
+        assert (Z != Z.T).nnz == 0
 
     def test_non_finite_residual_stops_the_loop(self, monkeypatch):
         _model, prob = heat_problem((4, 4))

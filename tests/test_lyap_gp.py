@@ -326,13 +326,6 @@ class TestFaberExpm:
                       faber_expm(A1, t, b, cfg)):
                 assert frobenius(K - ref) <= 1e-12 * frobenius(ref)
 
-    def test_basis_with_projection_pattern_rejected(self):
-        A1 = _csr(np.diag([-1.0, -2.0]))
-        b = spectrum_bounds(A1)
-        basis = faber_basis(A1, b)
-        with pytest.raises(ValueError, match="proj_pattern"):
-            faber_expm(A1, 1.0, b, basis=basis, proj_pattern=identity(2))
-
     def test_heat_model_error_decreases_with_p(self):
         model, prob = heat_problem((8, 8))
         _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)

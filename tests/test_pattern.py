@@ -75,19 +75,6 @@ class TestAprioriPattern:
         pat = apriori_pattern(A, E, P, PatternConfig(w=2))
         assert (pat != pat.T).nnz == 0
 
-    def test_safeguards_match_on_positive_data(self, rng):
-        n = 10
-        A = canonicalize(sp.csr_matrix(
-            np.abs(random_banded(n, 1, rng)) + np.eye(n)))
-        E = canonicalize(sp.csr_matrix(
-            np.abs(random_banded(n, 1, rng)) + np.eye(n)))
-        P = canonicalize(sp.csr_matrix(
-            np.abs(random_banded(n, 1, rng)) + np.eye(n)))
-        on = apriori_pattern(A, E, P, PatternConfig(w=2))
-        off = apriori_pattern(A, E, P, PatternConfig(
-            w=2, binarize_each_step=False, use_absolute_values=False))
-        assert (on != off).nnz == 0
-
     def test_nnz_linear_bound_for_tridiagonal(self, rng):
         for n in (40, 80):
             A = _tridiag_random(n, rng)
@@ -130,5 +117,4 @@ class TestPatternConfig:
     def test_defaults(self):
         cfg = PatternConfig()
         assert cfg.w == 1
-        assert cfg.binarize_each_step and cfg.use_absolute_values
         assert cfg.freeze_after_newton_iter == 1
