@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import __version__
+from . import __version__, mmio
 from .control import (LqProblem, NewtonConfig, RiccatiDivergence, feedback,
                       metric_e, newton_step_matrices, simulate_closed_loop,
                       solve_lyap, solve_riccati)
@@ -41,8 +41,8 @@ from .lyap_lsq import solve_lyap_lsq  # noqa: F401
 from .mmio import read_matrix, write_matrix, write_pattern
 from .modelgen import DescriptorModel, GridSpec, build_model
 from .oracle import dense_lyap
-from .pattern import PatternConfig, apriori_pattern, pattern_density
-from .report import SolveReport
+from .pattern import apriori_pattern, pattern_density
+from .report import SolveReport, fmt
 from .sparsecore import Permutation, bandwidth, canonicalize, identity
 
 
@@ -107,8 +107,7 @@ def parse_config(raw, source="<config>"):
         model.setdefault("io_fraction", 0.5)
         model.setdefault("seed", 0)
 
-    pat_raw = _section(raw.get("pattern", {}), "pattern",
-                       ("w", "freeze_after_newton_iter"), path=path)
+    pat_raw = _section(raw.get("pattern", {}), "pattern", ("w",), path=path)
 
     lyap_raw = dict(_section(raw.get("lyap", {}), "lyap",
                              ("method", "cgls_tol", "cgls_max_iter", "gp"),
@@ -150,7 +149,7 @@ def parse_config(raw, source="<config>"):
             Z0_scale=float(ric_raw.get("Z0_scale", 10.0)),
             N_max=int(ric_raw.get("N_max", 20)), lyap_method=method,
             residual_tol=float(ric_raw.get("residual_tol", 1e-6)),
-            pattern=PatternConfig(**pat_raw)),
+            w=pat_raw.get("w", 1)),
         cgls=cgls, gp=gp, faber=faber,
         q_weight=float(ric_raw.get("q_weight", 1.0)),
         r_weight=float(ric_raw.get("r_weight", 1.0)),
@@ -178,10 +177,6 @@ def load_config(path):
 def _config_hash(cfg):
     blob = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _fmt(v):
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _write_json(path, obj):
@@ -256,10 +251,16 @@ class DependencyError(RuntimeError):
     """A solve stage was invoked before its prerequisite artifacts exist."""
 
 
+def _input(out, name, producer):
+    """Path of the artifact ``name`` in ``out``, which ``producer`` writes."""
+    path = os.path.join(out, name)
+    if not os.path.exists(path):
+        raise DependencyError(f"{out}: {name} not found; run {producer} first")
+    return path
+
+
 def _load_bundle(out):
-    if not os.path.exists(os.path.join(out, "model.json")):
-        raise DependencyError(
-            f"{out}: model bundle not found; run genmodel first")
+    _input(out, "model.json", "genmodel")
     mats = {name: read_matrix(os.path.join(out, f"{name}.mtx"))
             for name in ("E", "A", "B", "C")}
     forward = np.loadtxt(os.path.join(out, "perm.txt"),
@@ -276,6 +277,11 @@ def _problem(cfg, model):
                      R=np.full(model.m, cfg.r_weight))
 
 
+def _read_pattern(out):
+    # looked up in mmio at call time, where perfbench/probes.py wraps it
+    return mmio.read_pattern(_input(out, "pattern.mtx", "--stage pattern"))
+
+
 def _first_step(cfg, model):
     Z0 = canonicalize(cfg.newton.Z0_scale * identity(model.n))
     return newton_step_matrices(Z0, _problem(cfg, model))
@@ -284,10 +290,10 @@ def _first_step(cfg, model):
 def stage_pattern(cfg, out):
     model = _load_bundle(out)
     _F, Abar, P = _first_step(cfg, model)
-    pat = apriori_pattern(Abar, model.E, P, cfg.newton.pattern)
+    pat = apriori_pattern(Abar, model.E, P, cfg.newton.w)
     write_pattern(os.path.join(out, "pattern.mtx"), pat)
     _write_json(os.path.join(out, "density.json"), {
-        "w": cfg.newton.pattern.w, "n": model.n, "nnz": int(pat.nnz),
+        "w": cfg.newton.w, "n": model.n, "nnz": int(pat.nnz),
         "density": pattern_density(pat),
     })
     return 0
@@ -295,17 +301,11 @@ def stage_pattern(cfg, out):
 
 def stage_lyap(cfg, out):
     model = _load_bundle(out)
-    pat_path = os.path.join(out, "pattern.mtx")
-    if not os.path.exists(pat_path):
-        raise DependencyError(
-            f"{out}: pattern.mtx not found; run --stage pattern first")
-    # looked up at call time, where perfbench/probes.py wraps it
-    from .mmio import read_pattern
-    pat = read_pattern(pat_path)
+    pat = _read_pattern(out)
     _F, Abar, P = _first_step(cfg, model)
     Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton.lyap_method,
-                        cgls_cfg=cfg.cgls, gp_cfg=cfg.gp, faber_cfg=cfg.faber,
-                        w=cfg.newton.pattern.w)
+                        cgls_cfg=cfg.cgls, gp_cfg=cfg.gp, faber_cfg=cfg.faber)
+    rep.w = cfg.newton.w
     if cfg.oracle_enabled and model.n <= cfg.oracle_max_n:
         Zex = dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
         rep.e_k = metric_e(Z, sp.csr_matrix(Zex))
@@ -320,10 +320,12 @@ def stage_lyap(cfg, out):
 
 def stage_riccati(cfg, out):
     model = _load_bundle(out)
+    pat = _read_pattern(out)
     prob = _problem(cfg, model)
     try:
         Z, reports = solve_riccati(prob, cfg=cfg.newton, cgls_cfg=cfg.cgls,
-                                   gp_cfg=cfg.gp, faber_cfg=cfg.faber)
+                                   gp_cfg=cfg.gp, faber_cfg=cfg.faber,
+                                   pattern=pat)
     except RiccatiDivergence as exc:
         reports = exc.reports
         Z = None
@@ -333,7 +335,7 @@ def stage_riccati(cfg, out):
         write_matrix(os.path.join(out, "F.mtx"), F)
     fields = ("k", "v_k", "lyap_residual", "nnz_Z", "nnz_F",
               "lyap_iterations", "lyap_converged")
-    rows = [[_fmt(getattr(r, f)) for f in fields] for r in reports]
+    rows = [[fmt(getattr(r, f)) for f in fields] for r in reports]
     _write_csv(os.path.join(out, "newton_report.csv"), fields, rows)
     _write_json(os.path.join(out, "timings.json"),
                 {"newton_wall_ms": [r.wall_ms for r in reports]})
@@ -345,11 +347,7 @@ def stage_riccati(cfg, out):
 
 def stage_simulate(cfg, out):
     model = _load_bundle(out)
-    f_path = os.path.join(out, "F.mtx")
-    if not os.path.exists(f_path):
-        raise DependencyError(
-            f"{out}: F.mtx not found; run --stage riccati first")
-    F = read_matrix(f_path)
+    F = read_matrix(_input(out, "F.mtx", "--stage riccati"))
     prob = _problem(cfg, model)
     x0_spec = cfg.sim["x0"]
     if x0_spec == "random":
@@ -364,7 +362,7 @@ def stage_simulate(cfg, out):
     traj = simulate_closed_loop(prob, F, x0, dt=float(cfg.sim["dt"]),
                                 steps=int(cfg.sim["steps"]),
                                 max_rows=int(cfg.sim["max_rows"]))
-    rows = [[_fmt(int(s)), _fmt(float(t)), _fmt(float(nx)), _fmt(float(c))]
+    rows = [[fmt(int(s)), fmt(float(t)), fmt(float(nx)), fmt(float(c))]
             for s, t, nx, c in zip(traj.steps, traj.times,
                                    traj.state_norms, traj.inst_cost)]
     _write_csv(os.path.join(out, "trajectory.csv"),
@@ -392,7 +390,7 @@ def cmd_bench(cfg, out):
     if not sizes:
         raise ConfigError("bench.sizes is required for the bench command")
     os.makedirs(out, exist_ok=True)
-    w = str(cfg.newton.pattern.w)
+    w = str(cfg.newton.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
     for nodes in sizes:
@@ -402,7 +400,7 @@ def cmd_bench(cfg, out):
             sub = parse_config({**cfg.raw, "model": spec}, source="<bench>")
             model = _build_from_config(sub)
             _F, Abar, P = _first_step(sub, model)
-            pat = apriori_pattern(Abar, model.E, P, sub.newton.pattern)
+            pat = apriori_pattern(Abar, model.E, P, sub.newton.w)
         except Exception as exc:            # per-size failure, keep going
             rows.append([str(int(np.prod(nodes))), "setup", w,
                          "0", "0", "0", f"error: {exc}"])
@@ -420,8 +418,7 @@ def cmd_bench(cfg, out):
                 else:
                     _Z, rep = solve_lyap(Abar, model.E, P, pat, method,
                                          cgls_cfg=cfg.cgls, gp_cfg=cfg.gp,
-                                         faber_cfg=cfg.faber,
-                                         w=cfg.newton.pattern.w)
+                                         faber_cfg=cfg.faber)
                     # the storage each solve needs: Method 2's peak nnz,
                     # Method 1's nnz(M1)
                     nnz = rep.extra.get("peak_nnz", rep.nnz_m1)

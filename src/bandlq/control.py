@@ -9,7 +9,7 @@ solved approximately on a frozen a priori pattern by Method 1 or 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,9 +18,8 @@ import scipy.sparse.linalg as spla
 from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
 from .lyap_lsq import CglsConfig, solve_lyap_lsq
 from .modelgen import DescriptorModel
-from .pattern import PatternConfig, apriori_pattern
-from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         frobenius, identity)
+from .pattern import apriori_pattern
+from .sparsecore import ShapeMismatchError, canonicalize, frobenius, identity
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class NewtonConfig:
     N_max: int = 20
     lyap_method: str = "lsq"          # "lsq" | "gp"
     residual_tol: float = 1e-6        # relative to v_1
-    pattern: PatternConfig = field(default_factory=PatternConfig)
+    w: int = 1                        # order of the a priori pattern
 
 
 @dataclass
@@ -103,17 +102,6 @@ def riccati_residual(Z, prob):
     return canonicalize(prob.ctqc() + S + S.T - W)
 
 
-def frechet_apply(Z, Y, prob):
-    """Directional derivative of the Riccati operator at Z applied to Y."""
-    E, A, B = prob.model.E, prob.model.A, prob.model.B
-    if Z.shape != Y.shape:
-        raise ShapeMismatchError("frechet_apply", Z.shape, Y.shape)
-    Rinv = sp.diags(1.0 / prob.R)
-    S = canonicalize(E.T @ Y @ A)
-    G = canonicalize(E.T @ Z @ B @ Rinv @ B.T @ Y @ E)
-    return canonicalize(S + S.T - G - G.T)
-
-
 def feedback(Z, prob):
     """LQ feedback matrix F = R^{-1} B^T Z E."""
     Z = _symmetrize_checked(Z)
@@ -129,7 +117,7 @@ def newton_step_matrices(Z_prev, prob):
 
 
 def solve_lyap(Abar, E, P, pat, method, X0=None, cgls_cfg=CglsConfig(),
-               gp_cfg=GpConfig(), faber_cfg=FaberConfig(), w=-1):
+               gp_cfg=GpConfig(), faber_cfg=FaberConfig()):
     """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
 
     ``method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2, gradient
@@ -138,47 +126,40 @@ def solve_lyap(Abar, E, P, pat, method, X0=None, cgls_cfg=CglsConfig(),
     ``extra["residual_2norm"]`` is ||p - M z|| for either method.
     """
     if method == "lsq":
-        return solve_lyap_lsq(Abar, E, P, pat, cfg=cgls_cfg, w=w, X0=X0)
+        return solve_lyap_lsq(Abar, E, P, pat, cfg=cgls_cfg, X0=X0)
     if method == "gp":
         if X0 is None:
             X0, _info = initial_guess(Abar, E, P, cfg=gp_cfg, fcfg=faber_cfg)
-        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=gp_cfg, w=w)
+        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=gp_cfg)
     raise ValueError(f"unknown Lyapunov method {method!r}")
 
 
 def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
-                  gp_cfg=GpConfig(), faber_cfg=FaberConfig(),
-                  pattern_override=None):
+                  gp_cfg=GpConfig(), faber_cfg=FaberConfig(), pattern=None):
     """Inexact Newton loop; returns (Z_hat, list of per-iteration reports).
 
-    The a priori pattern is recomputed for the first
-    ``cfg.pattern.freeze_after_newton_iter`` iterations and then frozen.
-    ``pattern_override`` replaces the computed pattern (e.g. a full
-    pattern for oracle-equivalence runs). Raises ``RiccatiDivergence``
-    with the reports so far when v_k is not finite or has stayed above
-    10 v_1 for 3 consecutive steps.
+    Every step solves on ``pattern``, by default the order-``cfg.w`` a
+    priori pattern of the first step's GL equation. Raises
+    ``RiccatiDivergence`` with the reports so far when v_k is not finite
+    or has stayed above 10 v_1 for 3 consecutive steps.
     """
     E = prob.model.E
     Z = canonicalize(cfg.Z0_scale * identity(prob.model.n))
     # the step matrices of each new Z give its report's nnz_F and the next
     # step's GL equation
     F, Abar, P = newton_step_matrices(Z, prob)
+    if pattern is None:
+        pattern = apriori_pattern(Abar, E, P, cfg.w)
     reports = []
-    pat = None
     v1 = None
     growth_streak = 0
     for k in range(1, cfg.N_max + 1):
         t0 = time.perf_counter()
-        if pattern_override is not None:
-            pat = binarize(pattern_override)
-        elif pat is None or k <= cfg.pattern.freeze_after_newton_iter:
-            pat = apriori_pattern(Abar, E, P, cfg.pattern)
         # inner solves start from the previous Newton iterate; step 1
         # starts LSQ from zero and GP from the X3 initial guess
-        Z, lrep = solve_lyap(Abar, E, P, pat, cfg.lyap_method,
+        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg.lyap_method,
                              X0=Z if k > 1 else None, cgls_cfg=cgls_cfg,
-                             gp_cfg=gp_cfg, faber_cfg=faber_cfg,
-                             w=cfg.pattern.w)
+                             gp_cfg=gp_cfg, faber_cfg=faber_cfg)
         v_k = frobenius(riccati_residual(Z, prob))
         F, Abar, P = newton_step_matrices(Z, prob)
         reports.append(NewtonIterationReport(

@@ -340,7 +340,7 @@ def default_delta_bar(Abar, E):
     return 1.0 / (8.0 * frobenius(E) ** 2 * frobenius(Abar) ** 2)
 
 
-def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
+def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
@@ -385,7 +385,7 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), w=-1):
                 break
     residual = float(np.sqrt(J))
     report = SolveReport(
-        method="gp", n=op.n, w=w, nnz_pattern=op.nnz_pattern,
+        method="gp", n=op.n, nnz_pattern=op.nnz_pattern,
         iterations=len(J_history) - 1, final_residual=residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,

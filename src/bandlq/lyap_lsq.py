@@ -207,7 +207,7 @@ def scatter_solution(op, z):
     return op.scatter(z)
 
 
-def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1, X0=None):
+def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
     """Method 1 end to end: CGLS on the GL operator, then scatter.
 
     Z is sought among the symmetric matrices supported on Zpat, which must
@@ -221,8 +221,7 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), w=-1, X0=None):
     res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     Z = scatter_solution(op, res.x)
     report = SolveReport(
-        method="lsq", n=op.n, w=w,
-        nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
+        method="lsq", n=op.n, nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
         extra={"residual_2norm": float(np.linalg.norm(p - op @ res.x))},

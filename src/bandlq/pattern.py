@@ -14,23 +14,9 @@ underflow cannot delete structurally present entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import scipy.sparse as sp
 
 from .sparsecore import ShapeMismatchError, binarize, canonicalize, identity, pattern_power_sum
-
-
-@dataclass(frozen=True)
-class PatternConfig:
-    w: int = 1
-    freeze_after_newton_iter: int = 1
-
-    def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("pattern order w must be >= 0")
-        if self.freeze_after_newton_iter < 1:
-            raise ValueError("freeze_after_newton_iter must be >= 1")
 
 
 def _abs(A):
@@ -39,12 +25,14 @@ def _abs(A):
     return B
 
 
-def apriori_pattern(Abar, E, P, cfg=PatternConfig()):
-    """A priori pattern of the solution of E^T Z Abar + Abar^T Z E = P.
+def apriori_pattern(Abar, E, P, w=1):
+    """Order-w a priori pattern of the solution of E^T Z Abar + Abar^T Z E = P.
 
     Returns the (symmetrized) support of I + sum of the G_i recursion
     terms as a binary CSR pattern.
     """
+    if w < 0:
+        raise ValueError("pattern order w must be >= 0")
     n = Abar.shape[0]
     for M in (Abar, E, P):
         if M.shape != (n, n):
@@ -53,7 +41,7 @@ def apriori_pattern(Abar, E, P, cfg=PatternConfig()):
 
     G = binarize(A @ Pm @ Em.T + Em @ Pm @ A.T)
     acc = binarize(identity(n) + G)
-    for _ in range(cfg.w):
+    for _ in range(w):
         H = Em.T @ G @ A + A.T @ G @ Em
         G = binarize(Em @ H @ A.T + A @ H @ Em.T)
         acc = binarize(acc + G)

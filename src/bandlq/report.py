@@ -1,4 +1,5 @@
-"""Per-solve reporting records shared by the Lyapunov and Riccati drivers."""
+"""Per-solve reporting records shared by the Lyapunov and Riccati drivers,
+and the cell format of every CSV report."""
 
 from __future__ import annotations
 
@@ -25,11 +26,9 @@ class SolveReport:
                             "iterations", "final_residual", "e_k", "converged")
 
     def to_row(self, fields):
-        vals = []
-        for name in fields:
-            v = getattr(self, name)
-            if isinstance(v, float):
-                vals.append(f"{v:.17g}")
-            else:
-                vals.append(str(v))
-        return vals
+        return [fmt(getattr(self, name)) for name in fields]
+
+
+def fmt(v):
+    """One CSV cell: floats with 17 significant digits, the rest as str."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)

@@ -16,7 +16,7 @@ from bandlq.lyap_gp import (FaberConfig, GpConfig, faber_expm, initial_guess,
 from bandlq.lyap_lsq import CglsConfig, assemble_reduced, solve_lyap_lsq
 from bandlq.oracle import (dense_expm, dense_lyap, dense_riccati, kron_matrix,
                            pencil_eigs)
-from bandlq.pattern import PatternConfig, apriori_pattern, inverse_pattern
+from bandlq.pattern import apriori_pattern, inverse_pattern
 from bandlq.sparsecore import binarize, canonicalize, identity
 from conftest import (full_pattern, heat_problem, random_stable_instance,
                       scalar_problem)
@@ -90,7 +90,7 @@ def test_criterion_04_pattern_fidelity():
     model, prob = heat_problem((13, 13), discretization="fd-5point")
     _F, Abar, P = _first_step(prob)
     Zex = dense_lyap(Abar, model.E, P, max_n=2000)
-    pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=2))
+    pat = apriori_pattern(Abar, model.E, P, w=2)
     total = np.linalg.norm(Zex) ** 2
     captured = np.linalg.norm(Zex * pat.toarray()) ** 2
     mass = captured / total
@@ -108,7 +108,7 @@ def test_criterion_05_accuracy_vs_w_monotonicity():
         Zex = sp.csr_matrix(dense_lyap(Abar, model.E, P, max_n=2000))
         errs = []
         for w in (0, 1, 2, 3):
-            pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=w))
+            pat = apriori_pattern(Abar, model.E, P, w=w)
             Z, _rep = solve_lyap_lsq(Abar, model.E, P, pat,
                                      cfg=CglsConfig(tol=1e-7))
             errs.append(metric_e(Z, Zex))
@@ -123,8 +123,7 @@ def test_criterion_06_newton_residual_trend():
     model, prob = heat_problem((13, 13))
     finals = []
     for w in (0, 1, 2):
-        cfg = NewtonConfig(N_max=12, residual_tol=1e-9,
-                           pattern=PatternConfig(w=w))
+        cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=w)
         _Z, reports = solve_riccati(prob, cfg=cfg,
                                     cgls_cfg=CglsConfig(tol=1e-7))
         finals.append(reports[-1].v_k)
@@ -135,7 +134,7 @@ def test_criterion_06_newton_residual_trend():
     _Z, reports = solve_riccati(
         small_prob, cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
         cgls_cfg=CglsConfig(tol=1e-10),
-        pattern_override=full_pattern(small_model.n))
+        pattern=full_pattern(small_model.n))
     drop = reports[0].v_k / reports[-1].v_k
     _report(6, trend_ok and drop >= 1e3,
             f"final v_k over w=0,1,2: "
@@ -254,8 +253,7 @@ def test_criterion_09_spai_quality():
 
 def test_criterion_10_closed_loop_performance():
     model, prob = heat_problem((13, 13))
-    cfg = NewtonConfig(N_max=12, residual_tol=1e-9,
-                       pattern=PatternConfig(w=0))
+    cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=0)
     Zw0, _reports = solve_riccati(prob, cfg=cfg,
                                   cgls_cfg=CglsConfig(tol=1e-7))
     Fw0 = feedback(Zw0, prob)
@@ -286,7 +284,7 @@ def test_criterion_11_scaling_property():
     for nodes in ((13, 13), (29, 29), (61, 61)):
         model, prob = heat_problem(nodes, discretization="fd-5point")
         _F, Abar, P = _first_step(prob)
-        pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=1))
+        pat = apriori_pattern(Abar, model.E, P, w=1)
         rs = assemble_reduced(Abar, model.E, P, pat)
         ratios.append(rs.M1.nnz / model.n)
         X0 = canonicalize(sp.csr_matrix((model.n, model.n)))

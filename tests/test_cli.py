@@ -5,9 +5,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bandlq.cli import ConfigError, main, parse_config
-from bandlq.mmio import read_matrix
+from bandlq.mmio import read_matrix, write_pattern
 from conftest import nan_lyap_solve_at
 
 
@@ -50,9 +51,11 @@ class TestConfigValidation:
                           "typo_section": {}})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            parse_config({"output_dir": "x", "model": {"kind": "scalar"},
-                          "pattern": {"width": 2}})
+        # the pattern is decided once, so there is no freeze option
+        for pattern in ({"width": 2}, {"freeze_after_newton_iter": 1}):
+            with pytest.raises(ConfigError, match="unknown keys"):
+                parse_config({"output_dir": "x", "model": {"kind": "scalar"},
+                              "pattern": pattern})
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):
@@ -112,6 +115,7 @@ class TestSolveStages:
     def test_scalar_end_to_end(self, tmp_path):
         cfg = _scalar_config(tmp_path)
         assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
         assert main(["solve", "--config", cfg, "--stage", "riccati"]) == 0
         F = read_matrix(tmp_path / "run_scalar" / "F.mtx")
         assert abs(F.toarray()[0, 0] - (np.sqrt(2.0) - 1.0)) <= 1e-6
@@ -136,9 +140,9 @@ class TestSolveStages:
         assert main(["solve", "--config", cfg, "--stage", "lyap"]) == 0
         lines = (tmp_path / "run_full" / "lyap_report.csv") \
             .read_text().splitlines()
-        header = lines[0].split(",")
-        e_k = float(lines[1].split(",")[header.index("e_k")])
-        assert e_k <= 1e-6
+        header, row = lines[0].split(","), lines[1].split(",")
+        assert float(row[header.index("e_k")]) <= 1e-6
+        assert row[header.index("w")] == "6"
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_report_counts_pattern_entries(self, tmp_path, method):
@@ -157,12 +161,25 @@ class TestSolveStages:
         assert row[header.index("method")] == method
         assert int(row[header.index("nnz_pattern")]) == nnz
 
-    def test_missing_prerequisite_exit_code(self, tmp_path, capsys):
-        cfg = _heat_config(tmp_path, out="run_dep")
+    @pytest.mark.parametrize("stage", ["lyap", "riccati"])
+    def test_missing_prerequisite_exit_code(self, tmp_path, capsys, stage):
+        cfg = _heat_config(tmp_path, out=f"run_dep_{stage}")
         assert main(["genmodel", "--config", cfg]) == 0
-        rc = main(["solve", "--config", cfg, "--stage", "lyap"])
+        rc = main(["solve", "--config", cfg, "--stage", stage])
         assert rc == 1
-        assert "pattern" in capsys.readouterr().err
+        assert "run --stage pattern" in capsys.readouterr().err
+
+    def test_riccati_solves_on_the_pattern_file(self, tmp_path):
+        # a hand-written tridiagonal pattern, narrower than the w = 1 one,
+        # bounds the support of the Riccati solution
+        cfg = _heat_config(tmp_path, out="run_band")
+        assert main(["genmodel", "--config", cfg]) == 0
+        out = tmp_path / "run_band"
+        band = sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(25, 25))
+        write_pattern(out / "pattern.mtx", band)
+        main(["solve", "--config", cfg, "--stage", "riccati"])
+        rows, cols = read_matrix(out / "Zricc.mtx").nonzero()
+        assert rows.size > 0 and np.all(np.abs(rows - cols) <= 1)
 
     def test_missing_model_exit_code(self, tmp_path, capsys):
         cfg = _heat_config(tmp_path, out="run_nomodel")
@@ -175,6 +192,7 @@ class TestSolveStages:
         cfg = _heat_config(tmp_path, out="run_nc",
                            riccati={"N_max": 4, "residual_tol": 1e-14})
         assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
         rc = main(["solve", "--config", cfg, "--stage", "riccati"])
         assert rc == 2
         assert (tmp_path / "run_nc" / "newton_report.csv").exists()
@@ -182,6 +200,7 @@ class TestSolveStages:
     def test_non_finite_residual_exit_code_two(self, tmp_path, monkeypatch):
         cfg = _heat_config(tmp_path, out="run_nan")
         assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
         calls = nan_lyap_solve_at(monkeypatch, step=2)
         rc = main(["solve", "--config", cfg, "--stage", "riccati"])
         assert rc == 2 and calls == [1, 2]
@@ -195,6 +214,7 @@ class TestSolveStages:
     def test_newton_report_records_inner_solves(self, tmp_path):
         cfg = _heat_config(tmp_path, out="run_nr")
         assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
         main(["solve", "--config", cfg, "--stage", "riccati"])
         with open(tmp_path / "run_nr" / "newton_report.csv") as f:
             rows = list(csv.DictReader(f))
@@ -207,6 +227,7 @@ class TestSolveStages:
     def test_simulate_stage(self, tmp_path):
         cfg = _heat_config(tmp_path, out="run_sim")
         assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
         main(["solve", "--config", cfg, "--stage", "riccati"])
         assert main(["solve", "--config", cfg, "--stage", "simulate"]) == 0
         out = tmp_path / "run_sim"

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
-                            feedback, frechet_apply, metric_e,
-                            newton_step_matrices, riccati_residual,
-                            simulate_closed_loop, solve_lyap, solve_riccati)
+                            feedback, metric_e, newton_step_matrices,
+                            riccati_residual, simulate_closed_loop,
+                            solve_lyap, solve_riccati)
 from bandlq.lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
 from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.oracle import dense_riccati, pencil_eigs
-from bandlq.pattern import PatternConfig, apriori_pattern
+from bandlq.pattern import apriori_pattern
 from bandlq.sparsecore import canonicalize, frobenius, identity
 from conftest import (full_pattern, heat_problem, nan_lyap_solve_at,
                       random_banded, scalar_problem)
@@ -51,29 +51,6 @@ class TestRiccatiResidual:
 
 
 class TestFrechet:
-    def test_zero_direction(self):
-        model, prob = heat_problem((3, 3))
-        out = frechet_apply(identity(9), canonicalize(sp.csr_matrix((9, 9))),
-                            prob)
-        assert out.nnz == 0
-
-    def test_linearization_order(self):
-        model, prob = heat_problem((3, 3), seed=1)
-        rng = np.random.default_rng(0)
-        Z0 = random_banded(9, 2, rng)
-        Z = _csr(Z0 + Z0.T)
-        Y0 = random_banded(9, 2, rng)
-        Y = _csr(Y0 + Y0.T)
-
-        def defect(h):
-            lhs = riccati_residual(canonicalize(Z + h * Y), prob).toarray()
-            base = riccati_residual(Z, prob).toarray()
-            lin = frechet_apply(Z, Y, prob).toarray()
-            return np.linalg.norm(lhs - base - h * lin)
-
-        ratio = defect(1e-3) / defect(1e-4)
-        assert 100.0 / 3.0 <= ratio <= 300.0
-
     def test_newton_equation_identity(self):
         # the Newton step E^T Z Abar + Abar^T Z E = P is the rearranged
         # linearization D[Z_prev] + D'_{Z_prev}[Z - Z_prev] = 0
@@ -112,16 +89,16 @@ class TestSolveLyap:
     def step1(self):
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
-        pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=1))
+        pat = apriori_pattern(Abar, model.E, P, w=1)
         return Abar, model.E, P, pat
 
     def _solve(self, step1, method, X0=None):
         return solve_lyap(*step1, method, X0=X0, cgls_cfg=self.CGLS,
-                          gp_cfg=self.GP, faber_cfg=self.FABER, w=1)
+                          gp_cfg=self.GP, faber_cfg=self.FABER)
 
     def test_lsq_from_zero_is_method_1(self, step1):
         Z, rep = self._solve(step1, "lsq")
-        Zref, ref = solve_lyap_lsq(*step1, cfg=self.CGLS, w=1)
+        Zref, ref = solve_lyap_lsq(*step1, cfg=self.CGLS)
         assert _bitwise_equal(Z, Zref)
         assert rep.iterations == ref.iterations
 
@@ -129,7 +106,7 @@ class TestSolveLyap:
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, "gp")
         X3, _info = initial_guess(Abar, E, P, cfg=self.GP, fcfg=self.FABER)
-        Zref, ref = solve_lyap_gp(Abar, E, P, pat, X3, cfg=self.GP, w=1)
+        Zref, ref = solve_lyap_gp(Abar, E, P, pat, X3, cfg=self.GP)
         assert _bitwise_equal(Z, Zref)
         assert rep.extra["J_history"] == ref.extra["J_history"]
 
@@ -138,9 +115,9 @@ class TestSolveLyap:
         X0 = self._solve(step1, "lsq")[0]
         Z, _rep = self._solve(step1, method, X0=X0)
         if method == "lsq":
-            Zref, _ = solve_lyap_lsq(*step1, cfg=self.CGLS, w=1, X0=X0)
+            Zref, _ = solve_lyap_lsq(*step1, cfg=self.CGLS, X0=X0)
         else:
-            Zref, _ = solve_lyap_gp(*step1, X0, cfg=self.GP, w=1)
+            Zref, _ = solve_lyap_gp(*step1, X0, cfg=self.GP)
         assert _bitwise_equal(Z, Zref)
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
@@ -171,7 +148,7 @@ class TestSolveRiccati:
             prob,
             cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
             cgls_cfg=CglsConfig(tol=1e-10),
-            pattern_override=full_pattern(model.n))
+            pattern=full_pattern(model.n))
         Zex = dense_riccati(prob)
         assert metric_e(Z, sp.csr_matrix(Zex)) <= 1e-5
 
@@ -181,7 +158,7 @@ class TestSolveRiccati:
             prob,
             cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
             cgls_cfg=CglsConfig(tol=1e-10),
-            pattern_override=full_pattern(model.n))
+            pattern=full_pattern(model.n))
         F = feedback(Z, prob)
         Zex = dense_riccati(prob)
         Fex = np.diag(1.0 / prob.R) @ model.B.toarray().T @ Zex \
@@ -191,11 +168,26 @@ class TestSolveRiccati:
 
     def test_pattern_solution_containment(self):
         model, prob = heat_problem((6, 6), discretization="fd-5point")
-        cfg = NewtonConfig(N_max=6, residual_tol=1e-9,
-                           pattern=PatternConfig(w=1))
+        cfg = NewtonConfig(N_max=6, residual_tol=1e-9, w=1)
         Z, reports = solve_riccati(prob, cfg=cfg)
         assert frobenius(Z - Z.T) <= 1e-10 * max(frobenius(Z), 1.0)
         assert len(reports) <= 6
+
+    def test_default_pattern_is_the_step_1_pattern(self):
+        # without a pattern every step solves on the order-w pattern of
+        # step 1; on fd-5point 6x6 the later steps' own patterns are wider
+        model, prob = heat_problem((6, 6), discretization="fd-5point")
+        cfg = NewtonConfig(N_max=4, residual_tol=0.0, w=1)
+        _F, Abar, P = newton_step_matrices(
+            canonicalize(cfg.Z0_scale * identity(model.n)), prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        Z, reports = solve_riccati(prob, cfg=cfg)
+        Zp, given = solve_riccati(prob, cfg=cfg, pattern=pat)
+        assert _bitwise_equal(Z, Zp)
+        rows = [dataclasses.asdict(r) for r in reports + given]
+        for row in rows:
+            del row["wall_ms"]
+        assert rows[:4] == rows[4:]
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
         # Z_0 and each of the N new iterates get one feedback, which serves
@@ -234,8 +226,7 @@ class TestSolveRiccati:
         # inner tolerance, where both loops must agree
         import bandlq.control
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
-        cfg = NewtonConfig(N_max=8, residual_tol=1e-9,
-                           pattern=PatternConfig(w=1))
+        cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
         _Z, warm = solve_riccati(prob, cfg=cfg)
         solve = bandlq.control.solve_lyap_lsq
 
@@ -259,8 +250,7 @@ class TestSolveRiccati:
     def test_feedback_sparsity_fraction_w0(self):
         # actuator-row selection of a banded Z keeps the feedback sparse
         model, prob = heat_problem((13, 13), discretization="fd-5point")
-        cfg = NewtonConfig(N_max=8, residual_tol=1e-9,
-                           pattern=PatternConfig(w=0))
+        cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=0)
         Z, reports = solve_riccati(prob, cfg=cfg)
         F = feedback(Z, prob)
         frac = F.nnz / float(F.shape[0] * F.shape[1])

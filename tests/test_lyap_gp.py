@@ -13,7 +13,7 @@ from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             faber_coefficients, faber_expm, initial_guess,
                             quadrature_nodes, solve_lyap_gp, spai,
                             spectrum_bounds, transformed_problem)
-from bandlq.pattern import PatternConfig, apriori_pattern, inverse_pattern
+from bandlq.pattern import apriori_pattern, inverse_pattern
 from bandlq.sparsecore import (binarize, canonicalize, frobenius, identity,
                                pattern_power_sum, project)
 from bandlq.oracle import dense_expm, dense_lyap
@@ -452,7 +452,7 @@ class TestSolveLyapGp:
         A = _csr(random_banded(n, 1, rng) - 4.0 * np.eye(n))
         P0 = random_banded(n, 1, rng)
         P = _csr(P0 + P0.T)
-        pat = apriori_pattern(A, identity(n), P, PatternConfig(w=1))
+        pat = apriori_pattern(A, identity(n), P, w=1)
         _Z, rep = solve_lyap_gp(A, identity(n), P, pat,
                                 canonicalize(sp.csr_matrix((n, n))),
                                 cfg=GpConfig(max_iter=300))
@@ -464,7 +464,7 @@ class TestSolveLyapGp:
         A = _csr(random_banded(n, 1, rng) - 4.0 * np.eye(n))
         P0 = random_banded(n, 1, rng)
         P = _csr(P0 + P0.T)
-        pat = apriori_pattern(A, identity(n), P, PatternConfig(w=0))
+        pat = apriori_pattern(A, identity(n), P, w=0)
         Z, _rep = solve_lyap_gp(A, identity(n), P, pat,
                                 canonicalize(sp.csr_matrix(
                                     rng.standard_normal((n, n)))),
@@ -506,7 +506,7 @@ class TestSolveLyapGp:
         model, prob = heat_problem((13, 13))
         _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)
-        pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=1))
+        pat = apriori_pattern(Abar, model.E, P, w=1)
         X0, _info = initial_guess(Abar, model.E, P)
         db = 32.0 * default_delta_bar(Abar, model.E)
         Z, rep = solve_lyap_gp(Abar, model.E, P, pat, project(X0, pat),

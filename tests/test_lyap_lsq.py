@@ -9,7 +9,7 @@ from bandlq.control import metric_e, newton_step_matrices
 from bandlq.lyap_lsq import (CglsConfig, GlOperator, assemble_reduced,
                              scatter_solution, solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
-from bandlq.pattern import PatternConfig, apriori_pattern
+from bandlq.pattern import apriori_pattern
 from bandlq.sparsecore import binarize, canonicalize, frobenius, identity
 from conftest import full_pattern, heat_problem, random_stable_instance
 
@@ -226,7 +226,7 @@ class TestSolve:
         # at w = 1 is recorded and must stay under 5e-2 on this grid
         model, prob = heat_problem((13, 13))
         _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
-        pat = apriori_pattern(Abar, model.E, P, PatternConfig(w=1))
+        pat = apriori_pattern(Abar, model.E, P, w=1)
         Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
                                 cfg=CglsConfig(tol=1e-5))
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.pattern import (PatternConfig, apriori_pattern, inverse_pattern,
-                            pattern_density)
+from bandlq.pattern import apriori_pattern, inverse_pattern, pattern_density
 from bandlq.sparsecore import bandwidth, canonicalize, identity
 from conftest import heat_problem, random_banded
 
@@ -26,14 +25,14 @@ class TestAprioriPattern:
         A = _diag(-1.0 - rng.random(n))
         P = _diag(rng.standard_normal(n))
         for w in (0, 1, 3):
-            pat = apriori_pattern(A, identity(n), P, PatternConfig(w=w))
+            pat = apriori_pattern(A, identity(n), P, w=w)
             assert (pat != identity(n)).nnz == 0
 
     def test_tridiagonal_w0(self, rng):
         n = 8
         A = _tridiag_random(n, rng)
         P = _diag(rng.standard_normal(n) + 2.0)
-        pat = apriori_pattern(A, identity(n), P, PatternConfig(w=0))
+        pat = apriori_pattern(A, identity(n), P, w=0)
         assert bandwidth(pat) == 1
 
     def test_matches_dense_boolean_recursion(self, rng):
@@ -42,7 +41,7 @@ class TestAprioriPattern:
         E = _tridiag_random(n, rng)
         P = _tridiag_random(n, rng)
         w = 2
-        pat = apriori_pattern(A, E, P, PatternConfig(w=w))
+        pat = apriori_pattern(A, E, P, w=w)
 
         def b(M):
             return (np.abs(M) > 0).astype(float)
@@ -63,8 +62,8 @@ class TestAprioriPattern:
         E = _tridiag_random(n, rng)
         P = _tridiag_random(n, rng)
         for w in range(3):
-            small = apriori_pattern(A, E, P, PatternConfig(w=w))
-            large = apriori_pattern(A, E, P, PatternConfig(w=w + 1))
+            small = apriori_pattern(A, E, P, w=w)
+            large = apriori_pattern(A, E, P, w=w + 1)
             assert (small - large.multiply(small)).nnz == 0
 
     def test_symmetric_output(self, rng):
@@ -72,7 +71,7 @@ class TestAprioriPattern:
         A = _tridiag_random(n, rng)
         E = _tridiag_random(n, rng)
         P = _tridiag_random(n, rng)
-        pat = apriori_pattern(A, E, P, PatternConfig(w=2))
+        pat = apriori_pattern(A, E, P, w=2)
         assert (pat != pat.T).nnz == 0
 
     def test_nnz_linear_bound_for_tridiagonal(self, rng):
@@ -81,13 +80,16 @@ class TestAprioriPattern:
             E = _tridiag_random(n, rng)
             P = _tridiag_random(n, rng)
             for w in range(3):
-                pat = apriori_pattern(A, E, P, PatternConfig(w=w))
+                pat = apriori_pattern(A, E, P, w=w)
                 assert pat.nnz <= 2 * (4 * w + 5) * n
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(Exception):
-            apriori_pattern(identity(3), identity(4), identity(3),
-                            PatternConfig(w=1))
+            apriori_pattern(identity(3), identity(4), identity(3), w=1)
+
+    def test_negative_w_rejected(self):
+        with pytest.raises(ValueError, match="w must be >= 0"):
+            apriori_pattern(identity(3), identity(3), identity(3), w=-1)
 
 
 class TestInversePattern:
@@ -105,16 +107,3 @@ class TestInversePattern:
         pat = inverse_pattern(model.E, 3)
         density = pattern_density(pat)
         assert density < 0.10
-
-
-class TestPatternConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PatternConfig(w=-1)
-        with pytest.raises(ValueError):
-            PatternConfig(freeze_after_newton_iter=0)
-
-    def test_defaults(self):
-        cfg = PatternConfig()
-        assert cfg.w == 1
-        assert cfg.freeze_after_newton_iter == 1
