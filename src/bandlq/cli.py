@@ -1,10 +1,11 @@
 """Command-line front end: model generation, pattern computation,
 Lyapunov/Riccati solves, closed-loop simulation, and benchmark reports.
 
-All matrices are written as Matrix Market files and all reports as CSV
-with 17 significant digits. Runs are reproducible: a manifest records the
-config hash, package version, and seeds, and every artifact except timing
-files is byte-identical across repeated runs with the same config.
+Matrices are written as Matrix Market files, with values in shortest
+round-trip form, and reports as CSV, with floats to 17 significant digits.
+Runs are reproducible: a manifest records the config hash, package
+version, and seeds, and every artifact except timing files is
+byte-identical across repeated runs with the same config.
 """
 
 from __future__ import annotations
@@ -112,20 +113,27 @@ def parse_config(raw, source="<config>"):
     lyap_raw = dict(_section(raw.get("lyap", {}), "lyap",
                              ("method", "cgls_tol", "cgls_max_iter", "gp"),
                              path=path))
-    method = lyap_raw.get("method", "lsq")
+    # absent keys are left out, so they take the dataclass defaults
+    method = lyap_raw.get("method", NewtonConfig.lyap_method)
     if method not in ("lsq", "gp"):
         raise ConfigError(f"{source}: lyap.method must be 'lsq' or 'gp'")
-    cgls = CglsConfig(tol=lyap_raw.get("cgls_tol", 1e-7),
-                      max_iter=lyap_raw.get("cgls_max_iter", 20000))
+    cgls = CglsConfig(**{name: lyap_raw[key] for key, name in
+                         (("cgls_tol", "tol"), ("cgls_max_iter", "max_iter"))
+                         if key in lyap_raw})
     gp_raw = dict(_section(lyap_raw.get("gp", {}), "lyap.gp", _GP_KEYS,
                            path=path))
-    faber = FaberConfig(p=gp_raw.pop("p", 30), W=gp_raw.pop("W", 2048),
-                        k2=gp_raw.pop("k2", 1))
+    faber = FaberConfig(**{key: gp_raw.pop(key) for key in ("p", "W", "k2")
+                           if key in gp_raw})
     gp = GpConfig(**gp_raw)
 
     ric_raw = _section(raw.get("riccati", {}), "riccati",
                        ("Z0_scale", "N_max", "residual_tol",
                         "q_weight", "r_weight"), path=path)
+    newton = {key: conv(ric_raw[key]) for key, conv in
+              (("Z0_scale", float), ("N_max", int), ("residual_tol", float))
+              if key in ric_raw}
+    if "w" in pat_raw:
+        newton["w"] = pat_raw["w"]
 
     sim = dict(_section(raw.get("sim", {}), "sim",
                         ("dt", "steps", "x0", "x0_seed", "max_rows"),
@@ -145,11 +153,7 @@ def parse_config(raw, source="<config>"):
     return RunConfig(
         output_dir=raw["output_dir"],
         model=model,
-        newton=NewtonConfig(
-            Z0_scale=float(ric_raw.get("Z0_scale", 10.0)),
-            N_max=int(ric_raw.get("N_max", 20)), lyap_method=method,
-            residual_tol=float(ric_raw.get("residual_tol", 1e-6)),
-            w=pat_raw.get("w", 1)),
+        newton=NewtonConfig(lyap_method=method, **newton),
         cgls=cgls, gp=gp, faber=faber,
         q_weight=float(ric_raw.get("q_weight", 1.0)),
         r_weight=float(ric_raw.get("r_weight", 1.0)),
@@ -224,9 +228,8 @@ def cmd_genmodel(cfg, out):
     write_matrix(os.path.join(out, "A.mtx"), model.A)
     write_matrix(os.path.join(out, "B.mtx"), model.B)
     write_matrix(os.path.join(out, "C.mtx"), model.C)
-    with open(os.path.join(out, "perm.txt"), "w") as f:
-        for idx in model.permutation.forward:
-            f.write(f"{idx}\n")
+    np.savetxt(os.path.join(out, "perm.txt"), model.permutation.forward,
+               fmt="%d")
     meta = {
         "kind": cfg.model["kind"],
         "n": model.n, "m": model.m, "r": model.r,
@@ -305,7 +308,6 @@ def stage_lyap(cfg, out):
     _F, Abar, P = _first_step(cfg, model)
     Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton.lyap_method,
                         cgls_cfg=cfg.cgls, gp_cfg=cfg.gp, faber_cfg=cfg.faber)
-    rep.w = cfg.newton.w
     if cfg.oracle_enabled and model.n <= cfg.oracle_max_n:
         Zex = dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
         rep.e_k = metric_e(Z, sp.csr_matrix(Zex))

@@ -1,67 +1,53 @@
 """Matrix Market I/O for sparse matrices and sparsity patterns.
 
-Writes 1-based coordinate files with deterministic entry ordering
-(row-major) and 17 significant digits, so identical inputs give
-byte-identical files.
+A thin layer over ``scipy.io``. Files are 1-based coordinate ``general``
+files in row-major order, with values in shortest round-trip form, so
+identical inputs give byte-identical files and every value reads back bit
+for bit. Reads expand ``symmetric`` and ``skew-symmetric`` files to the
+full matrix, and every read error names the file.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.io as sio
 import scipy.sparse as sp
 
 from .sparsecore import binarize, canonicalize
 
-_REAL_HEADER = "%%MatrixMarket matrix coordinate real general"
-_PATTERN_HEADER = "%%MatrixMarket matrix coordinate pattern general"
-_CHUNK = 8192
-
 
 def write_matrix(path, A):
-    A = canonicalize(A).tocoo()
-    _write(path, _REAL_HEADER, A, "%d %d %.17g\n",
-           (A.row + 1, A.col + 1, A.data))
+    _write(path, canonicalize(A), field=None)
 
 
 def write_pattern(path, X):
-    X = binarize(X).tocoo()
-    _write(path, _PATTERN_HEADER, X, "%d %d\n", (X.row + 1, X.col + 1))
+    _write(path, binarize(X), field="pattern")
 
 
-def _write(path, header, A, fmt, columns):
-    """Header, size line and one ``fmt`` line per entry, in chunks that
-    bound the Python objects alive at once."""
-    with open(path, "w") as f:
-        f.write(f"{header}\n{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for k in range(0, A.nnz, _CHUNK):
-            f.writelines(fmt % entry for entry in
-                         zip(*(c[k:k + _CHUNK].tolist() for c in columns)))
+def _write(path, A, field):
+    # a file object, because scipy appends ".mtx" to a path without suffix
+    with open(path, "wb") as f:
+        sio.mmwrite(f, A, field=field, symmetry="general")
 
 
 def read_matrix(path):
-    shape, ij, entries = _read(path, 3, pattern=False)
-    return canonicalize(sp.coo_matrix((entries[:, 2], ij), shape=shape))
+    if _read(sio.mminfo, path)[4] == "pattern":
+        raise ValueError(f"{path}: pattern file, use read_pattern")
+    return canonicalize(_read(sio.mmread, path))
 
 
 def read_pattern(path):
-    shape, ij, _entries = _read(path, 2, pattern=True)
-    return binarize(sp.coo_matrix((np.ones(ij.shape[1]), ij), shape=shape))
+    # every stored entry is in the pattern, explicit zeros included
+    X = sp.coo_matrix(_read(sio.mmread, path))
+    X.data = np.ones(X.nnz)
+    return binarize(X)
 
 
-def _read(path, fields, pattern):
-    """Shape, 0-based (row, col) indices and the (nnz, fields) entries of
-    a coordinate file."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if "pattern" in header and not pattern:
-            raise ValueError(f"{path}: pattern file, use read_pattern")
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
-        entries = np.loadtxt(f, ndmin=2, max_rows=nnz) if nnz \
-            else np.empty((0, fields))
-    if entries.shape[0] != nnz or entries.shape[1] < fields:
-        raise ValueError(f"{path}: expected {nnz} entries of {fields} "
-                         f"fields, read {entries.shape}")
-    return (nrows, ncols), entries[:, :2].T.astype(np.int64) - 1, entries
+def _read(fn, path):
+    """``fn(path)`` with the path named in a parse error. ``fn`` gets the
+    path, not a file object: ``mminfo`` on a binary file object aborts the
+    interpreter."""
+    try:
+        return fn(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

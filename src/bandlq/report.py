@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 class SolveReport:
     method: str
     n: int
-    w: int = -1
     nnz_pattern: int = 0
     nnz_m1: int = 0
     iterations: int = 0
@@ -22,7 +21,7 @@ class SolveReport:
 
     # fields whose values are reproducible bit-for-bit under a fixed seed;
     # wall-clock time is reported separately so CSV artifacts stay diffable
-    DETERMINISTIC_FIELDS = ("method", "n", "w", "nnz_pattern", "nnz_m1",
+    DETERMINISTIC_FIELDS = ("method", "n", "nnz_pattern", "nnz_m1",
                             "iterations", "final_residual", "e_k", "converged")
 
     def to_row(self, fields):

@@ -8,6 +8,9 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.cli import ConfigError, main, parse_config
+from bandlq.control import NewtonConfig
+from bandlq.lyap_gp import FaberConfig, GpConfig
+from bandlq.lyap_lsq import CglsConfig
 from bandlq.mmio import read_matrix, write_pattern
 from conftest import nan_lyap_solve_at
 
@@ -65,6 +68,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="lyap.method"):
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
                           "lyap": {"method": "direct"}})
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = parse_config({"output_dir": "x", "model": {"kind": "scalar"}})
+        assert cfg.cgls == CglsConfig()
+        assert cfg.gp == GpConfig()
+        assert cfg.faber == FaberConfig()
+        assert cfg.newton == NewtonConfig()
+
+    def test_given_keys_override_the_defaults(self):
+        cfg = parse_config({
+            "output_dir": "x", "model": {"kind": "scalar"},
+            "pattern": {"w": 3},
+            "lyap": {"method": "gp", "cgls_tol": 1e-5, "cgls_max_iter": 9,
+                     "gp": {"max_iter": 7, "p": 10, "W": 64, "k2": 2}},
+            "riccati": {"Z0_scale": 2, "N_max": 4.0, "residual_tol": 1}})
+        assert cfg.cgls == CglsConfig(tol=1e-5, max_iter=9)
+        assert cfg.gp == GpConfig(max_iter=7)
+        assert cfg.faber == FaberConfig(p=10, W=64, k2=2)
+        assert cfg.newton == NewtonConfig(Z0_scale=2.0, N_max=4, w=3,
+                                          residual_tol=1.0, lyap_method="gp")
+        assert type(cfg.newton.N_max) is int
+        assert type(cfg.newton.Z0_scale) is float
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -142,7 +167,6 @@ class TestSolveStages:
             .read_text().splitlines()
         header, row = lines[0].split(","), lines[1].split(",")
         assert float(row[header.index("e_k")]) <= 1e-6
-        assert row[header.index("w")] == "6"
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_report_counts_pattern_entries(self, tmp_path, method):
