@@ -136,7 +136,9 @@ def solve_lyap(Abar, E, P, pat, method, X0=None, cgls_cfg=CglsConfig(),
 
 def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
                   gp_cfg=GpConfig(), faber_cfg=FaberConfig(), pattern=None):
-    """Inexact Newton loop; returns (Z_hat, list of per-iteration reports).
+    """Inexact Newton loop; returns (Z_hat, per-iteration reports, F).
+
+    F = R^-1 B^T Z_hat E is the LQ feedback of Z_hat.
 
     Every step solves on ``pattern``, by default the order-``cfg.w`` a
     priori pattern of the first step's GL equation. Raises
@@ -176,7 +178,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
         growth_streak = growth_streak + 1 if v_k > 10.0 * v1 else 0
         if growth_streak >= 3:
             raise RiccatiDivergence(reports)
-    return Z, reports
+    return Z, reports, F
 
 
 def metric_e(Zhat, Zexact):

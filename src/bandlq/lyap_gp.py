@@ -348,11 +348,12 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     R = P - E^T Z Abar - Abar^T Z E. Z is sought among the symmetric
     matrices supported on Zpat, which must be symmetric; X0 is read through
     its symmetric part on the pattern. Z and N are held as the GL
-    operator's coordinates, so no step projects.
+    operator's coordinates, so no step projects, and R as its output
+    coordinates; ``peak_nnz`` counts matrix entries of all three.
     """
     t0 = time.perf_counter()
-    op = GlOperator(Abar, E, Zpat)
-    p = op.vec(P)
+    op = GlOperator(Abar, E, Zpat, P)
+    p = op.rhs
     z = op.restrict(X0)
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None \
         else default_delta_bar(canonicalize(Abar), canonicalize(E))
@@ -365,7 +366,7 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
         peak_nnz = max(peak_nnz, op.entries(g), op.entries(z),
-                       np.count_nonzero(r))
+                       op.outputs.entries(r))
         delta = delta_bar
         for _g in range(61):
             z_try = z - delta * g

@@ -1,8 +1,10 @@
 """Method 1: pattern-reduced least-squares solution of the GL equation.
 
 The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
-is never formed: CGLS runs on ``GlOperator``, which applies M and M^T to
-coordinates of the symmetric matrices inside the a priori pattern.
+is never formed: CGLS runs on ``GlOperator``, which maps coordinates of the
+symmetric matrices inside the a priori pattern to coordinates of the
+symmetric matrices on the operator's structural output support, the
+support of E^T Zpat Abar plus its transpose and of P, and back.
 ``assemble_reduced`` builds the reduced matrix over all pattern entries
 column by column, as the reference for the tests.
 """
@@ -33,22 +35,80 @@ class CglsConfig:
             raise ValueError("CGLS tolerance must be positive")
 
 
+class SymCoords:
+    """Orthonormal coordinates of the symmetric n x n matrices on a support.
+
+    There is one coordinate per support entry (i, j) with i <= j, in the
+    row-major order of ``map``. Coordinate k has the unit-norm basis matrix
+    w (e_i e_j^T + e_j e_i^T), with w = 1/sqrt(2) off the diagonal and 1/2
+    on it, so the coordinates of X are w (X[i, j] + X[j, i]) and their norm
+    is ||X||_F for symmetric X on the support.
+    """
+
+    def __init__(self, n, rows, cols):
+        self.n = n
+        self.map = np.column_stack([rows, cols])
+        self.size = rows.size
+        self._off = rows != cols
+        self._weight = np.where(self._off, np.sqrt(0.5), 0.5)
+        # the basis matrix holds w at (i, j) and (j, i), 2 w = 1 at (i, i)
+        self._value = np.where(self._off, np.sqrt(0.5), 1.0)
+        # flat indices of (i, j) and (j, i) in a C-ordered n x n array
+        self._upper = rows.astype(np.int64) * n + cols
+        self._lower = cols.astype(np.int64) * n + rows
+
+    def fold(self, X):
+        """Coordinates of the symmetric part of the sparse n x n X."""
+        if X.shape != (self.n, self.n):
+            raise ShapeMismatchError("fold", (self.n, self.n), X.shape)
+        X = canonicalize(X)
+        rows, cols = self.map.T
+        return np.asarray((X + X.T)[rows, cols]).ravel() * self._weight
+
+    def gather(self, H):
+        """Coordinates of the dense n x n H."""
+        h = H.ravel()
+        return (h[self._upper] + h[self._lower]) * self._weight
+
+    def put(self, out, z):
+        """Write the matrix with coordinates z into the dense n x n out,
+        which must be zero off the support."""
+        v = np.ravel(z) * self._value
+        flat = out.ravel()
+        flat[self._upper] = v
+        flat[self._lower] = v
+
+    def to_csr(self, z):
+        """The matrix with coordinates z, as canonical CSR."""
+        rows, cols = self.map.T
+        U = sp.coo_matrix((np.ravel(z) * self._weight, (rows, cols)),
+                          shape=(self.n, self.n))
+        return canonicalize(U + U.T)
+
+    def entries(self, z):
+        """Number of nonzero entries of the matrix with coordinates z."""
+        nz = np.ravel(z) != 0
+        return int(np.count_nonzero(nz) + np.count_nonzero(nz & self._off))
+
+
 class GlOperator(spla.LinearOperator):
     """The GL operator Z -> E^T Z Abar + Abar^T Z E on symmetric Z in the pattern.
 
-    The unknowns are orthonormal coordinates of the symmetric matrices
-    supported on the pattern, which must be symmetric: one per pattern entry
-    (i, j) with i <= j, ordered as ``column_map``, with Z[i, j] = Z[j, i] =
-    z / sqrt(2) off the diagonal and Z[i, i] = z on it, so ||z|| = ||Z||_F.
-    The operator maps them to all n^2 entries of vec(E^T Z Abar + Abar^T Z
-    E). ``nnz`` is the structural nnz of the matrix M1 that
+    Both sides are ``SymCoords``, so coordinate norms are Frobenius norms.
+    The unknowns ``inputs`` are the symmetric matrices on the pattern, which
+    must be symmetric. The outputs ``outputs`` are the symmetric matrices on
+    the structural support of E^T Zpat Abar plus its transpose, together
+    with supp(P): every matrix the operator produces and the right-hand
+    side ``rhs``, the coordinates of P's symmetric part. Each apply and
+    adjoint runs two sparse-times-dense products on dense n x n buffers that
+    the operator keeps. ``nnz`` is the structural nnz of the matrix M1 that
     ``assemble_reduced`` builds and ``nnz_pattern`` the number of pattern
     entries.
     """
 
-    def __init__(self, Abar, E, Zpat):
+    def __init__(self, Abar, E, Zpat, P):
         n = Abar.shape[0]
-        for M in (E, Zpat):
+        for M in (E, Zpat, P):
             if M.shape != (n, n):
                 raise ShapeMismatchError("GlOperator", (n, n), M.shape)
         self.n = n
@@ -70,61 +130,58 @@ class GlOperator(spla.LinearOperator):
         c = np.diff(binarize(self._E).multiply(binarize(self._Abar)).indptr)
         self.nnz = int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
         upper = i <= j
-        self._rows, self._cols = i[upper], j[upper]
-        self.column_map = np.column_stack([self._rows, self._cols])
-        # unknown (i, j) has the basis matrix B = w (e_i e_j^T + e_j e_i^T)
-        # with w = 1/2 on the diagonal and 1/sqrt(2) off it, so B has unit
-        # norm and <B, X> = w (X[i, j] + X[j, i])
-        self._off = self._rows != self._cols
-        self._weight = np.where(self._off, np.sqrt(0.5), 0.5)
+        self.inputs = SymCoords(n, i[upper], j[upper])
+        self.column_map = self.inputs.map
         # every product below is CSR @ C-contiguous dense
         self._ET = self._E.T.tocsr()
         self._AbarT = self._Abar.T.tocsr()
-        super().__init__(np.float64, (n * n, self._rows.size))
+        self._Z = np.zeros((n, n))
+        self._R = np.zeros((n, n))
+        self._T = np.empty((n, n))
+        # the output support: one apply with the structural patterns, whose
+        # products of positive entries cannot cancel
+        self.inputs.put(self._Z, np.ones(self.inputs.size))
+        mask = self._product(binarize(self._ET), binarize(self._AbarT)) > 0
+        Pc = canonicalize(P).tocoo()
+        mask[Pc.row, Pc.col] = True
+        mask |= mask.T
+        r, s = np.nonzero(mask)
+        upper = r <= s
+        self.outputs = SymCoords(n, r[upper], s[upper])
+        self.rhs = self.outputs.fold(P)
+        super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
-    def vec(self, X):
-        """vec(X), column-major, of an n x n matrix: the output space."""
-        if X.shape != (self.n, self.n):
-            raise ShapeMismatchError("vec", (self.n, self.n), X.shape)
-        return sp.csr_matrix(X).toarray().ravel(order="F")
-
-    def _coords(self, X):
-        """Coordinates of the symmetric part of the dense X on the pattern."""
-        r, c = self._rows, self._cols
-        return (X[r, c] + X[c, r]) * self._weight
+    def _product(self, ET, AbarT):
+        """E^T Z Abar for the Z buffer, through Abar^T Z = (Z Abar)^T."""
+        # Abar^T Z is dropped before the second product allocates, so the
+        # allocator can reuse its memory instead of faulting in fresh pages
+        np.copyto(self._T, (AbarT @ self._Z).T)
+        return ET @ self._T
 
     def restrict(self, X):
         """Coordinates of sym(X) on the pattern: the input space."""
-        return self._coords(self.vec(X).reshape((self.n, self.n), order="F"))
+        return self.inputs.fold(X)
 
     def scatter(self, z):
         """The symmetric matrix with coordinates z, as canonical CSR."""
-        U = sp.coo_matrix((np.ravel(z) * self._weight,
-                           (self._rows, self._cols)), shape=(self.n, self.n))
-        return canonicalize(U + U.T)
+        return self.inputs.to_csr(z)
 
     def entries(self, z):
         """Number of nonzero matrix entries of the matrix with coordinates z."""
-        nz = np.ravel(z) != 0
-        return int(np.count_nonzero(nz) + np.count_nonzero(nz & self._off))
+        return self.inputs.entries(z)
 
     def _matvec(self, z):
-        v = np.ravel(z) * self._weight
-        Z = np.zeros((self.n, self.n))
-        Z[self._rows, self._cols] = v
-        Z[self._cols, self._rows] += v
-        # U = Abar^T Z = (Z Abar)^T, S = E^T Z Abar; L = S + S^T is
-        # symmetric, so its row- and column-major vecs agree
-        U = self._AbarT @ Z
-        S = self._ET @ np.ascontiguousarray(U.T)
-        return (S + S.T).ravel()
+        # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i])
+        self.inputs.put(self._Z, z)
+        return 2.0 * self.outputs.gather(self._product(self._ET, self._AbarT))
 
     def _rmatvec(self, r):
-        R = np.reshape(r, (self.n, self.n))
-        # H = E (R + R^T) Abar^T; only H + H^T enters the coordinates,
-        # so its transpose Abar (R + R^T) E^T serves as well
-        V = self._E @ (R + R.T)
-        return self._coords(self._Abar @ np.ascontiguousarray(V.T))
+        # the adjoint of the coordinates of L is the symmetric R with
+        # coordinates r; H = E (R + R^T) Abar^T enters the coordinates only
+        # through H + H^T, so its transpose Abar (2 R) E^T serves as well
+        self.outputs.put(self._R, r)
+        np.copyto(self._T, (self._E @ self._R).T)
+        return 2.0 * self.inputs.gather(self._Abar @ self._T)
 
 
 @dataclass(frozen=True)
@@ -215,8 +272,8 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
     or from X0 read through its symmetric part on the pattern.
     """
     t0 = time.perf_counter()
-    op = GlOperator(Abar, E, Zpat)
-    p = op.vec(P)
+    op = GlOperator(Abar, E, Zpat, P)
+    p = op.rhs
     x0 = None if X0 is None else op.restrict(X0)
     res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     Z = scatter_solution(op, res.x)

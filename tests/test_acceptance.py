@@ -7,9 +7,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from bandlq.cli import main
-from bandlq.control import (NewtonConfig, feedback, metric_e,
-                            newton_step_matrices, simulate_closed_loop,
-                            solve_riccati)
+from bandlq.control import (NewtonConfig, metric_e, newton_step_matrices,
+                            simulate_closed_loop, solve_riccati)
 from bandlq.lyap_gp import (FaberConfig, GpConfig, faber_expm, initial_guess,
                             solve_lyap_gp, spai, spectrum_bounds,
                             transformed_problem)
@@ -36,10 +35,9 @@ def _first_step(prob):
 def test_criterion_01_scalar_ground_truth():
     t0 = time.perf_counter()
     _model, prob = scalar_problem()
-    Z, _reports = solve_riccati(
+    Z, _reports, F = solve_riccati(
         prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12),
         cgls_cfg=CglsConfig(tol=1e-12))
-    F = feedback(Z, prob)
     elapsed = time.perf_counter() - t0
     z_err = abs(Z.toarray()[0, 0] - SQRT2M1)
     f_err = abs(F.toarray()[0, 0] - SQRT2M1)
@@ -124,14 +122,14 @@ def test_criterion_06_newton_residual_trend():
     finals = []
     for w in (0, 1, 2):
         cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=w)
-        _Z, reports = solve_riccati(prob, cfg=cfg,
-                                    cgls_cfg=CglsConfig(tol=1e-7))
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg,
+                                        cgls_cfg=CglsConfig(tol=1e-7))
         finals.append(reports[-1].v_k)
     trend_ok = all(b <= a * (1.0 + 1e-9)
                    for a, b in zip(finals, finals[1:]))
 
     small_model, small_prob = heat_problem((5, 5))
-    _Z, reports = solve_riccati(
+    _Z, reports, _F = solve_riccati(
         small_prob, cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
         cgls_cfg=CglsConfig(tol=1e-10),
         pattern=full_pattern(small_model.n))
@@ -254,9 +252,8 @@ def test_criterion_09_spai_quality():
 def test_criterion_10_closed_loop_performance():
     model, prob = heat_problem((13, 13))
     cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=0)
-    Zw0, _reports = solve_riccati(prob, cfg=cfg,
-                                  cgls_cfg=CglsConfig(tol=1e-7))
-    Fw0 = feedback(Zw0, prob)
+    Zw0, _reports, Fw0 = solve_riccati(prob, cfg=cfg,
+                                       cgls_cfg=CglsConfig(tol=1e-7))
     Zex = dense_riccati(prob, max_n=500)
     Fex = canonicalize(sp.csr_matrix(
         np.diag(1.0 / prob.R) @ model.B.toarray().T @ Zex

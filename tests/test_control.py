@@ -124,8 +124,8 @@ class TestSolveLyap:
     def test_residual_2norm_is_the_gl_residual(self, step1, method):
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, method)
-        op = GlOperator(Abar, E, pat)
-        r = op.vec(P) - op @ op.restrict(Z)
+        op = GlOperator(Abar, E, pat, P)
+        r = op.rhs - op @ op.restrict(Z)
         assert rep.extra["residual_2norm"] == pytest.approx(
             np.linalg.norm(r), rel=1e-12)
 
@@ -137,14 +137,14 @@ class TestSolveLyap:
 class TestSolveRiccati:
     def test_scalar_converges_to_root(self):
         _model, prob = scalar_problem()
-        Z, reports = solve_riccati(
+        Z, _reports, _F = solve_riccati(
             prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12),
             cgls_cfg=CglsConfig(tol=1e-12))
         assert abs(Z.toarray()[0, 0] - SQRT2M1) <= 1e-6
 
     def test_full_pattern_matches_dense_oracle(self):
         model, prob = heat_problem((5, 5))
-        Z, _reports = solve_riccati(
+        Z, _reports, _F = solve_riccati(
             prob,
             cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
             cgls_cfg=CglsConfig(tol=1e-10),
@@ -154,12 +154,12 @@ class TestSolveRiccati:
 
     def test_feedback_matches_oracle_feedback(self):
         model, prob = heat_problem((5, 5))
-        Z, _reports = solve_riccati(
+        Z, _reports, F = solve_riccati(
             prob,
             cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
             cgls_cfg=CglsConfig(tol=1e-10),
             pattern=full_pattern(model.n))
-        F = feedback(Z, prob)
+        assert _bitwise_equal(F, feedback(Z, prob))
         Zex = dense_riccati(prob)
         Fex = np.diag(1.0 / prob.R) @ model.B.toarray().T @ Zex \
             @ model.E.toarray()
@@ -169,7 +169,7 @@ class TestSolveRiccati:
     def test_pattern_solution_containment(self):
         model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=6, residual_tol=1e-9, w=1)
-        Z, reports = solve_riccati(prob, cfg=cfg)
+        Z, reports, _F = solve_riccati(prob, cfg=cfg)
         assert frobenius(Z - Z.T) <= 1e-10 * max(frobenius(Z), 1.0)
         assert len(reports) <= 6
 
@@ -181,9 +181,9 @@ class TestSolveRiccati:
         _F, Abar, P = newton_step_matrices(
             canonicalize(cfg.Z0_scale * identity(model.n)), prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
-        Z, reports = solve_riccati(prob, cfg=cfg)
-        Zp, given = solve_riccati(prob, cfg=cfg, pattern=pat)
-        assert _bitwise_equal(Z, Zp)
+        Z, reports, F = solve_riccati(prob, cfg=cfg)
+        Zp, given, Fp = solve_riccati(prob, cfg=cfg, pattern=pat)
+        assert _bitwise_equal(Z, Zp) and _bitwise_equal(F, Fp)
         rows = [dataclasses.asdict(r) for r in reports + given]
         for row in rows:
             del row["wall_ms"]
@@ -202,10 +202,12 @@ class TestSolveRiccati:
             return fb(Z, prob)
 
         monkeypatch.setattr(bandlq.control, "feedback", counted)
-        Z, reports = solve_riccati(
+        Z, reports, F = solve_riccati(
             prob, cfg=NewtonConfig(N_max=4, residual_tol=0.0))
         assert len(reports) == 4 and len(calls) == 5
         assert calls[-1] is Z
+        # the returned F is the one the loop made for Z
+        assert _bitwise_equal(F, fb(Z, prob))
         assert reports[-1].nnz_F == fb(Z, prob).nnz
         assert (Z != Z.T).nnz == 0
 
@@ -227,14 +229,14 @@ class TestSolveRiccati:
         import bandlq.control
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
-        _Z, warm = solve_riccati(prob, cfg=cfg)
+        _Z, warm, _F = solve_riccati(prob, cfg=cfg)
         solve = bandlq.control.solve_lyap_lsq
 
         def cold_solve(*args, X0=None, **kwargs):
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
-        _Z, cold = solve_riccati(prob, cfg=cfg)
+        _Z, cold, _F = solve_riccati(prob, cfg=cfg)
         assert len(warm) == len(cold) == 8
         assert all(r.lyap_converged for r in warm + cold)
         warm_its = sum(r.lyap_iterations for r in warm)
@@ -251,8 +253,7 @@ class TestSolveRiccati:
         # actuator-row selection of a banded Z keeps the feedback sparse
         model, prob = heat_problem((13, 13), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=0)
-        Z, reports = solve_riccati(prob, cfg=cfg)
-        F = feedback(Z, prob)
+        _Z, _reports, F = solve_riccati(prob, cfg=cfg)
         frac = F.nnz / float(F.shape[0] * F.shape[1])
         print(f"feedback fill at w=0: {100.0 * frac:.2f}%")
         assert frac < 0.15

@@ -27,25 +27,49 @@ def _sym_columns(M, index, column_map):
     return (M[:, index[i, j]] + M[:, index[j, i]]) * scale
 
 
-def _check_operator(Abar, E, pat, rs, M):
+def _sym_rows(M, index, output_map):
+    """Rows of M folded onto the operator's output coordinates, where row
+    index[i, j] of M belongs to entry (i, j): (M[index[i, j]] +
+    M[index[j, i]]) / sqrt(2) for i < j and M[index[i, i]] for i = j."""
+    i, j = output_map[:, 0], output_map[:, 1]
+    scale = np.where(i == j, 0.5, np.sqrt(0.5))
+    return ((M[index[i, j]] + M[index[j, i]]).T * scale).T
+
+
+def _check_operator(Abar, E, pat, P, rs, M):
     """GlOperator against the explicit Kronecker matrix M and the assembled
-    reduced system rs: the same columns in symmetric coordinates, the same
-    nnz(M1), a true adjoint, and restrict/scatter as an isometry pair."""
+    reduced system rs: the output support is rs.row_map folded by symmetry,
+    the same columns in symmetric coordinates on both sides with nothing
+    lost in the fold, the same nnz(M1), a true adjoint, and restrict/scatter
+    as an isometry pair."""
     n = Abar.shape[0]
-    op = GlOperator(Abar, E, pat)
+    op = GlOperator(Abar, E, pat, P)
     upper = rs.column_map[:, 0] <= rs.column_map[:, 1]
     np.testing.assert_array_equal(op.column_map, rs.column_map[upper])
+    r, s = rs.row_map % n, rs.row_map // n
+    folded = np.unique(np.minimum(r, s) * n + np.maximum(r, s))
+    np.testing.assert_array_equal(op.outputs.map,
+                                  np.column_stack([folded // n, folded % n]))
+    assert op.shape == (folded.size, op.column_map.shape[0])
     unit = np.eye(op.shape[1])
     op_cols = np.column_stack([op.matvec(u) for u in unit])
     vec_index = np.arange(n * n).reshape((n, n), order="F")
-    np.testing.assert_allclose(op_cols, _sym_columns(M, vec_index,
-                                                     op.column_map),
+    sym_cols = _sym_columns(M, vec_index, op.column_map)
+    np.testing.assert_allclose(op_cols, _sym_rows(sym_cols, vec_index,
+                                                  op.outputs.map),
                                rtol=0, atol=1e-15 * np.abs(M).max())
+    np.testing.assert_allclose(np.linalg.norm(op_cols, axis=0),
+                               np.linalg.norm(sym_cols, axis=0), rtol=1e-14)
+    p = P.toarray().ravel(order="F")
+    np.testing.assert_allclose(op.rhs, _sym_rows(p, vec_index,
+                                                 op.outputs.map),
+                               rtol=0, atol=1e-15 * np.abs(p).max())
+    assert np.linalg.norm(op.rhs) == pytest.approx(frobenius(P), rel=1e-14)
     assert op.nnz == rs.M1.nnz
     assert op.nnz_pattern == binarize(pat).nnz
     probe = np.random.default_rng(0)
     z = probe.standard_normal(op.shape[1])
-    r = probe.standard_normal(n * n)
+    r = probe.standard_normal(op.shape[0])
     lhs = float((op @ z) @ r)
     assert lhs == pytest.approx(float(z @ op.rmatvec(r)), rel=1e-12)
     Z = op.scatter(z)
@@ -59,6 +83,8 @@ def _check_operator(Abar, E, pat, rs, M):
                                rtol=0, atol=1e-14)
     z[::2] = 0.0
     assert op.entries(z) == op.scatter(z).nnz
+    r[::2] = 0.0
+    assert op.outputs.entries(r) == op.outputs.to_csr(r).nnz
 
 
 class TestAssembleReduced:
@@ -88,7 +114,7 @@ class TestAssembleReduced:
             cols = rs.column_map[:, 1] * n + rs.column_map[:, 0]
             ref = M[np.ix_(rs.row_map, cols)]
             np.testing.assert_allclose(rs.M1.toarray(), ref, atol=1e-15)
-            _check_operator(Abar, E, pat, rs, M)
+            _check_operator(Abar, E, pat, P, rs, M)
 
     def test_partial_pattern_columns(self, rng):
         n = 6
@@ -103,9 +129,10 @@ class TestAssembleReduced:
         # the operator acts on symmetric matrices only
         assert (pat != pat.T).nnz > 0
         with pytest.raises(ValueError, match="symmetric"):
-            GlOperator(Abar, E, pat)
+            GlOperator(Abar, E, pat, P)
         sym = binarize(pat + pat.T)
-        _check_operator(Abar, E, sym, assemble_reduced(Abar, E, P, sym), M)
+        _check_operator(Abar, E, sym, P, assemble_reduced(Abar, E, P, sym),
+                        M)
 
     def test_rhs_rows_with_zero_coefficients_retained(self):
         # diagonal pattern but P has an off-diagonal entry: that equation
@@ -156,7 +183,7 @@ class TestSolve:
         mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
         pat = binarize(identity(n) + mask + mask.T)
         rs = assemble_reduced(Abar, E, P, pat)
-        op = GlOperator(Abar, E, pat)
+        op = GlOperator(Abar, E, pat, P)
         index = np.zeros((n, n), dtype=np.int64)
         index[rs.column_map[:, 0], rs.column_map[:, 1]] = \
             np.arange(rs.column_map.shape[0])
@@ -209,17 +236,21 @@ class TestSolve:
         np.testing.assert_array_equal(Z.data, Z_none.data)
 
     def test_residual_identity(self, rng):
-        # vector-form and matrix-form residuals agree
+        # vector-form and matrix-form residuals agree, also for a diagonal
+        # pattern whose P has off-diagonal entries outside the operator's
+        # structural support
         n = 10
-        Abar, E, P = random_stable_instance(n, rng)
-        pat = full_pattern(n)
-        op = GlOperator(Abar, E, pat)
-        p = op.vec(P)
-        res = cgls(op, p, tol=1e-10)
-        Z = scatter_solution(op, res.x)
-        R = canonicalize(P - E.T @ Z @ Abar - Abar.T @ Z @ E)
-        vec_res = np.linalg.norm(p - op @ res.x)
-        assert frobenius(R) == pytest.approx(vec_res, abs=1e-12)
+        cases = [random_stable_instance(n, rng) + (full_pattern(n),),
+                 (_csr(np.diag([-1.0, -2.0])), identity(2),
+                  _csr([[1.0, 0.5], [0.5, 1.0]]), identity(2))]
+        for Abar, E, P, pat in cases:
+            op = GlOperator(Abar, E, pat, P)
+            res = cgls(op, op.rhs, tol=1e-10)
+            Z = scatter_solution(op, res.x)
+            R = canonicalize(P - E.T @ Z @ Abar - Abar.T @ Z @ E)
+            vec_res = np.linalg.norm(op.rhs - op @ res.x)
+            assert frobenius(R) == pytest.approx(vec_res, abs=1e-12)
+        assert frobenius(R) == pytest.approx(np.sqrt(0.5))
 
     def test_heat_model_w1_recorded_error(self):
         # structured-grid analog of the smallest 2D model scale: the error
