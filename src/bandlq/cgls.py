@@ -38,9 +38,13 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     x = np.zeros(ncols) if x0 is None else np.array(x0, dtype=np.float64)
     Mt = M.H
 
-    r = b - M @ x
-    s = Mt @ r
-    norm_s0 = np.linalg.norm(Mt @ b)
+    s0 = Mt @ b
+    norm_s0 = np.linalg.norm(s0)
+    if x0 is None:
+        r, s = b.copy(), s0
+    else:
+        r = b - M @ x
+        s = Mt @ r
     if not np.isfinite(norm_s0):
         return CglsResult(x=x, converged=False, iterations=0,
                           residual=float("nan"),

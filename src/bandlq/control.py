@@ -56,6 +56,10 @@ class NewtonConfig:
     residual_tol: float = 1e-6        # relative to v_1
     w: int = 1                        # order of the a priori pattern
 
+    def __post_init__(self):
+        if self.N_max < 1:
+            raise ValueError("N_max must be >= 1")
+
 
 @dataclass
 class NewtonIterationReport:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class ShapeMismatchError(ValueError):
@@ -132,39 +133,13 @@ class Permutation:
 def rcm_order(A):
     """Reverse Cuthill-McKee ordering of a square pattern.
 
-    The pattern is symmetrized (A union A^T) and treated as an undirected
-    graph. Tie-breaking is fixed for reproducibility: each component starts
-    at its minimum-degree vertex of smallest index, and neighbors are
-    enqueued by increasing (degree, index).
+    The pattern is symmetrized (A union A^T) and ordered by scipy's
+    ``reverse_cuthill_mckee``, which handles each connected component.
     """
     if A.shape[0] != A.shape[1]:
         raise ShapeMismatchError("rcm_order", A.shape, A.shape)
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:                 # scipy rejects a 0 x 0 graph
         return Permutation.identity(0)
-    g = binarize(binarize(A) + binarize(A).T).tolil()
-    g.setdiag(0)
-    g = canonicalize(g)
-    deg = np.diff(g.indptr)
-    visited = np.zeros(n, dtype=bool)
-    order = []
-    # stable vertex ranking by (degree, index)
-    by_degree = np.lexsort((np.arange(n), deg))
-    for start in by_degree:
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]]
-            nbrs = [u for u in nbrs if not visited[u]]
-            nbrs.sort(key=lambda u: (deg[u], u))
-            for u in nbrs:
-                visited[u] = True
-                queue.append(u)
-    order.reverse()
-    return Permutation.from_order(np.asarray(order, dtype=np.int64))
+    g = binarize(binarize(A) + binarize(A).T)
+    order = reverse_cuthill_mckee(g, symmetric_mode=True)
+    return Permutation.from_order(order)

@@ -86,15 +86,13 @@ def test_nan_in_rhs_stops_at_once():
 
 def test_nan_from_operator_stops_at_once():
     # the operator's products turn non-finite from the first one inside
-    # the loop on
+    # the loop on: every product with a nonzero vector is NaN
     rng = np.random.default_rng(4)
     M = rng.standard_normal((30, 10))
-    calls = []
 
     def matvec(x):
-        calls.append(1)
         y = M @ x
-        return y if len(calls) < 2 else np.full_like(y, np.nan)
+        return y if not np.any(x) else np.full_like(y, np.nan)
 
     op = spla.LinearOperator(M.shape, matvec=matvec,
                              rmatvec=lambda r: M.T @ r, dtype=np.float64)
@@ -150,3 +148,34 @@ def test_x0_not_modified():
     assert res.iterations >= 1
     np.testing.assert_array_equal(x0, before)
     assert res.x is not x0
+
+
+def _counting(M):
+    """M as a LinearOperator that counts its applications and adjoints."""
+    calls = []
+
+    def matvec(x):
+        calls.append("M")
+        return M @ x
+
+    def rmatvec(r):
+        calls.append("M^T")
+        return M.T @ r
+
+    op = spla.LinearOperator(M.shape, matvec=matvec, rmatvec=rmatvec,
+                             dtype=np.float64)
+    return op, calls
+
+
+def test_operator_calls_cold_and_warm():
+    # a cold start needs only M^T b before the loop, a warm one also
+    # M x0 and M^T r0; each iteration costs one apply and one adjoint
+    M, b, ref, rng = _lstsq_instance()
+    op, calls = _counting(M.toarray())
+    cold = cgls(op, b, tol=1e-10)
+    assert cold.converged and cold.iterations >= 1
+    assert len(calls) == 1 + 2 * cold.iterations
+    calls.clear()
+    warm = cgls(op, b, tol=1e-10, x0=rng.standard_normal(ref.size))
+    assert warm.converged and warm.iterations >= 1
+    assert len(calls) == 3 + 2 * warm.iterations

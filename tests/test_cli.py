@@ -235,6 +235,18 @@ class TestSolveStages:
         assert not (out / "Zricc.mtx").exists()
         assert not (out / "F.mtx").exists()
 
+    def test_zero_newton_steps_rejected(self, tmp_path, capsys):
+        cfg = _heat_config(tmp_path, out="run_n0")
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        cfg = _heat_config(tmp_path, out="run_n0", riccati={"N_max": 0})
+        rc = main(["solve", "--config", cfg, "--stage", "riccati"])
+        assert rc == 1
+        assert "N_max" in capsys.readouterr().err
+        out = tmp_path / "run_n0"
+        for name in ("Zricc.mtx", "F.mtx", "newton_report.csv"):
+            assert not (out / name).exists()
+
     def test_newton_report_records_inner_solves(self, tmp_path):
         cfg = _heat_config(tmp_path, out="run_nr")
         assert main(["genmodel", "--config", cfg]) == 0

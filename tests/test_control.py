@@ -336,3 +336,9 @@ class TestLqProblemValidation:
         model, _prob = heat_problem((3, 3))
         with pytest.raises(ValueError):
             LqProblem(model, Q=np.ones(model.r + 1), R=np.ones(model.m))
+
+
+def test_newton_config_needs_a_step():
+    with pytest.raises(ValueError, match="N_max"):
+        NewtonConfig(N_max=0)
+    assert NewtonConfig(N_max=1).N_max == 1

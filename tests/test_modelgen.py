@@ -143,6 +143,20 @@ class TestPermuteModel:
         np.testing.assert_allclose(response(model), response(permuted),
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("disc, band, keeps_grid_order",
+                             [("fd-5point", 40, False),
+                              ("fe-bilinear-2d", 41, True)])
+    def test_bandwidth_at_40x40(self, disc, band, keeps_grid_order):
+        # RCM gives the 5-point stencil the grid's own band; it would widen
+        # the 9-point FE stencil's, so that model keeps the grid ordering
+        grid = GridSpec(dimension=2, nodes=(40, 40), lengths=(1.0, 1.0),
+                        diffusivity=1.0, discretization=disc)
+        model = build_model(grid, 0.1, seed=7)
+        assert bandwidth(model.A) == band
+        identity = np.array_equal(model.permutation.forward,
+                                  np.arange(model.n))
+        assert identity == keeps_grid_order
+
     def test_build_model_reproducible(self):
         grid = GridSpec(dimension=2, nodes=(5, 5), lengths=(1.0, 1.0),
                         diffusivity=1.0, discretization="fd-5point")

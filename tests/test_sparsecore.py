@@ -114,6 +114,21 @@ class TestRcmOrder:
             assert bandwidth(perm.apply_symmetric(shuffled)) \
                 <= bandwidth(shuffled)
 
+    def test_two_shuffled_paths(self, rng):
+        # a disconnected graph: each component is ordered on its own
+        path = sp.diags([np.ones(9), np.ones(9)], [-1, 1], shape=(10, 10))
+        A = binarize(sp.block_diag([path, path], format="csr"))
+        shuffle = Permutation.from_order(rng.permutation(20))
+        shuffled = shuffle.apply_symmetric(A)
+        perm = rcm_order(shuffled)
+        assert bandwidth(perm.apply_symmetric(shuffled)) == 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_sizes_give_identity(self, n):
+        perm = rcm_order(identity(n))
+        np.testing.assert_array_equal(perm.forward, np.arange(n))
+        np.testing.assert_array_equal(perm.inverse, np.arange(n))
+
 
 class TestNorms:
     def test_frobenius_identity(self):
