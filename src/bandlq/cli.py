@@ -10,34 +10,27 @@ byte-identical across repeated runs with the same config.
 
 from __future__ import annotations
 
-import os
-
-# honor the thread cap before any numerics library spins up its pools
-_threads = os.environ.get("BANDLQ_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import __version__, mmio
 from .control import (LqProblem, NewtonConfig, RiccatiDivergence, metric_e,
-                      newton_step_matrices, simulate_closed_loop, solve_lyap,
+                      newton_start, simulate_closed_loop, solve_lyap,
                       solve_riccati)
 from .lyap_gp import FaberConfig, GpConfig
 from .lyap_lsq import CglsConfig
 # not called here; kept because perfbench/probes.py wraps them by name here
-from .control import feedback  # noqa: F401
+from .control import feedback, newton_step_matrices  # noqa: F401
 from .lyap_gp import initial_guess, solve_lyap_gp  # noqa: F401
 from .lyap_lsq import solve_lyap_lsq  # noqa: F401
 from .mmio import read_matrix, write_matrix, write_pattern
@@ -45,7 +38,7 @@ from .modelgen import DescriptorModel, GridSpec, build_model
 from .oracle import dense_lyap
 from .pattern import apriori_pattern, pattern_density
 from .report import SolveReport, fmt
-from .sparsecore import Permutation, bandwidth, canonicalize, identity
+from .sparsecore import Permutation, bandwidth, canonicalize
 
 
 class ConfigError(ValueError):
@@ -71,9 +64,6 @@ class RunConfig:
     output_dir: str
     model: dict
     newton: NewtonConfig
-    cgls: CglsConfig
-    gp: GpConfig
-    faber: FaberConfig
     q_weight: float
     r_weight: float
     sim: dict
@@ -123,9 +113,12 @@ def parse_config(raw, source="<config>"):
                          if key in lyap_raw})
     gp_raw = dict(_section(lyap_raw.get("gp", {}), "lyap.gp", _GP_KEYS,
                            path=path))
-    faber = FaberConfig(**{key: gp_raw.pop(key) for key in ("p", "W", "k2")
-                           if key in gp_raw})
-    gp = GpConfig(**gp_raw)
+    try:
+        faber = FaberConfig(**{key: gp_raw.pop(key)
+                               for key in ("p", "W", "k2") if key in gp_raw})
+        gp = GpConfig(**gp_raw)
+    except ValueError as exc:
+        raise ConfigError(f"{path}lyap.gp: {exc}") from exc
 
     ric_raw = _section(raw.get("riccati", {}), "riccati",
                        ("Z0_scale", "N_max", "residual_tol",
@@ -144,6 +137,10 @@ def parse_config(raw, source="<config>"):
     sim.setdefault("x0", "random")
     sim.setdefault("x0_seed", 0)
     sim.setdefault("max_rows", 1000)
+    if not (isinstance(sim["x0"], list) or sim["x0"] in ("random", "ones")):
+        raise ConfigError(f"{path}sim.x0 must be 'random', 'ones' or a list")
+    if not isinstance(sim["dt"], (int, float)) or sim["dt"] <= 0:
+        raise ConfigError(f"{path}sim.dt must be a positive number")
 
     orc = _section(raw.get("oracle", {}), "oracle", ("enabled", "max_n"),
                    path=path)
@@ -154,8 +151,8 @@ def parse_config(raw, source="<config>"):
     return RunConfig(
         output_dir=raw["output_dir"],
         model=model,
-        newton=NewtonConfig(lyap_method=method, **newton),
-        cgls=cgls, gp=gp, faber=faber,
+        newton=NewtonConfig(lyap_method=method, cgls=cgls, gp=gp,
+                            faber=faber, **newton),
         q_weight=float(ric_raw.get("q_weight", 1.0)),
         r_weight=float(ric_raw.get("r_weight", 1.0)),
         sim=sim,
@@ -207,23 +204,22 @@ def _write_manifest(out, cfg, command):
     })
 
 
-def _build_from_config(cfg):
-    if cfg.model["kind"] == "scalar":
+def _build_model(spec):
+    if spec["kind"] == "scalar":
         one = canonicalize(sp.csr_matrix(np.array([[1.0]])))
         return DescriptorModel(E=one, A=canonicalize(-one), B=one, C=one,
                                permutation=Permutation.identity(1), grid=None)
-    grid = GridSpec(dimension=int(cfg.model["dimension"]),
-                    nodes=tuple(cfg.model["nodes"]),
-                    lengths=tuple(cfg.model["lengths"]),
-                    diffusivity=float(cfg.model["diffusivity"]),
-                    discretization=cfg.model["discretization"])
-    return build_model(grid, float(cfg.model["io_fraction"]),
-                       int(cfg.model["seed"]))
+    grid = GridSpec(dimension=int(spec["dimension"]),
+                    nodes=tuple(spec["nodes"]),
+                    lengths=tuple(spec["lengths"]),
+                    diffusivity=float(spec["diffusivity"]),
+                    discretization=spec["discretization"])
+    return build_model(grid, float(spec["io_fraction"]), int(spec["seed"]))
 
 
 def cmd_genmodel(cfg, out):
     """Write the model bundle E/A/B/C.mtx, perm.txt, model.json."""
-    model = _build_from_config(cfg)
+    model = _build_model(cfg.model)
     os.makedirs(out, exist_ok=True)
     write_matrix(os.path.join(out, "E.mtx"), model.E)
     write_matrix(os.path.join(out, "A.mtx"), model.A)
@@ -286,14 +282,9 @@ def _read_pattern(out):
     return mmio.read_pattern(_input(out, "pattern.mtx", "--stage pattern"))
 
 
-def _first_step(cfg, model):
-    Z0 = canonicalize(cfg.newton.Z0_scale * identity(model.n))
-    return newton_step_matrices(Z0, _problem(cfg, model))
-
-
 def stage_pattern(cfg, out):
     model = _load_bundle(out)
-    _F, Abar, P = _first_step(cfg, model)
+    _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
     pat = apriori_pattern(Abar, model.E, P, cfg.newton.w)
     write_pattern(os.path.join(out, "pattern.mtx"), pat)
     _write_json(os.path.join(out, "density.json"), {
@@ -306,9 +297,8 @@ def stage_pattern(cfg, out):
 def stage_lyap(cfg, out):
     model = _load_bundle(out)
     pat = _read_pattern(out)
-    _F, Abar, P = _first_step(cfg, model)
-    Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton.lyap_method,
-                        cgls_cfg=cfg.cgls, gp_cfg=cfg.gp, faber_cfg=cfg.faber)
+    _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
+    Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton)
     if cfg.oracle_enabled and model.n <= cfg.oracle_max_n:
         Zex = dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
         rep.e_k = metric_e(Z, sp.csr_matrix(Zex))
@@ -324,26 +314,24 @@ def stage_lyap(cfg, out):
 def stage_riccati(cfg, out):
     model = _load_bundle(out)
     pat = _read_pattern(out)
-    prob = _problem(cfg, model)
+    # a failed solve must not leave an earlier run's result behind
+    for name in ("Zricc.mtx", "F.mtx"):
+        Path(out, name).unlink(missing_ok=True)
     try:
-        Z, reports, F = solve_riccati(prob, cfg=cfg.newton,
-                                      cgls_cfg=cfg.cgls, gp_cfg=cfg.gp,
-                                      faber_cfg=cfg.faber, pattern=pat)
+        Z, reports, F = solve_riccati(_problem(cfg, model), cfg=cfg.newton,
+                                      pattern=pat)
     except RiccatiDivergence as exc:
-        reports = exc.reports
-        Z = None
-    if Z is not None:
+        reports, converged = exc.reports, False
+    else:
         write_matrix(os.path.join(out, "Zricc.mtx"), Z)
         write_matrix(os.path.join(out, "F.mtx"), F)
+        converged = reports[-1].v_k <= cfg.newton.residual_tol * reports[0].v_k
     fields = ("k", "v_k", "lyap_residual", "nnz_Z", "nnz_F",
               "lyap_iterations", "lyap_converged")
     rows = [[fmt(getattr(r, f)) for f in fields] for r in reports]
     _write_csv(os.path.join(out, "newton_report.csv"), fields, rows)
     _write_json(os.path.join(out, "timings.json"),
                 {"newton_wall_ms": [r.wall_ms for r in reports]})
-    if Z is None:
-        return 2
-    converged = reports[-1].v_k <= cfg.newton.residual_tol * reports[0].v_k
     return 0 if converged else 2
 
 
@@ -397,12 +385,10 @@ def cmd_bench(cfg, out):
     rows = []
     for nodes in sizes:
         nodes = tuple(int(v) for v in np.atleast_1d(nodes))
-        spec = {**cfg.model, "nodes": list(nodes)}
         try:
-            sub = parse_config({**cfg.raw, "model": spec}, source="<bench>")
-            model = _build_from_config(sub)
-            _F, Abar, P = _first_step(sub, model)
-            pat = apriori_pattern(Abar, model.E, P, sub.newton.w)
+            model = _build_model({**cfg.model, "nodes": list(nodes)})
+            _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
+            pat = apriori_pattern(Abar, model.E, P, cfg.newton.w)
         except Exception as exc:            # per-size failure, keep going
             rows.append([str(int(np.prod(nodes))), "setup", w,
                          "0", "0", "0", f"error: {exc}"])
@@ -418,9 +404,8 @@ def cmd_bench(cfg, out):
                     dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
                     nnz, iters = n * n, 1
                 else:
-                    _Z, rep = solve_lyap(Abar, model.E, P, pat, method,
-                                         cgls_cfg=cfg.cgls, gp_cfg=cfg.gp,
-                                         faber_cfg=cfg.faber)
+                    _Z, rep = solve_lyap(Abar, model.E, P, pat, replace(
+                        cfg.newton, lyap_method=method))
                     # the storage each solve needs: Method 2's peak nnz,
                     # Method 1's nnz(M1)
                     nnz = rep.extra.get("peak_nnz", rep.nnz_m1)

@@ -55,6 +55,9 @@ class NewtonConfig:
     lyap_method: str = "lsq"          # "lsq" | "gp"
     residual_tol: float = 1e-6        # relative to v_1
     w: int = 1                        # order of the a priori pattern
+    cgls: CglsConfig = CglsConfig()   # Method 1
+    gp: GpConfig = GpConfig()         # Method 2 and its X3 initial guess
+    faber: FaberConfig = FaberConfig()
 
     def __post_init__(self):
         if self.N_max < 1:
@@ -120,26 +123,31 @@ def newton_step_matrices(Z_prev, prob):
     return F, Abar, P
 
 
-def solve_lyap(Abar, E, P, pat, method, X0=None, cgls_cfg=CglsConfig(),
-               gp_cfg=GpConfig(), faber_cfg=FaberConfig()):
+def newton_start(prob, cfg=NewtonConfig()):
+    """(F, Abar, P) of Newton step 1, from Z0 = cfg.Z0_scale I."""
+    Z0 = canonicalize(cfg.Z0_scale * identity(prob.model.n))
+    return newton_step_matrices(Z0, prob)
+
+
+def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
     """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
 
-    ``method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2, gradient
-    projection). Both start from X0 when given; without it LSQ starts from
-    zero and GP from the X3 initial guess. Returns (Z, SolveReport), whose
-    ``extra["residual_2norm"]`` is ||p - M z|| for either method.
+    ``cfg.lyap_method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2,
+    gradient projection). Both start from X0 when given; without it LSQ
+    starts from zero and GP from the X3 initial guess. Returns
+    (Z, SolveReport), whose ``extra["residual_2norm"]`` is ||p - M z|| for
+    either method.
     """
-    if method == "lsq":
-        return solve_lyap_lsq(Abar, E, P, pat, cfg=cgls_cfg, X0=X0)
-    if method == "gp":
+    if cfg.lyap_method == "lsq":
+        return solve_lyap_lsq(Abar, E, P, pat, cfg=cfg.cgls, X0=X0)
+    if cfg.lyap_method == "gp":
         if X0 is None:
-            X0, _info = initial_guess(Abar, E, P, cfg=gp_cfg, fcfg=faber_cfg)
-        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=gp_cfg)
-    raise ValueError(f"unknown Lyapunov method {method!r}")
+            X0, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
+        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp)
+    raise ValueError(f"unknown Lyapunov method {cfg.lyap_method!r}")
 
 
-def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
-                  gp_cfg=GpConfig(), faber_cfg=FaberConfig(), pattern=None):
+def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     """Inexact Newton loop; returns (Z_hat, per-iteration reports, F).
 
     F = R^-1 B^T Z_hat E is the LQ feedback of Z_hat.
@@ -150,12 +158,12 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
     or has stayed above 10 v_1 for 3 consecutive steps.
     """
     E = prob.model.E
-    Z = canonicalize(cfg.Z0_scale * identity(prob.model.n))
     # the step matrices of each new Z give its report's nnz_F and the next
     # step's GL equation
-    F, Abar, P = newton_step_matrices(Z, prob)
+    F, Abar, P = newton_start(prob, cfg)
     if pattern is None:
         pattern = apriori_pattern(Abar, E, P, cfg.w)
+    Z = None
     reports = []
     v1 = None
     growth_streak = 0
@@ -163,9 +171,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), cgls_cfg=CglsConfig(),
         t0 = time.perf_counter()
         # inner solves start from the previous Newton iterate; step 1
         # starts LSQ from zero and GP from the X3 initial guess
-        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg.lyap_method,
-                             X0=Z if k > 1 else None, cgls_cfg=cgls_cfg,
-                             gp_cfg=gp_cfg, faber_cfg=faber_cfg)
+        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg, X0=Z)
         v_k = frobenius(riccati_residual(Z, prob))
         F, Abar, P = newton_step_matrices(Z, prob)
         reports.append(NewtonIterationReport(

@@ -83,6 +83,10 @@ class GpConfig:
             raise ValueError("zeta must lie in (0, 1)")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        for name, low in (("max_iter", 0), ("q", 1), ("k1", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
 
 
 def spai(E, pat):

@@ -66,57 +66,39 @@ class DescriptorModel:
 
 
 def _tridiag(n, lo, di, up):
-    return sp.diags([np.full(n - 1, lo), np.full(n, di), np.full(n - 1, up)],
-                    [-1, 0, 1], format="csr", dtype=np.float64)
+    return sp.diags([lo, di, up], [-1, 0, 1], shape=(n, n), format="csr")
 
 
-def _fd_1d(nx, h, kappa):
-    A = (kappa / h**2) * _tridiag(nx, 1.0, -2.0, 1.0)
-    return identity(nx), canonicalize(A)
-
-
-def _fe_1d_factors(nx, h, kappa):
-    mass = (h / 6.0) * _tridiag(nx, 1.0, 4.0, 1.0)
-    stiff = (kappa / h) * _tridiag(nx, 1.0, -2.0, 1.0)
-    return canonicalize(mass), canonicalize(stiff)
+def _axis_pair(nx, length, fd):
+    """1-D (mass, stiffness) pair of one axis with nx interior nodes."""
+    h, T = length / (nx + 1), _tridiag(nx, 1.0, -2.0, 1.0)
+    if fd:
+        return identity(nx), (1.0 / h**2) * T
+    return (h / 6.0) * _tridiag(nx, 1.0, 4.0, 1.0), (1.0 / h) * T
 
 
 def build_heat_model(grid):
     """Mass/stiffness pair (E, A) of the Dirichlet heat model on grid.
 
-    Interior nodes only, row-major numbering for 2D. FD gives E = I with the
-    standard Laplacian stencil; FE gives the tridiagonal mass/stiffness
-    factors in 1D and their tensor products in 2D.
+    Interior nodes only, row-major numbering for 2D. With T = tridiag(1, -2,
+    1), each axis gives a 1-D pair (M, S): (I, T/h^2) for FD and
+    ((h/6) tridiag(1, 4, 1), T/h) for linear FE. E = M and A = kappa S in
+    1D; E = My (x) Mx and A = kappa (My (x) Sx + Sy (x) Mx) in 2D.
     """
-    kappa = grid.diffusivity
-    if grid.discretization == "fe-linear-1d":
-        if grid.dimension != 1:
-            raise ValueError("fe-linear-1d requires dimension 1")
-        h = grid.lengths[0] / (grid.nodes[0] + 1)
-        return _fe_1d_factors(grid.nodes[0], h, kappa)
-    if grid.discretization == "fd-5point":
-        hs = [L / (nx + 1) for L, nx in zip(grid.lengths, grid.nodes)]
-        if grid.dimension == 1:
-            return _fd_1d(grid.nodes[0], hs[0], kappa)
-        nx, ny = grid.nodes
-        hx, hy = hs
-        Tx = _tridiag(nx, 1.0, -2.0, 1.0)
-        Ty = _tridiag(ny, 1.0, -2.0, 1.0)
-        # row-major numbering: index = iy * nx + ix
-        A = (kappa / hx**2) * sp.kron(sp.identity(ny), Tx, format="csr") \
-            + (kappa / hy**2) * sp.kron(Ty, sp.identity(nx), format="csr")
-        return identity(nx * ny), canonicalize(A)
-    # fe-bilinear-2d: tensor products of the 1D mass/stiffness factors
-    if grid.dimension != 2:
+    if grid.discretization == "fe-linear-1d" and grid.dimension != 1:
+        raise ValueError("fe-linear-1d requires dimension 1")
+    if grid.discretization == "fe-bilinear-2d" and grid.dimension != 2:
         raise ValueError("fe-bilinear-2d requires dimension 2")
-    nx, ny = grid.nodes
-    hx = grid.lengths[0] / (nx + 1)
-    hy = grid.lengths[1] / (ny + 1)
-    Mx, Sx = _fe_1d_factors(nx, hx, 1.0)
-    My, Sy = _fe_1d_factors(ny, hy, 1.0)
-    E = sp.kron(My, Mx, format="csr")
-    A = kappa * (sp.kron(My, Sx, format="csr") + sp.kron(Sy, Mx, format="csr"))
-    return canonicalize(E), canonicalize(A)
+    fd = grid.discretization == "fd-5point"
+    pairs = [_axis_pair(nx, length, fd)
+             for nx, length in zip(grid.nodes, grid.lengths)]
+    if len(pairs) == 1:
+        (E, S), = pairs
+    else:
+        (Mx, Sx), (My, Sy) = pairs
+        E = sp.kron(My, Mx, format="csr")
+        S = sp.kron(My, Sx, format="csr") + sp.kron(Sy, Mx, format="csr")
+    return canonicalize(E), canonicalize(grid.diffusivity * S)
 
 
 def place_io(n, fraction, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from bandlq.cli import main
-from bandlq.control import (NewtonConfig, metric_e, newton_step_matrices,
+from bandlq.control import (NewtonConfig, metric_e, newton_start,
                             simulate_closed_loop, solve_riccati)
 from bandlq.lyap_gp import (FaberConfig, GpConfig, faber_expm, initial_guess,
                             solve_lyap_gp, spai, spectrum_bounds,
@@ -28,16 +28,12 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _first_step(prob):
-    return newton_step_matrices(10.0 * identity(prob.model.n), prob)
-
-
 def test_criterion_01_scalar_ground_truth():
     t0 = time.perf_counter()
     _model, prob = scalar_problem()
     Z, _reports, F = solve_riccati(
-        prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12),
-        cgls_cfg=CglsConfig(tol=1e-12))
+        prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12,
+                               cgls=CglsConfig(tol=1e-12)))
     elapsed = time.perf_counter() - t0
     z_err = abs(Z.toarray()[0, 0] - SQRT2M1)
     f_err = abs(F.toarray()[0, 0] - SQRT2M1)
@@ -86,7 +82,7 @@ def test_criterion_03_kronecker_assembly_exactness():
 
 def test_criterion_04_pattern_fidelity():
     model, prob = heat_problem((13, 13), discretization="fd-5point")
-    _F, Abar, P = _first_step(prob)
+    _F, Abar, P = newton_start(prob)
     Zex = dense_lyap(Abar, model.E, P, max_n=2000)
     pat = apriori_pattern(Abar, model.E, P, w=2)
     total = np.linalg.norm(Zex) ** 2
@@ -102,7 +98,7 @@ def test_criterion_05_accuracy_vs_w_monotonicity():
     ok = True
     for nodes in ((13, 13), (29, 29)):
         model, prob = heat_problem(nodes, discretization="fd-5point")
-        _F, Abar, P = _first_step(prob)
+        _F, Abar, P = newton_start(prob)
         Zex = sp.csr_matrix(dense_lyap(Abar, model.E, P, max_n=2000))
         errs = []
         for w in (0, 1, 2, 3):
@@ -122,16 +118,15 @@ def test_criterion_06_newton_residual_trend():
     finals = []
     for w in (0, 1, 2):
         cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=w)
-        _Z, reports, _F = solve_riccati(prob, cfg=cfg,
-                                        cgls_cfg=CglsConfig(tol=1e-7))
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg)
         finals.append(reports[-1].v_k)
     trend_ok = all(b <= a * (1.0 + 1e-9)
                    for a, b in zip(finals, finals[1:]))
 
     small_model, small_prob = heat_problem((5, 5))
     _Z, reports, _F = solve_riccati(
-        small_prob, cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
-        cgls_cfg=CglsConfig(tol=1e-10),
+        small_prob, cfg=NewtonConfig(N_max=25, residual_tol=1e-10,
+                                     cgls=CglsConfig(tol=1e-10)),
         pattern=full_pattern(small_model.n))
     drop = reports[0].v_k / reports[-1].v_k
     _report(6, trend_ok and drop >= 1e3,
@@ -179,7 +174,7 @@ def test_criterion_07_gradient_correctness():
 def test_criterion_08_faber_and_quadrature_convergence():
     t0 = time.perf_counter()
     model, prob = heat_problem((8, 8))
-    _F, Abar, P = _first_step(prob)
+    _F, Abar, P = newton_start(prob)
     A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
     b = spectrum_bounds(A1)
     t = 0.1
@@ -195,7 +190,7 @@ def test_criterion_08_faber_and_quadrature_convergence():
 
     t0 = time.perf_counter()
     model, prob = heat_problem((10, 10))
-    _F, Abar, P = _first_step(prob)
+    _F, Abar, P = newton_start(prob)
     Zex = sp.csr_matrix(dense_lyap(Abar, model.E, P, max_n=2000))
     q_errs = []
     for q in (5, 10, 20, 40):
@@ -252,8 +247,7 @@ def test_criterion_09_spai_quality():
 def test_criterion_10_closed_loop_performance():
     model, prob = heat_problem((13, 13))
     cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=0)
-    Zw0, _reports, Fw0 = solve_riccati(prob, cfg=cfg,
-                                       cgls_cfg=CglsConfig(tol=1e-7))
+    Zw0, _reports, Fw0 = solve_riccati(prob, cfg=cfg)
     Zex = dense_riccati(prob, max_n=500)
     Fex = canonicalize(sp.csr_matrix(
         np.diag(1.0 / prob.R) @ model.B.toarray().T @ Zex
@@ -280,7 +274,7 @@ def test_criterion_11_scaling_property():
     details = []
     for nodes in ((13, 13), (29, 29), (61, 61)):
         model, prob = heat_problem(nodes, discretization="fd-5point")
-        _F, Abar, P = _first_step(prob)
+        _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         rs = assemble_reduced(Abar, model.E, P, pat)
         ratios.append(rs.M1.nnz / model.n)

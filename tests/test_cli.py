@@ -71,10 +71,10 @@ class TestConfigValidation:
 
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = parse_config({"output_dir": "x", "model": {"kind": "scalar"}})
-        assert cfg.cgls == CglsConfig()
-        assert cfg.gp == GpConfig()
-        assert cfg.faber == FaberConfig()
         assert cfg.newton == NewtonConfig()
+        assert cfg.newton.cgls == CglsConfig()
+        assert cfg.newton.gp == GpConfig()
+        assert cfg.newton.faber == FaberConfig()
 
     def test_given_keys_override_the_defaults(self):
         cfg = parse_config({
@@ -83,13 +83,33 @@ class TestConfigValidation:
             "lyap": {"method": "gp", "cgls_tol": 1e-5, "cgls_max_iter": 9,
                      "gp": {"max_iter": 7, "p": 10, "W": 64, "k2": 2}},
             "riccati": {"Z0_scale": 2, "N_max": 4.0, "residual_tol": 1}})
-        assert cfg.cgls == CglsConfig(tol=1e-5, max_iter=9)
-        assert cfg.gp == GpConfig(max_iter=7)
-        assert cfg.faber == FaberConfig(p=10, W=64, k2=2)
-        assert cfg.newton == NewtonConfig(Z0_scale=2.0, N_max=4, w=3,
-                                          residual_tol=1.0, lyap_method="gp")
+        assert cfg.newton == NewtonConfig(
+            Z0_scale=2.0, N_max=4, w=3, residual_tol=1.0, lyap_method="gp",
+            cgls=CglsConfig(tol=1e-5, max_iter=9), gp=GpConfig(max_iter=7),
+            faber=FaberConfig(p=10, W=64, k2=2))
         assert type(cfg.newton.N_max) is int
         assert type(cfg.newton.Z0_scale) is float
+
+    @pytest.mark.parametrize("raw, names", [
+        ({"sim": {"x0": "zeros"}}, ("sim.x0",)),
+        ({"sim": {"dt": 0}}, ("sim.dt",)),
+        ({"sim": {"dt": -1e-3}}, ("sim.dt",)),
+        ({"lyap": {"gp": {"max_iter": 2.5}}}, ("lyap.gp", "max_iter")),
+        ({"lyap": {"gp": {"max_iter": -1}}}, ("lyap.gp", "max_iter")),
+        ({"lyap": {"gp": {"q": 0}}}, ("lyap.gp", "q must")),
+        ({"lyap": {"gp": {"k1": 1.5}}}, ("lyap.gp", "k1"))])
+    def test_bad_values_fail_at_load(self, raw, names):
+        with pytest.raises(ConfigError) as exc:
+            parse_config({"output_dir": "x", "model": {"kind": "scalar"},
+                          **raw})
+        assert all(name in str(exc.value) for name in names)
+
+    def test_bad_value_stops_before_any_stage(self, tmp_path, capsys):
+        cfg = _heat_config(tmp_path, out="run_x0", sim={"x0": "zeros"})
+        rc = main(["genmodel", "--config", cfg])
+        assert rc == 1
+        assert "sim.x0" in capsys.readouterr().err
+        assert not (tmp_path / "run_x0").exists()
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -234,6 +254,24 @@ class TestSolveStages:
         assert rows[2].split(",")[1] == "nan"
         assert not (out / "Zricc.mtx").exists()
         assert not (out / "F.mtx").exists()
+
+    def test_failed_rerun_leaves_no_stale_result(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a rerun that diverges removes the earlier run's Zricc.mtx and F.mtx,
+        # so simulate cannot run on a stale feedback
+        cfg = _heat_config(tmp_path, out="run_rerun")
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        main(["solve", "--config", cfg, "--stage", "riccati"])
+        out = tmp_path / "run_rerun"
+        assert (out / "Zricc.mtx").exists() and (out / "F.mtx").exists()
+        nan_lyap_solve_at(monkeypatch, step=2)
+        assert main(["solve", "--config", cfg, "--stage", "riccati"]) == 2
+        assert not (out / "Zricc.mtx").exists()
+        assert not (out / "F.mtx").exists()
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg, "--stage", "simulate"]) == 1
+        assert "--stage riccati" in capsys.readouterr().err
 
     def test_zero_newton_steps_rejected(self, tmp_path, capsys):
         cfg = _heat_config(tmp_path, out="run_n0")

@@ -7,9 +7,9 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
-                            feedback, metric_e, newton_step_matrices,
-                            riccati_residual, simulate_closed_loop,
-                            solve_lyap, solve_riccati)
+                            feedback, metric_e, newton_start,
+                            newton_step_matrices, riccati_residual,
+                            simulate_closed_loop, solve_lyap, solve_riccati)
 from bandlq.lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
 from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.oracle import dense_riccati, pencil_eigs
@@ -88,13 +88,14 @@ class TestSolveLyap:
     @pytest.fixture(scope="class")
     def step1(self):
         model, prob = heat_problem((6, 6))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         return Abar, model.E, P, pat
 
     def _solve(self, step1, method, X0=None):
-        return solve_lyap(*step1, method, X0=X0, cgls_cfg=self.CGLS,
-                          gp_cfg=self.GP, faber_cfg=self.FABER)
+        cfg = NewtonConfig(lyap_method=method, cgls=self.CGLS, gp=self.GP,
+                           faber=self.FABER)
+        return solve_lyap(*step1, cfg, X0=X0)
 
     def test_lsq_from_zero_is_method_1(self, step1):
         Z, rep = self._solve(step1, "lsq")
@@ -138,16 +139,16 @@ class TestSolveRiccati:
     def test_scalar_converges_to_root(self):
         _model, prob = scalar_problem()
         Z, _reports, _F = solve_riccati(
-            prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12),
-            cgls_cfg=CglsConfig(tol=1e-12))
+            prob, cfg=NewtonConfig(N_max=20, residual_tol=1e-12,
+                                   cgls=CglsConfig(tol=1e-12)))
         assert abs(Z.toarray()[0, 0] - SQRT2M1) <= 1e-6
 
     def test_full_pattern_matches_dense_oracle(self):
         model, prob = heat_problem((5, 5))
         Z, _reports, _F = solve_riccati(
             prob,
-            cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
-            cgls_cfg=CglsConfig(tol=1e-10),
+            cfg=NewtonConfig(N_max=25, residual_tol=1e-10,
+                             cgls=CglsConfig(tol=1e-10)),
             pattern=full_pattern(model.n))
         Zex = dense_riccati(prob)
         assert metric_e(Z, sp.csr_matrix(Zex)) <= 1e-5
@@ -156,8 +157,8 @@ class TestSolveRiccati:
         model, prob = heat_problem((5, 5))
         Z, _reports, F = solve_riccati(
             prob,
-            cfg=NewtonConfig(N_max=25, residual_tol=1e-10),
-            cgls_cfg=CglsConfig(tol=1e-10),
+            cfg=NewtonConfig(N_max=25, residual_tol=1e-10,
+                             cgls=CglsConfig(tol=1e-10)),
             pattern=full_pattern(model.n))
         assert _bitwise_equal(F, feedback(Z, prob))
         Zex = dense_riccati(prob)
@@ -178,8 +179,7 @@ class TestSolveRiccati:
         # step 1; on fd-5point 6x6 the later steps' own patterns are wider
         model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=4, residual_tol=0.0, w=1)
-        _F, Abar, P = newton_step_matrices(
-            canonicalize(cfg.Z0_scale * identity(model.n)), prob)
+        _F, Abar, P = newton_start(prob, cfg)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         Z, reports, F = solve_riccati(prob, cfg=cfg)
         Zp, given, Fp = solve_riccati(prob, cfg=cfg, pattern=pat)
@@ -188,6 +188,28 @@ class TestSolveRiccati:
         for row in rows:
             del row["wall_ms"]
         assert rows[:4] == rows[4:]
+
+    def test_newton_start_is_step_1(self, monkeypatch):
+        # the GL equation of step 1 is the one newton_start builds, bit for
+        # bit, from Z0 = cfg.Z0_scale I
+        import bandlq.control
+        model, prob = heat_problem((5, 5))
+        cfg = NewtonConfig(Z0_scale=3.0, N_max=1)
+        solve = bandlq.control.solve_lyap
+        seen = []
+
+        def recorded(Abar, E, P, pat, cfg, X0=None):
+            seen.append((Abar, P, X0))
+            return solve(Abar, E, P, pat, cfg, X0=X0)
+
+        monkeypatch.setattr(bandlq.control, "solve_lyap", recorded)
+        solve_riccati(prob, cfg=cfg)
+        F, Abar, P = newton_start(prob, cfg)
+        (Abar1, P1, X0), = seen
+        assert X0 is None
+        assert _bitwise_equal(Abar1, Abar) and _bitwise_equal(P1, P)
+        Z0 = canonicalize(3.0 * identity(model.n))
+        assert _bitwise_equal(F, feedback(Z0, prob))
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
         # Z_0 and each of the N new iterates get one feedback, which serves

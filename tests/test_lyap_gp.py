@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.control import metric_e, newton_step_matrices
+from bandlq.control import metric_e, newton_start
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             UnstableMatrixError, _collapses,
                             _faber_constants, _spai_one_sided,
@@ -32,7 +32,7 @@ def _fe_mass(n, h=0.1):
 
 def _heat_a1(nodes, k1=3):
     model, prob = heat_problem(nodes)
-    _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+    _F, Abar, P = newton_start(prob)
     A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=k1)
     return A1
 
@@ -179,7 +179,7 @@ class TestSpectrumBounds:
 
     def test_heat_model_bounds_bracket_dense_eigs(self):
         model, prob = heat_problem((10, 10))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
         b = spectrum_bounds(A1)
         lam = np.linalg.eigvals(A1.toarray())
@@ -328,7 +328,7 @@ class TestFaberExpm:
 
     def test_heat_model_error_decreases_with_p(self):
         model, prob = heat_problem((8, 8))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
         b = spectrum_bounds(A1)
         t = 0.1
@@ -343,7 +343,7 @@ class TestFaberExpm:
 
     def test_result_respects_projection_pattern(self):
         model, prob = heat_problem((6, 6))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=2)
         b = spectrum_bounds(A1)
         from bandlq.sparsecore import pattern_power_sum
@@ -368,7 +368,7 @@ class TestInitialGuess:
 
     def test_heat_model_error_decreases_with_q(self):
         model, prob = heat_problem((10, 10))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)
         errs = []
         for q in (5, 10, 20, 40):
@@ -381,7 +381,7 @@ class TestInitialGuess:
         # full-trust variant: exact dense exponentials isolate the
         # quadrature error, which must drop sharply from q = 5 to q = 20
         model, prob = heat_problem((6, 6))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         A1, P1, _res = transformed_problem(Abar, model.E, P, k1=3)
         bounds = spectrum_bounds(A1)
         Xex = dense_lyap(sp.csr_matrix(A1.toarray().T), identity(model.n),
@@ -402,7 +402,7 @@ class TestInitialGuess:
         fcfg = FaberConfig()
         if case.startswith("heat"):
             model, prob = heat_problem((10, 10))
-            _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+            _F, Abar, P = newton_start(prob)
             E, cfg = model.E, GpConfig(q=int(case[6:]))
         elif case == "scalar":          # every node collapses
             Abar, E, P = _csr([[-1.0]]), identity(1), _csr([[-2.0]])
@@ -429,7 +429,7 @@ class TestInitialGuess:
                 return _f(*args, **kw)
             monkeypatch.setattr(lyap_gp, name, counted)
         model, prob = heat_problem((4, 4))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         initial_guess(Abar, model.E, P, cfg=GpConfig(q=q))
         assert calls == {"spai": 1, "spectrum_bounds": 1,
                          "faber_expm": 2 * q + 1}
@@ -504,7 +504,7 @@ class TestSolveLyapGp:
         # the pattern-constrained solve from the quadrature start reaches
         # a moderate relative error within the fixed iteration budget
         model, prob = heat_problem((13, 13))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         X0, _info = initial_guess(Abar, model.E, P)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.cgls import cgls
-from bandlq.control import metric_e, newton_step_matrices
+from bandlq.control import metric_e, newton_start
 from bandlq.lyap_lsq import (CglsConfig, GlOperator, assemble_reduced,
                              scatter_solution, solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
@@ -256,7 +256,7 @@ class TestSolve:
         # structured-grid analog of the smallest 2D model scale: the error
         # at w = 1 is recorded and must stay under 5e-2 on this grid
         model, prob = heat_problem((13, 13))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
                                 cfg=CglsConfig(tol=1e-5))

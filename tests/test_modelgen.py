@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from bandlq.modelgen import (DescriptorModel, GridSpec, build_heat_model,
                              build_model, permute_model, place_io)
 from bandlq.oracle import pencil_eigs
-from bandlq.sparsecore import Permutation, bandwidth
+from bandlq.sparsecore import Permutation, bandwidth, canonicalize, identity
 
 
 class TestBuildHeatModel:
@@ -69,6 +70,75 @@ class TestBuildHeatModel:
         with pytest.raises(ValueError):
             GridSpec(dimension=1, nodes=(5,), lengths=(1.0,),
                      diffusivity=1.0, discretization="fe-quadratic")
+
+    def test_fe_dimension_checks(self):
+        for disc, dim, nodes in (("fe-linear-1d", 2, (3, 3)),
+                                 ("fe-bilinear-2d", 1, (3,))):
+            grid = GridSpec(dimension=dim, nodes=nodes, lengths=(1.0,) * dim,
+                            diffusivity=1.0, discretization=disc)
+            with pytest.raises(ValueError, match=f"{disc} requires"):
+                build_heat_model(grid)
+
+    @pytest.mark.parametrize("disc, nodes", [
+        ("fd-5point", (2,)), ("fd-5point", (17,)), ("fe-linear-1d", (2,)),
+        ("fe-linear-1d", (23,)), ("fd-5point", (2, 3)),
+        ("fd-5point", (13, 7)), ("fe-bilinear-2d", (3, 2)),
+        ("fe-bilinear-2d", (9, 14))])
+    def test_matches_the_per_discretization_reference(self, disc, nodes):
+        # the tensor-product construction against the former one branch per
+        # discretization: bit for bit at kappa = 1; elsewhere kappa scales
+        # the sum instead of each 1-D factor, one rounding apart
+        for kappa in (1.0, 0.3, 2.5):
+            lengths = (1.0, 0.7)[:len(nodes)]
+            grid = GridSpec(dimension=len(nodes), nodes=nodes,
+                            lengths=lengths, diffusivity=kappa,
+                            discretization=disc)
+            for M, ref in zip(build_heat_model(grid),
+                              _reference_heat_model(grid)):
+                assert np.array_equal(M.indptr, ref.indptr)
+                assert np.array_equal(M.indices, ref.indices)
+                if kappa == 1.0:
+                    assert np.array_equal(M.data, ref.data)
+                else:
+                    np.testing.assert_allclose(M.data, ref.data, rtol=4e-16,
+                                               atol=0)
+
+
+def _reference_heat_model(grid):
+    """build_heat_model as it was written before the tensor-product form."""
+    def tridiag(n, lo, di, up):
+        return sp.diags([np.full(n - 1, lo), np.full(n, di),
+                         np.full(n - 1, up)], [-1, 0, 1], format="csr")
+
+    def fe_1d_factors(nx, h, kappa):
+        mass = (h / 6.0) * tridiag(nx, 1.0, 4.0, 1.0)
+        stiff = (kappa / h) * tridiag(nx, 1.0, -2.0, 1.0)
+        return canonicalize(mass), canonicalize(stiff)
+
+    kappa = grid.diffusivity
+    if grid.discretization == "fe-linear-1d":
+        h = grid.lengths[0] / (grid.nodes[0] + 1)
+        return fe_1d_factors(grid.nodes[0], h, kappa)
+    if grid.discretization == "fd-5point":
+        hs = [L / (nx + 1) for L, nx in zip(grid.lengths, grid.nodes)]
+        if grid.dimension == 1:
+            A = (kappa / hs[0]**2) * tridiag(grid.nodes[0], 1.0, -2.0, 1.0)
+            return identity(grid.nodes[0]), canonicalize(A)
+        nx, ny = grid.nodes
+        hx, hy = hs
+        Tx = tridiag(nx, 1.0, -2.0, 1.0)
+        Ty = tridiag(ny, 1.0, -2.0, 1.0)
+        A = (kappa / hx**2) * sp.kron(sp.identity(ny), Tx, format="csr") \
+            + (kappa / hy**2) * sp.kron(Ty, sp.identity(nx), format="csr")
+        return identity(nx * ny), canonicalize(A)
+    nx, ny = grid.nodes
+    hx = grid.lengths[0] / (nx + 1)
+    hy = grid.lengths[1] / (ny + 1)
+    Mx, Sx = fe_1d_factors(nx, hx, 1.0)
+    My, Sy = fe_1d_factors(ny, hy, 1.0)
+    E = sp.kron(My, Mx, format="csr")
+    A = kappa * (sp.kron(My, Sx, format="csr") + sp.kron(Sy, Mx, format="csr"))
+    return canonicalize(E), canonicalize(A)
 
 
 class TestPlaceIo:

@@ -75,16 +75,14 @@ class TestDenseRiccati:
 
     def test_conditioning_report(self):
         # condition numbers of the first-step system are finite and recorded
-        from bandlq.control import newton_step_matrices
-        from bandlq.sparsecore import identity
+        from bandlq.control import newton_start
         model, prob = heat_problem((13, 13))
-        _F, Abar, P = newton_step_matrices(10.0 * identity(model.n), prob)
+        _F, Abar, P = newton_start(prob)
         kE = np.linalg.cond(model.E.toarray())
         kA = np.linalg.cond(Abar.toarray())
         # the explicit Kronecker system is only affordable at a smaller grid
         small_model, small_prob = heat_problem((7, 7))
-        _F2, Abar2, _P2 = newton_step_matrices(
-            10.0 * identity(small_model.n), small_prob)
+        _F2, Abar2, _P2 = newton_start(small_prob)
         M = kron_matrix(Abar2, small_model.E)
         kM = np.linalg.cond(M)
         print(f"cond(E)={kE:.3e} cond(Abar)={kA:.3e} cond(M)={kM:.3e}")
