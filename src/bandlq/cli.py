@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +45,6 @@ class ConfigError(ValueError):
     """Schema violation in a run configuration, with location context."""
 
 
-def _section(raw, name, allowed, required=(), path=""):
-    ctx = f"{path}{name}" if name else (path or "<root>")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}; "
-                          f"allowed: {sorted(allowed)}")
-    missing = set(required) - set(raw)
-    if missing:
-        raise ConfigError(f"{ctx}: missing required keys {sorted(missing)}")
-    return raw
-
-
 @dataclass
 class RunConfig:
     output_dir: str
@@ -73,101 +59,124 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-_MODEL_KEYS = ("kind", "dimension", "nodes", "lengths", "diffusivity",
-               "discretization", "io_fraction", "seed")
-_GP_KEYS = ("delta_bar", "zeta", "sigma", "max_iter", "q", "k1",
-            "p", "k2", "W")
+# Each section's keys and defaults; a given value must be of its default's
+# kind (_typed). A pair (config, field) is a key with that field's default
+# and that config's range check; the other defaults live only here.
+_SECTIONS = {
+    "pattern": {"w": (NewtonConfig, "w")},
+    "lyap": {"method": (NewtonConfig, "lyap_method"),
+             "cgls_tol": (CglsConfig, "tol"),
+             "cgls_max_iter": (CglsConfig, "max_iter"),
+             "gp": {f.name: f.default for cls in (GpConfig, FaberConfig)
+                    for f in fields(cls)}},
+    "riccati": {**{key: (NewtonConfig, key)
+                   for key in ("Z0_scale", "N_max", "residual_tol")},
+                "q_weight": 1.0, "r_weight": 1.0},
+    "sim": {"dt": 1e-3, "steps": 2000, "x0": "random", "x0_seed": 0,
+            "max_rows": 1000},
+    "oracle": {"enabled": True, "max_n": 400},
+    "bench": {"sizes": [], "methods": ["lsq"]},
+}
+# A heat model must give the first four keys, whose values here only give
+# their kinds; a scalar model's absent keys stay absent.
+_MODEL = {"dimension": 2, "nodes": [], "lengths": [], "discretization": "",
+          "kind": "heat", "diffusivity": 1.0, "io_fraction": 0.5, "seed": 0}
+
+
+def _checked(where, cls, **values):
+    """``cls(**values)``, with its range error raised as a ConfigError."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _typed(path, name, value, default):
+    """``value`` as the kind of ``default``, or a ConfigError naming it.
+
+    A bool default takes a JSON bool; an int one an integral number (4.0
+    gives 4); a float one any number, stored as float, and a None one also
+    null; any other default a value of its type. A pair (config, field)
+    takes the field's kind, and the config checks the value's range alone.
+    """
+    if isinstance(default, tuple):
+        value = _typed(path, name, value, getattr(*default))
+        _checked(path + name, default[0], **{default[1]: value})
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        kind, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind, ok = "an integer", number and value % 1 == 0
+    elif default is None or isinstance(default, float):
+        kind, ok = "a number", number or value is default
+    else:
+        kind = {str: "a string", list: "a list", dict: "an object"}[
+            type(default)]
+        ok = isinstance(value, type(default))
+        if name == "sim.x0":
+            kind = "'random', 'ones' or a list"
+            ok = isinstance(value, list) or value in ("random", "ones")
+    if not ok:
+        raise ConfigError(f"{path}{name} must be {kind}, "
+                          f"got {json.dumps(value)}")
+    if number:
+        return int(value) if isinstance(default, int) else float(value)
+    return value
+
+
+def _read(raw, path, section, keys, required=(), fill=True):
+    """The object ``raw`` typed by ``keys``, whose defaults fill the rest."""
+    for problem, names in (("unknown", set(raw) - set(keys)),
+                           ("missing required", set(required) - set(raw))):
+        if names:
+            raise ConfigError(f"{path}{section or '<root>'}: {problem} "
+                              f"keys {sorted(names)}; allowed: {sorted(keys)}")
+    given = {key: _typed(path, f"{section}.{key}" if section else key,
+                         value, keys[key]) for key, value in raw.items()}
+    return {**{key: getattr(*d) if isinstance(d, tuple) else d
+               for key, d in keys.items() if fill}, **given}
 
 
 def parse_config(raw, source="<config>"):
-    """Validate a parsed JSON object into a RunConfig; unknown keys fail."""
-    _section(raw, "", ("output_dir", "model", "pattern", "lyap",
-                       "riccati", "sim", "oracle", "bench"),
-             required=("output_dir", "model"), path=f"{source}: ")
+    """Validate a parsed JSON object into a RunConfig, so that a stage
+    reads each value as it is; unknown keys fail."""
     path = f"{source}: "
-
-    model = dict(_section(raw["model"], "model", _MODEL_KEYS, path=path))
-    model.setdefault("kind", "heat")
+    top = _read(_typed(path, "<root>", raw, {}), path, "",
+                {"output_dir": "", "model": {}, **_SECTIONS},
+                required=("output_dir", "model"), fill=False)
+    heat = top["model"].get("kind", _MODEL["kind"]) == "heat"
+    model = _read(top["model"], path, "model", _MODEL, fill=heat, required=(
+        "dimension", "nodes", "lengths", "discretization") if heat else ())
     if model["kind"] not in ("heat", "scalar"):
-        raise ConfigError(f"{source}: model.kind must be 'heat' or 'scalar'")
-    if model["kind"] == "heat":
-        for key in ("dimension", "nodes", "lengths", "discretization"):
-            if key not in model:
-                raise ConfigError(f"{source}: model.{key} is required "
-                                  "for heat models")
-        model.setdefault("diffusivity", 1.0)
-        model.setdefault("io_fraction", 0.5)
-        model.setdefault("seed", 0)
-
-    pat_raw = _section(raw.get("pattern", {}), "pattern", ("w",), path=path)
-
-    lyap_raw = dict(_section(raw.get("lyap", {}), "lyap",
-                             ("method", "cgls_tol", "cgls_max_iter", "gp"),
-                             path=path))
-    # absent keys are left out, so they take the dataclass defaults
-    method = lyap_raw.get("method", NewtonConfig.lyap_method)
-    if method not in ("lsq", "gp"):
-        raise ConfigError(f"{source}: lyap.method must be 'lsq' or 'gp'")
-    cgls = CglsConfig(**{name: lyap_raw[key] for key, name in
-                         (("cgls_tol", "tol"), ("cgls_max_iter", "max_iter"))
-                         if key in lyap_raw})
-    gp_raw = dict(_section(lyap_raw.get("gp", {}), "lyap.gp", _GP_KEYS,
-                           path=path))
-    try:
-        faber = FaberConfig(**{key: gp_raw.pop(key)
-                               for key in ("p", "W", "k2") if key in gp_raw})
-        gp = GpConfig(**gp_raw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}lyap.gp: {exc}") from exc
-
-    ric_raw = _section(raw.get("riccati", {}), "riccati",
-                       ("Z0_scale", "N_max", "residual_tol",
-                        "q_weight", "r_weight"), path=path)
-    newton = {key: conv(ric_raw[key]) for key, conv in
-              (("Z0_scale", float), ("N_max", int), ("residual_tol", float))
-              if key in ric_raw}
-    if "w" in pat_raw:
-        newton["w"] = pat_raw["w"]
-
-    sim = dict(_section(raw.get("sim", {}), "sim",
-                        ("dt", "steps", "x0", "x0_seed", "max_rows"),
-                        path=path))
-    sim.setdefault("dt", 1e-3)
-    sim.setdefault("steps", 2000)
-    sim.setdefault("x0", "random")
-    sim.setdefault("x0_seed", 0)
-    sim.setdefault("max_rows", 1000)
-    if not (isinstance(sim["x0"], list) or sim["x0"] in ("random", "ones")):
-        raise ConfigError(f"{path}sim.x0 must be 'random', 'ones' or a list")
-    if not isinstance(sim["dt"], (int, float)) or sim["dt"] <= 0:
+        raise ConfigError(f"{path}model.kind must be 'heat' or 'scalar'")
+    sec, owned = {}, {NewtonConfig: {}, CglsConfig: {}}
+    for name, keys in _SECTIONS.items():
+        sec[name] = _read(top.get(name, {}), path, name, keys)
+        for key, d in keys.items():
+            if isinstance(d, tuple):
+                owned[d[0]][d[1]] = sec[name][key]
+    gp = _read(sec["lyap"]["gp"], path, "lyap.gp", _SECTIONS["lyap"]["gp"])
+    faber = {f.name: gp.pop(f.name) for f in fields(FaberConfig)}
+    newton = NewtonConfig(
+        cgls=CglsConfig(**owned[CglsConfig]),
+        gp=_checked(f"{path}lyap.gp", GpConfig, **gp),
+        faber=_checked(f"{path}lyap.gp", FaberConfig, **faber),
+        **owned[NewtonConfig])
+    if sec["sim"]["dt"] <= 0:
         raise ConfigError(f"{path}sim.dt must be a positive number")
-
-    orc = _section(raw.get("oracle", {}), "oracle", ("enabled", "max_n"),
-                   path=path)
-    bench = dict(_section(raw.get("bench", {}), "bench",
-                          ("sizes", "methods"), path=path))
-    bench.setdefault("methods", ["lsq"])
-
+    ric, orc = sec["riccati"], sec["oracle"]
     return RunConfig(
-        output_dir=raw["output_dir"],
-        model=model,
-        newton=NewtonConfig(lyap_method=method, cgls=cgls, gp=gp,
-                            faber=faber, **newton),
-        q_weight=float(ric_raw.get("q_weight", 1.0)),
-        r_weight=float(ric_raw.get("r_weight", 1.0)),
-        sim=sim,
-        oracle_enabled=bool(orc.get("enabled", True)),
-        oracle_max_n=int(orc.get("max_n", 400)),
-        bench=bench,
-        raw=raw,
-    )
+        output_dir=top["output_dir"], model=model, newton=newton,
+        q_weight=ric["q_weight"], r_weight=ric["r_weight"], sim=sec["sim"],
+        oracle_enabled=orc["enabled"], oracle_max_n=orc["max_n"],
+        bench=sec["bench"], raw=raw)
 
 
 def load_config(path):
     try:
         with open(path) as f:
-            text = f.read()
-        raw = json.loads(text)
+            raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -200,7 +209,7 @@ def _write_manifest(out, cfg, command):
         "version": f"bandlq-{__version__}",
         "config_sha256": _config_hash(cfg),
         "seeds": {"model": cfg.model.get("seed"),
-                  "x0": cfg.sim.get("x0_seed")},
+                  "x0": cfg.sim["x0_seed"]},
     })
 
 
@@ -209,12 +218,10 @@ def _build_model(spec):
         one = canonicalize(sp.csr_matrix(np.array([[1.0]])))
         return DescriptorModel(E=one, A=canonicalize(-one), B=one, C=one,
                                permutation=Permutation.identity(1), grid=None)
-    grid = GridSpec(dimension=int(spec["dimension"]),
-                    nodes=tuple(spec["nodes"]),
-                    lengths=tuple(spec["lengths"]),
-                    diffusivity=float(spec["diffusivity"]),
-                    discretization=spec["discretization"])
-    return build_model(grid, float(spec["io_fraction"]), int(spec["seed"]))
+    grid = GridSpec(spec["dimension"], tuple(spec["nodes"]),
+                    tuple(spec["lengths"]), spec["diffusivity"],
+                    spec["discretization"])
+    return build_model(grid, spec["io_fraction"], spec["seed"])
 
 
 def cmd_genmodel(cfg, out):
@@ -234,13 +241,7 @@ def cmd_genmodel(cfg, out):
                 "B": model.B.nnz, "C": model.C.nnz},
         "bandwidth": {"E": bandwidth(model.E), "A": bandwidth(model.A)},
         "seed": cfg.model.get("seed"),
-        "grid": None if model.grid is None else {
-            "dimension": model.grid.dimension,
-            "nodes": list(model.grid.nodes),
-            "lengths": list(model.grid.lengths),
-            "diffusivity": model.grid.diffusivity,
-            "discretization": model.grid.discretization,
-        },
+        "grid": None if model.grid is None else asdict(model.grid),
     }
     _write_json(os.path.join(out, "model.json"), meta)
     _write_manifest(out, cfg, "genmodel")
@@ -341,17 +342,15 @@ def stage_simulate(cfg, out):
     prob = _problem(cfg, model)
     x0_spec = cfg.sim["x0"]
     if x0_spec == "random":
-        rng = np.random.default_rng(int(cfg.sim["x0_seed"]))
-        x0 = rng.standard_normal(model.n)
+        x0 = np.random.default_rng(cfg.sim["x0_seed"]).standard_normal(model.n)
     elif x0_spec == "ones":
         x0 = np.ones(model.n)
     else:
         x0 = np.asarray(x0_spec, dtype=np.float64)
         if x0.size != model.n:
             raise ConfigError(f"sim.x0 has size {x0.size}, expected {model.n}")
-    traj = simulate_closed_loop(prob, F, x0, dt=float(cfg.sim["dt"]),
-                                steps=int(cfg.sim["steps"]),
-                                max_rows=int(cfg.sim["max_rows"]))
+    traj = simulate_closed_loop(prob, F, x0, cfg.sim["dt"], cfg.sim["steps"],
+                                cfg.sim["max_rows"])
     rows = [[fmt(int(s)), fmt(float(t)), fmt(float(nx)), fmt(float(c))]
             for s, t, nx, c in zip(traj.steps, traj.times,
                                    traj.state_norms, traj.inst_cost)]
@@ -366,9 +365,6 @@ _STAGES = {"pattern": stage_pattern, "lyap": stage_lyap,
 
 
 def cmd_solve(cfg, out, stage):
-    if stage not in _STAGES:
-        raise ConfigError(f"unknown stage {stage!r}; "
-                          f"choose from {sorted(_STAGES)}")
     rc = _STAGES[stage](cfg, out)
     _write_manifest(out, cfg, f"solve --stage {stage}")
     return rc
@@ -376,14 +372,13 @@ def cmd_solve(cfg, out, stage):
 
 def cmd_bench(cfg, out):
     """Per-size scaling rows; individual failures are recorded, not fatal."""
-    sizes = cfg.bench.get("sizes")
-    if not sizes:
+    if not cfg.bench["sizes"]:
         raise ConfigError("bench.sizes is required for the bench command")
     os.makedirs(out, exist_ok=True)
     w = str(cfg.newton.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
-    for nodes in sizes:
+    for nodes in cfg.bench["sizes"]:
         nodes = tuple(int(v) for v in np.atleast_1d(nodes))
         try:
             model = _build_model({**cfg.model, "nodes": list(nodes)})

@@ -62,6 +62,11 @@ class NewtonConfig:
     def __post_init__(self):
         if self.N_max < 1:
             raise ValueError("N_max must be >= 1")
+        if self.w < 0:
+            raise ValueError("w must be >= 0")
+        if self.lyap_method not in ("lsq", "gp"):
+            raise ValueError("lyap_method must be 'lsq' or 'gp', "
+                             f"got {self.lyap_method!r}")
 
 
 @dataclass
@@ -140,11 +145,9 @@ def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
     """
     if cfg.lyap_method == "lsq":
         return solve_lyap_lsq(Abar, E, P, pat, cfg=cfg.cgls, X0=X0)
-    if cfg.lyap_method == "gp":
-        if X0 is None:
-            X0, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
-        return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp)
-    raise ValueError(f"unknown Lyapunov method {cfg.lyap_method!r}")
+    if X0 is None:
+        X0, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
+    return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp)
 
 
 def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):

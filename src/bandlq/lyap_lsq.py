@@ -33,6 +33,8 @@ class CglsConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("CGLS tolerance must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 class SymCoords:

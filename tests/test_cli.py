@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,14 @@ class TestConfigValidation:
         assert cfg.newton.cgls == CglsConfig()
         assert cfg.newton.gp == GpConfig()
         assert cfg.newton.faber == FaberConfig()
+        # the plain sections take their literal defaults, and a scalar
+        # model's absent keys stay absent
+        assert cfg.sim == {"dt": 1e-3, "steps": 2000, "x0": "random",
+                           "x0_seed": 0, "max_rows": 1000}
+        assert cfg.oracle_enabled is True and cfg.oracle_max_n == 400
+        assert cfg.bench["methods"] == ["lsq"]
+        assert cfg.q_weight == cfg.r_weight == 1.0
+        assert cfg.model == {"kind": "scalar"}
 
     def test_given_keys_override_the_defaults(self):
         cfg = parse_config({
@@ -90,6 +100,13 @@ class TestConfigValidation:
         assert type(cfg.newton.N_max) is int
         assert type(cfg.newton.Z0_scale) is float
 
+    def test_integral_numbers_load_as_int(self):
+        cfg = parse_config({"output_dir": "x", "model": {"kind": "scalar"},
+                            "lyap": {"gp": {"max_iter": 4.0}},
+                            "riccati": {"N_max": 4.0}})
+        for value in (cfg.newton.N_max, cfg.newton.gp.max_iter):
+            assert value == 4 and type(value) is int
+
     @pytest.mark.parametrize("raw, names", [
         ({"sim": {"x0": "zeros"}}, ("sim.x0",)),
         ({"sim": {"dt": 0}}, ("sim.dt",)),
@@ -97,19 +114,50 @@ class TestConfigValidation:
         ({"lyap": {"gp": {"max_iter": 2.5}}}, ("lyap.gp", "max_iter")),
         ({"lyap": {"gp": {"max_iter": -1}}}, ("lyap.gp", "max_iter")),
         ({"lyap": {"gp": {"q": 0}}}, ("lyap.gp", "q must")),
-        ({"lyap": {"gp": {"k1": 1.5}}}, ("lyap.gp", "k1"))])
+        ({"lyap": {"gp": {"k1": 1.5}}}, ("lyap.gp", "k1")),
+        ({"riccati": {"N_max": 2.5}}, ("riccati.N_max",)),
+        ({"riccati": {"N_max": "12"}}, ("riccati.N_max",)),
+        ({"riccati": {"N_max": True}}, ("riccati.N_max",)),
+        ({"riccati": {"N_max": 0}}, ("riccati.N_max",)),
+        ({"pattern": {"w": "1"}}, ("pattern.w",)),
+        ({"pattern": {"w": 1.5}}, ("pattern.w",)),
+        ({"pattern": {"w": -1}}, ("pattern.w",)),
+        ({"lyap": {"cgls_max_iter": 2.5}}, ("lyap.cgls_max_iter",)),
+        ({"lyap": {"cgls_max_iter": -1}}, ("lyap.cgls_max_iter",)),
+        ({"lyap": {"cgls_tol": "1e-7"}}, ("lyap.cgls_tol",)),
+        ({"lyap": {"cgls_tol": 0}}, ("lyap.cgls_tol",)),
+        ({"riccati": {"residual_tol": "1e-9"}}, ("riccati.residual_tol",)),
+        ({"riccati": {"q_weight": "2"}}, ("riccati.q_weight",)),
+        ({"sim": {"steps": 2.5}}, ("sim.steps",)),
+        ({"oracle": {"max_n": "400"}}, ("oracle.max_n",)),
+        ({"oracle": {"enabled": "no"}}, ("oracle.enabled",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
                           **raw})
         assert all(name in str(exc.value) for name in names)
 
-    def test_bad_value_stops_before_any_stage(self, tmp_path, capsys):
-        cfg = _heat_config(tmp_path, out="run_x0", sim={"x0": "zeros"})
+    @pytest.mark.parametrize("key, value", [
+        ("sim.x0", "zeros"), ("pattern.w", -1), ("oracle.enabled", "no"),
+        ("sim.steps", 2.5)])
+    def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
+                                              value):
+        section, name = key.split(".")
+        cfg = _heat_config(tmp_path, out="run_bad", **{section: {name: value}})
         rc = main(["genmodel", "--config", cfg])
         assert rc == 1
-        assert "sim.x0" in capsys.readouterr().err
-        assert not (tmp_path / "run_x0").exists()
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run_bad").exists()
+
+    def test_readme_example_loads(self):
+        # the README's example config, so that the example cannot go stale
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(json.loads(block))
+        assert cfg.newton == NewtonConfig(N_max=12, residual_tol=1e-9, w=1,
+                                          cgls=CglsConfig(tol=1e-7))
+        assert cfg.sim == {"dt": 1e-3, "steps": 2000, "x0": "ones",
+                           "x0_seed": 0, "max_rows": 1000}
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -364,3 +364,11 @@ def test_newton_config_needs_a_step():
     with pytest.raises(ValueError, match="N_max"):
         NewtonConfig(N_max=0)
     assert NewtonConfig(N_max=1).N_max == 1
+
+
+def test_newton_config_rejects_an_unknown_method():
+    # so solve_lyap dispatches on a method that exists
+    with pytest.raises(ValueError, match="direct"):
+        NewtonConfig(lyap_method="direct")
+    with pytest.raises(ValueError, match="direct"):
+        dataclasses.replace(NewtonConfig(), lyap_method="direct")
