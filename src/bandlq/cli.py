@@ -49,6 +49,7 @@ class ConfigError(ValueError):
 class RunConfig:
     output_dir: str
     model: dict
+    grid: GridSpec | None       # a heat model's grid; None for the scalar
     newton: NewtonConfig
     q_weight: float
     r_weight: float
@@ -150,6 +151,11 @@ def parse_config(raw, source="<config>"):
         "dimension", "nodes", "lengths", "discretization") if heat else ())
     if model["kind"] not in ("heat", "scalar"):
         raise ConfigError(f"{path}model.kind must be 'heat' or 'scalar'")
+    grid = _checked(
+        f"{path}model", GridSpec, dimension=model["dimension"],
+        nodes=tuple(model["nodes"]), lengths=tuple(model["lengths"]),
+        diffusivity=model["diffusivity"],
+        discretization=model["discretization"]) if heat else None
     sec, owned = {}, {NewtonConfig: {}, CglsConfig: {}}
     for name, keys in _SECTIONS.items():
         sec[name] = _read(top.get(name, {}), path, name, keys)
@@ -165,9 +171,12 @@ def parse_config(raw, source="<config>"):
         **owned[NewtonConfig])
     if sec["sim"]["dt"] <= 0:
         raise ConfigError(f"{path}sim.dt must be a positive number")
+    for key in ("steps", "max_rows"):
+        if sec["sim"][key] < 1:
+            raise ConfigError(f"{path}sim.{key} must be an integer >= 1")
     ric, orc = sec["riccati"], sec["oracle"]
     return RunConfig(
-        output_dir=top["output_dir"], model=model, newton=newton,
+        output_dir=top["output_dir"], model=model, grid=grid, newton=newton,
         q_weight=ric["q_weight"], r_weight=ric["r_weight"], sim=sec["sim"],
         oracle_enabled=orc["enabled"], oracle_max_n=orc["max_n"],
         bench=sec["bench"], raw=raw)
@@ -213,21 +222,18 @@ def _write_manifest(out, cfg, command):
     })
 
 
-def _build_model(spec):
-    if spec["kind"] == "scalar":
+def _build_model(cfg, grid):
+    """The configured heat model on ``grid``, or the scalar model if None."""
+    if grid is None:
         one = canonicalize(sp.csr_matrix(np.array([[1.0]])))
         return DescriptorModel(E=one, A=canonicalize(-one), B=one, C=one,
                                permutation=Permutation.identity(1), grid=None)
-    grid = GridSpec(spec["dimension"], tuple(spec["nodes"]),
-                    tuple(spec["lengths"]), spec["diffusivity"],
-                    spec["discretization"])
-    return build_model(grid, spec["io_fraction"], spec["seed"])
+    return build_model(grid, cfg.model["io_fraction"], cfg.model["seed"])
 
 
 def cmd_genmodel(cfg, out):
     """Write the model bundle E/A/B/C.mtx, perm.txt, model.json."""
-    model = _build_model(cfg.model)
-    os.makedirs(out, exist_ok=True)
+    model = _build_model(cfg, cfg.grid)
     write_matrix(os.path.join(out, "E.mtx"), model.E)
     write_matrix(os.path.join(out, "A.mtx"), model.A)
     write_matrix(os.path.join(out, "B.mtx"), model.B)
@@ -374,14 +380,14 @@ def cmd_bench(cfg, out):
     """Per-size scaling rows; individual failures are recorded, not fatal."""
     if not cfg.bench["sizes"]:
         raise ConfigError("bench.sizes is required for the bench command")
-    os.makedirs(out, exist_ok=True)
     w = str(cfg.newton.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
     for nodes in cfg.bench["sizes"]:
         nodes = tuple(int(v) for v in np.atleast_1d(nodes))
         try:
-            model = _build_model({**cfg.model, "nodes": list(nodes)})
+            model = _build_model(cfg, None if cfg.grid is None
+                                 else replace(cfg.grid, nodes=nodes))
             _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
             pat = apriori_pattern(Abar, model.E, P, cfg.newton.w)
         except Exception as exc:            # per-size failure, keep going

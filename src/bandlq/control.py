@@ -223,6 +223,8 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 1 or max_rows < 1:
+        raise ValueError("steps and max_rows must be >= 1")
     model = prob.model
     Abar = canonicalize(model.A - model.B @ F)
     S = canonicalize(model.E - dt * Abar).tocsc()

@@ -92,21 +92,17 @@ class GpConfig:
 def spai(E, pat):
     """Sparse approximate inverse of E on the given pattern.
 
-    Minimizes ||I - E X||_F column by column over the pattern's support,
-    also solves the row form ||I - X E||_F, and returns whichever matrix
-    has the smaller residual together with that residual.
+    Returns the column form X, the minimizer of ||I - E X||_F column by
+    column over the pattern's support, together with that residual. For
+    symmetric E and pat, as every model here has, the row form
+    min ||I - X E||_F is its transpose with the same residual.
     """
     n = E.shape[0]
     if E.shape != (n, n) or pat.shape != (n, n):
         raise ShapeMismatchError("spai", E.shape, pat.shape)
     Ec = canonicalize(E)
-    right = _spai_one_sided(Ec, binarize(pat))
-    left = _spai_one_sided(Ec.T.tocsr(), binarize(pat).T.tocsr()).T.tocsr()
-    r_right = frobenius(identity(n) - Ec @ right)
-    r_left = frobenius(identity(n) - left @ Ec)
-    if r_right <= r_left:
-        return canonicalize(right), r_right
-    return canonicalize(left), r_left
+    X = _spai_one_sided(Ec, binarize(pat))
+    return X, frobenius(identity(n) - Ec @ X)
 
 
 def _spai_one_sided(E, pat):
@@ -353,12 +349,13 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     matrices supported on Zpat, which must be symmetric; X0 is read through
     its symmetric part on the pattern. Z and N are held as the GL
     operator's coordinates, so no step projects, and R as its output
-    coordinates; ``peak_nnz`` counts matrix entries of all three.
+    coordinates; ``peak_nnz`` is the larger of the two spaces' entry counts,
+    the storage of any iterate.
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat, P)
     p = op.rhs
-    z = op.restrict(X0)
+    z = op.inputs.fold(X0)
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None \
         else default_delta_bar(canonicalize(Abar), canonicalize(E))
 
@@ -366,11 +363,8 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     J = float(r @ r)
     J_history = [J]
     stalled = False
-    peak_nnz = 0
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
-        peak_nnz = max(peak_nnz, op.entries(g), op.entries(z),
-                       op.outputs.entries(r))
         delta = delta_bar
         for _g in range(61):
             z_try = z - delta * g
@@ -394,6 +388,7 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
         iterations=len(J_history) - 1, final_residual=residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,
-               "peak_nnz": peak_nnz, "residual_2norm": residual},
+               "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
+               "residual_2norm": residual},
     )
-    return op.scatter(z), report
+    return op.inputs.to_csr(z), report

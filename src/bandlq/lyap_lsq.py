@@ -44,17 +44,19 @@ class SymCoords:
     row-major order of ``map``. Coordinate k has the unit-norm basis matrix
     w (e_i e_j^T + e_j e_i^T), with w = 1/sqrt(2) off the diagonal and 1/2
     on it, so the coordinates of X are w (X[i, j] + X[j, i]) and their norm
-    is ||X||_F for symmetric X on the support.
+    is ||X||_F for symmetric X on the support. ``nnz`` is the number of
+    support entries, both triangles: the storage of any matrix on it.
     """
 
     def __init__(self, n, rows, cols):
         self.n = n
         self.map = np.column_stack([rows, cols])
         self.size = rows.size
-        self._off = rows != cols
-        self._weight = np.where(self._off, np.sqrt(0.5), 0.5)
+        off = rows != cols
+        self.nnz = self.size + int(np.count_nonzero(off))
+        self._weight = np.where(off, np.sqrt(0.5), 0.5)
         # the basis matrix holds w at (i, j) and (j, i), 2 w = 1 at (i, i)
-        self._value = np.where(self._off, np.sqrt(0.5), 1.0)
+        self._value = np.where(off, np.sqrt(0.5), 1.0)
         # flat indices of (i, j) and (j, i) in a C-ordered n x n array
         self._upper = rows.astype(np.int64) * n + cols
         self._lower = cols.astype(np.int64) * n + rows
@@ -87,11 +89,6 @@ class SymCoords:
                           shape=(self.n, self.n))
         return canonicalize(U + U.T)
 
-    def entries(self, z):
-        """Number of nonzero entries of the matrix with coordinates z."""
-        nz = np.ravel(z) != 0
-        return int(np.count_nonzero(nz) + np.count_nonzero(nz & self._off))
-
 
 class GlOperator(spla.LinearOperator):
     """The GL operator Z -> E^T Z Abar + Abar^T Z E on symmetric Z in the pattern.
@@ -105,7 +102,7 @@ class GlOperator(spla.LinearOperator):
     adjoint runs two sparse-times-dense products on dense n x n buffers that
     the operator keeps. ``nnz`` is the structural nnz of the matrix M1 that
     ``assemble_reduced`` builds and ``nnz_pattern`` the number of pattern
-    entries.
+    entries, ``inputs.nnz``.
     """
 
     def __init__(self, Abar, E, Zpat, P):
@@ -122,7 +119,6 @@ class GlOperator(spla.LinearOperator):
         if (Zp != Zp.T).nnz:
             raise ValueError("GlOperator: the a priori pattern is not "
                              "symmetric")
-        self.nnz_pattern = Zp.nnz
         # column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
         # Abar[i,:]): with row nnz e of E and a of Abar and c their overlap,
         # it has e_i a_j + a_i e_j - c_i c_j entries
@@ -133,7 +129,7 @@ class GlOperator(spla.LinearOperator):
         self.nnz = int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
         upper = i <= j
         self.inputs = SymCoords(n, i[upper], j[upper])
-        self.column_map = self.inputs.map
+        self.nnz_pattern = self.inputs.nnz
         # every product below is CSR @ C-contiguous dense
         self._ET = self._E.T.tocsr()
         self._AbarT = self._Abar.T.tocsr()
@@ -159,18 +155,6 @@ class GlOperator(spla.LinearOperator):
         # allocator can reuse its memory instead of faulting in fresh pages
         np.copyto(self._T, (AbarT @ self._Z).T)
         return ET @ self._T
-
-    def restrict(self, X):
-        """Coordinates of sym(X) on the pattern: the input space."""
-        return self.inputs.fold(X)
-
-    def scatter(self, z):
-        """The symmetric matrix with coordinates z, as canonical CSR."""
-        return self.inputs.to_csr(z)
-
-    def entries(self, z):
-        """Number of nonzero matrix entries of the matrix with coordinates z."""
-        return self.inputs.entries(z)
 
     def _matvec(self, z):
         # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i])
@@ -263,7 +247,7 @@ def assemble_reduced(Abar, E, P, Zpat):
 
 def scatter_solution(op, z):
     """The symmetric n x n matrix with the coordinates z of ``op``."""
-    return op.scatter(z)
+    return op.inputs.to_csr(z)
 
 
 def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
@@ -276,7 +260,7 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat, P)
     p = op.rhs
-    x0 = None if X0 is None else op.restrict(X0)
+    x0 = None if X0 is None else op.inputs.fold(X0)
     res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     Z = scatter_solution(op, res.x)
     report = SolveReport(

@@ -78,6 +78,13 @@ def nan_lyap_solve_at(monkeypatch, step):
     return calls
 
 
+def bitwise_equal(X, Y):
+    """X and Y are the same CSR matrix, bit for bit."""
+    return all(np.array_equal(a, b) for a, b in
+               ((X.indptr, Y.indptr), (X.indices, Y.indices),
+                (X.data, Y.data)))
+
+
 def full_pattern(n):
     from bandlq.sparsecore import binarize
     return binarize(sp.csr_matrix(np.ones((n, n))))

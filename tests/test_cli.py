@@ -130,7 +130,10 @@ class TestConfigValidation:
         ({"riccati": {"q_weight": "2"}}, ("riccati.q_weight",)),
         ({"sim": {"steps": 2.5}}, ("sim.steps",)),
         ({"oracle": {"max_n": "400"}}, ("oracle.max_n",)),
-        ({"oracle": {"enabled": "no"}}, ("oracle.enabled",))])
+        ({"oracle": {"enabled": "no"}}, ("oracle.enabled",)),
+        ({"sim": {"steps": -5}}, ("sim.steps",)),
+        ({"sim": {"steps": 0}}, ("sim.steps",)),
+        ({"sim": {"max_rows": 0}}, ("sim.max_rows",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -139,11 +142,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("sim.x0", "zeros"), ("pattern.w", -1), ("oracle.enabled", "no"),
-        ("sim.steps", 2.5)])
+        ("sim.steps", 2.5), ("sim.steps", -5), ("sim.max_rows", 0),
+        ("model", {"nodes": (1, 1)})])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
-        section, name = key.split(".")
-        cfg = _heat_config(tmp_path, out="run_bad", **{section: {name: value}})
+        # a bare section name gives _heat_config's own overrides
+        section, _, name = key.partition(".")
+        overrides = {section: {name: value}} if name else value
+        cfg = _heat_config(tmp_path, out="run_bad", **overrides)
         rc = main(["genmodel", "--config", cfg])
         assert rc == 1
         assert key in capsys.readouterr().err

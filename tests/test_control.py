@@ -15,8 +15,8 @@ from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.oracle import dense_riccati, pencil_eigs
 from bandlq.pattern import apriori_pattern
 from bandlq.sparsecore import canonicalize, frobenius, identity
-from conftest import (full_pattern, heat_problem, nan_lyap_solve_at,
-                      random_banded, scalar_problem)
+from conftest import (bitwise_equal, full_pattern, heat_problem,
+                      nan_lyap_solve_at, random_banded, scalar_problem)
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 
@@ -74,12 +74,6 @@ class TestFrechet:
         np.testing.assert_allclose(lhs - P.toarray(), DZ + Dprime, atol=1e-10)
 
 
-def _bitwise_equal(X, Y):
-    return all(np.array_equal(a, b) for a, b in
-               ((X.indptr, Y.indptr), (X.indices, Y.indices),
-                (X.data, Y.data)))
-
-
 class TestSolveLyap:
     CGLS = CglsConfig(tol=1e-9)
     GP = GpConfig(max_iter=30, q=10)
@@ -100,7 +94,7 @@ class TestSolveLyap:
     def test_lsq_from_zero_is_method_1(self, step1):
         Z, rep = self._solve(step1, "lsq")
         Zref, ref = solve_lyap_lsq(*step1, cfg=self.CGLS)
-        assert _bitwise_equal(Z, Zref)
+        assert bitwise_equal(Z, Zref)
         assert rep.iterations == ref.iterations
 
     def test_gp_from_x3_is_method_2(self, step1):
@@ -108,7 +102,7 @@ class TestSolveLyap:
         Z, rep = self._solve(step1, "gp")
         X3, _info = initial_guess(Abar, E, P, cfg=self.GP, fcfg=self.FABER)
         Zref, ref = solve_lyap_gp(Abar, E, P, pat, X3, cfg=self.GP)
-        assert _bitwise_equal(Z, Zref)
+        assert bitwise_equal(Z, Zref)
         assert rep.extra["J_history"] == ref.extra["J_history"]
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
@@ -119,14 +113,14 @@ class TestSolveLyap:
             Zref, _ = solve_lyap_lsq(*step1, cfg=self.CGLS, X0=X0)
         else:
             Zref, _ = solve_lyap_gp(*step1, X0, cfg=self.GP)
-        assert _bitwise_equal(Z, Zref)
+        assert bitwise_equal(Z, Zref)
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_residual_2norm_is_the_gl_residual(self, step1, method):
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, method)
         op = GlOperator(Abar, E, pat, P)
-        r = op.rhs - op @ op.restrict(Z)
+        r = op.rhs - op @ op.inputs.fold(Z)
         assert rep.extra["residual_2norm"] == pytest.approx(
             np.linalg.norm(r), rel=1e-12)
 
@@ -160,7 +154,7 @@ class TestSolveRiccati:
             cfg=NewtonConfig(N_max=25, residual_tol=1e-10,
                              cgls=CglsConfig(tol=1e-10)),
             pattern=full_pattern(model.n))
-        assert _bitwise_equal(F, feedback(Z, prob))
+        assert bitwise_equal(F, feedback(Z, prob))
         Zex = dense_riccati(prob)
         Fex = np.diag(1.0 / prob.R) @ model.B.toarray().T @ Zex \
             @ model.E.toarray()
@@ -183,7 +177,7 @@ class TestSolveRiccati:
         pat = apriori_pattern(Abar, model.E, P, w=1)
         Z, reports, F = solve_riccati(prob, cfg=cfg)
         Zp, given, Fp = solve_riccati(prob, cfg=cfg, pattern=pat)
-        assert _bitwise_equal(Z, Zp) and _bitwise_equal(F, Fp)
+        assert bitwise_equal(Z, Zp) and bitwise_equal(F, Fp)
         rows = [dataclasses.asdict(r) for r in reports + given]
         for row in rows:
             del row["wall_ms"]
@@ -207,9 +201,9 @@ class TestSolveRiccati:
         F, Abar, P = newton_start(prob, cfg)
         (Abar1, P1, X0), = seen
         assert X0 is None
-        assert _bitwise_equal(Abar1, Abar) and _bitwise_equal(P1, P)
+        assert bitwise_equal(Abar1, Abar) and bitwise_equal(P1, P)
         Z0 = canonicalize(3.0 * identity(model.n))
-        assert _bitwise_equal(F, feedback(Z0, prob))
+        assert bitwise_equal(F, feedback(Z0, prob))
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
         # Z_0 and each of the N new iterates get one feedback, which serves
@@ -229,7 +223,7 @@ class TestSolveRiccati:
         assert len(reports) == 4 and len(calls) == 5
         assert calls[-1] is Z
         # the returned F is the one the loop made for Z
-        assert _bitwise_equal(F, fb(Z, prob))
+        assert bitwise_equal(F, fb(Z, prob))
         assert reports[-1].nnz_F == fb(Z, prob).nnz
         assert (Z != Z.T).nnz == 0
 
@@ -332,8 +326,11 @@ class TestSimulateClosedLoop:
     def test_invalid_dt(self):
         model, prob = heat_problem((3, 3))
         F = canonicalize(sp.csr_matrix((model.m, model.n)))
-        with pytest.raises(ValueError):
-            simulate_closed_loop(prob, F, np.ones(9), dt=0.0, steps=10)
+        for dt, steps, max_rows in ((0.0, 10, 5), (1e-3, -5, 5),
+                                    (1e-3, 0, 5), (1e-3, 10, 0)):
+            with pytest.raises(ValueError):
+                simulate_closed_loop(prob, F, np.ones(9), dt=dt, steps=steps,
+                                     max_rows=max_rows)
 
     def test_trajectory_downsampling(self):
         model, prob = heat_problem((3, 3))

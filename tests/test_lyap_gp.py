@@ -13,11 +13,13 @@ from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             faber_coefficients, faber_expm, initial_guess,
                             quadrature_nodes, solve_lyap_gp, spai,
                             spectrum_bounds, transformed_problem)
+from bandlq.lyap_lsq import GlOperator
 from bandlq.pattern import apriori_pattern, inverse_pattern
 from bandlq.sparsecore import (binarize, canonicalize, frobenius, identity,
                                pattern_power_sum, project)
 from bandlq.oracle import dense_expm, dense_lyap
-from conftest import full_pattern, heat_problem, random_banded
+from conftest import (bitwise_equal, full_pattern, heat_problem,
+                      random_banded)
 
 
 def _csr(M):
@@ -120,21 +122,15 @@ class TestSpai:
         pat = inverse_pattern(E, 2)
         X, _res = spai(E, pat)
         Ed = E.toarray()
-        # the winning one-sided form must reproduce the per-column optima
-        r_right = np.linalg.norm(np.eye(30) - Ed @ X.toarray())
-        r_left = np.linalg.norm(np.eye(30) - X.toarray() @ Ed)
+        # the column form reproduces the per-column optima
         Ref = np.zeros((30, 30))
         patc = pat.tocsc()
-        target = Ed if r_right <= r_left else Ed.T
         for j in range(30):
             supp = patc.indices[patc.indptr[j]:patc.indptr[j + 1]]
-            sub = target[:, supp]
             b = np.zeros(30)
             b[j] = 1.0
-            x, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            x, *_ = np.linalg.lstsq(Ed[:, supp], b, rcond=None)
             Ref[supp, j] = x
-        if r_right > r_left:
-            Ref = Ref.T
         np.testing.assert_allclose(X.toarray(), Ref, atol=1e-10)
 
     @pytest.mark.parametrize("case", ["mass30-k1", "mass30-k2", "mass30-k3",
@@ -152,11 +148,16 @@ class TestSpai:
             pat[:, 5] = 0.0
         pat = binarize(pat)
         assert case != "empty-column" or pat.getcol(5).nnz == 0
+        forms = []
         for Es, ps in ((E, pat), (E.T.tocsr(), pat.T.tocsr())):
-            X, ref = _spai_one_sided(Es, ps), _spai_slicing(Es, ps)
-            assert np.array_equal(X.indptr, ref.indptr)
-            assert np.array_equal(X.indices, ref.indices)
-            assert np.array_equal(X.data, ref.data)
+            forms.append(_spai_one_sided(Es, ps))
+            assert bitwise_equal(forms[-1], _spai_slicing(Es, ps))
+        if case != "empty-column":
+            # E and pat are symmetric, so the row form min ||I - X E||_F,
+            # the transpose of forms[1], is the column form's transpose,
+            # and spai returns the column form
+            assert bitwise_equal(forms[1], forms[0])
+            assert bitwise_equal(spai(E, pat)[0], forms[0])
 
     def test_rank_deficient_subproblem_no_failure(self):
         E = _csr([[1.0, 1.0], [1.0, 1.0]])     # singular
@@ -470,6 +471,20 @@ class TestSolveLyapGp:
                                     rng.standard_normal((n, n)))),
                                 cfg=GpConfig(max_iter=50))
         assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
+        # the storage figure is the larger coordinate space's entry count,
+        # with or without iterations
+        model, prob = heat_problem((6, 6))
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        op = GlOperator(Abar, model.E, pat, P)
+        X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
+        for max_iter in (0, 50):
+            Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
+                                   cfg=GpConfig(max_iter=max_iter))
+            assert rep.iterations == max_iter
+            assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
+            assert rep.extra["peak_nnz"] == max(op.inputs.nnz,
+                                                op.outputs.nnz)
 
     def test_gradient_matches_finite_differences(self):
         for seed in range(5):
