@@ -151,6 +151,12 @@ def parse_config(raw, source="<config>"):
         "dimension", "nodes", "lengths", "discretization") if heat else ())
     if model["kind"] not in ("heat", "scalar"):
         raise ConfigError(f"{path}model.kind must be 'heat' or 'scalar'")
+    if heat:
+        # the grid counts nodes in integers and measures lengths in numbers
+        model["nodes"] = [_typed(path, f"model.nodes[{k}]", v, 0)
+                          for k, v in enumerate(model["nodes"])]
+        for k, v in enumerate(model["lengths"]):
+            _typed(path, f"model.lengths[{k}]", v, 0.0)
     grid = _checked(
         f"{path}model", GridSpec, dimension=model["dimension"],
         nodes=tuple(model["nodes"]), lengths=tuple(model["lengths"]),
@@ -169,6 +175,11 @@ def parse_config(raw, source="<config>"):
         gp=_checked(f"{path}lyap.gp", GpConfig, **gp),
         faber=_checked(f"{path}lyap.gp", FaberConfig, **faber),
         **owned[NewtonConfig])
+    # each size is a grid's node count per axis, or one count for a 1-D grid
+    sec["bench"]["sizes"] = [
+        tuple(_typed(path, f"bench.sizes[{k}]", v, 0)
+              for v in (size if isinstance(size, list) else [size]))
+        for k, size in enumerate(sec["bench"]["sizes"])]
     if sec["sim"]["dt"] <= 0:
         raise ConfigError(f"{path}sim.dt must be a positive number")
     for key in ("steps", "max_rows"):
@@ -384,7 +395,6 @@ def cmd_bench(cfg, out):
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
     for nodes in cfg.bench["sizes"]:
-        nodes = tuple(int(v) for v in np.atleast_1d(nodes))
         try:
             model = _build_model(cfg, None if cfg.grid is None
                                  else replace(cfg.grid, nodes=nodes))

@@ -350,7 +350,8 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     its symmetric part on the pattern. Z and N are held as the GL
     operator's coordinates, so no step projects, and R as its output
     coordinates; ``peak_nnz`` is the larger of the two spaces' entry counts,
-    the storage of any iterate.
+    the storage of any iterate. ``operator_form`` and ``operator_entries``
+    name the operator's form and its stored entries.
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat, P)
@@ -389,6 +390,7 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,
                "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
-               "residual_2norm": residual},
+               "residual_2norm": residual, "operator_form": op.form,
+               "operator_entries": op.stored_entries},
     )
     return op.inputs.to_csr(z), report

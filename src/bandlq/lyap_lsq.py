@@ -4,7 +4,12 @@ The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
 is never formed: CGLS runs on ``GlOperator``, which maps coordinates of the
 symmetric matrices inside the a priori pattern to coordinates of the
 symmetric matrices on the operator's structural output support, the
-support of E^T Zpat Abar plus its transpose and of P, and back.
+support of E^T Zpat Abar plus its transpose and of P, and back. When
+Abar is sparse enough (nnz(K1) <= 4 n^2, see ``GlOperator``), the operator
+is the product K2 K1 of two sparse matrices whose structure is found once,
+and an apply or adjoint costs nnz(K1) + nnz(K2): n times the pattern's row
+count times the row counts of Abar and E. Otherwise, as from Newton step 2
+on where Abar fills in, it runs on three dense n x n buffers.
 ``assemble_reduced`` builds the reduced matrix over all pattern entries
 column by column, as the reference for the tests.
 """
@@ -37,23 +42,42 @@ class CglsConfig:
             raise ValueError("max_iter must be >= 0")
 
 
+# GlOperator runs on its two sparse factors when nnz(K1) <= _FACTOR_FILL n^2
+_FACTOR_FILL = 4.0
+# The factors are built a block of rows at a time, with about this many
+# entries per block and at most this many entries in a block's lookup
+# table (rows x n), which bounds the build's scratch memory.
+_BLOCK_ENTRIES = 1 << 15
+_TABLE_ENTRIES = 1 << 18
+
+
+def _rows(S):
+    """The row index of every stored entry of the CSR S."""
+    return np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+
+
 class SymCoords:
     """Orthonormal coordinates of the symmetric n x n matrices on a support.
 
-    There is one coordinate per support entry (i, j) with i <= j, in the
-    row-major order of ``map``. Coordinate k has the unit-norm basis matrix
+    The support is the binary, canonical, symmetric CSR ``S``. There is one
+    coordinate per support entry (i, j) with i <= j, in the row-major order
+    of ``map``. Coordinate k has the unit-norm basis matrix
     w (e_i e_j^T + e_j e_i^T), with w = 1/sqrt(2) off the diagonal and 1/2
     on it, so the coordinates of X are w (X[i, j] + X[j, i]) and their norm
     is ||X||_F for symmetric X on the support. ``nnz`` is the number of
     support entries, both triangles: the storage of any matrix on it.
     """
 
-    def __init__(self, n, rows, cols):
+    def __init__(self, S):
+        n = S.shape[0]
+        rows = _rows(S)
+        upper = rows <= S.indices
+        rows, cols = rows[upper], S.indices[upper]
         self.n = n
-        self.map = np.column_stack([rows, cols])
+        self.map = np.column_stack([rows, cols]).astype(S.indices.dtype)
         self.size = rows.size
+        self.nnz = S.nnz
         off = rows != cols
-        self.nnz = self.size + int(np.count_nonzero(off))
         self._weight = np.where(off, np.sqrt(0.5), 0.5)
         # the basis matrix holds w at (i, j) and (j, i), 2 w = 1 at (i, i)
         self._value = np.where(off, np.sqrt(0.5), 1.0)
@@ -90,78 +114,258 @@ class SymCoords:
         return canonicalize(U + U.T)
 
 
+def _m1_nnz(E, Abar, Zp):
+    """nnz of the matrix M1 that ``assemble_reduced`` builds on pattern Zp.
+
+    Column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
+    Abar[i,:]): with row nnz e of E and a of Abar and c their overlap, it
+    has e_i a_j + a_i e_j - c_i c_j entries.
+    """
+    i, j = Zp.nonzero()
+    e = np.diff(E.indptr).astype(np.int64)
+    a = np.diff(Abar.indptr).astype(np.int64)
+    c = np.diff(binarize(E).multiply(binarize(Abar)).indptr)
+    return int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
+
+
+def _k1_nnz(pattern_counts, abar_counts):
+    """nnz(K1) of ``GlOperator``: the sum of nnz(Abar[k, :]) over the
+    pattern entries (i, k), from the pattern's column counts (its row
+    counts, as it is symmetric) and Abar's row counts, counted in int64."""
+    return int(np.asarray(pattern_counts, dtype=np.int64) @ abar_counts)
+
+
+def _output_support(E, Y, P):
+    """supp(E^T Y) plus supp(P), folded by symmetry, for Y = supp(Zpat Abar)
+    as a binary CSR or a nonnegative dense array: a structural product of
+    positive entries, which cannot cancel."""
+    S = binarize(E).T.tocsr() @ Y + binarize(P)
+    return binarize(S + S.T)
+
+
+def _index_dtype(nnz, n):
+    """The index type of a factor with nnz entries and n x n coordinates."""
+    return np.int32 if max(nnz, n * n) < 2**31 else np.int64
+
+
+def _entry_coords(S, dtype):
+    """The coordinate of ``SymCoords(S)`` that each stored entry of S is on."""
+    upper = _rows(S) <= S.indices
+    rank = (np.cumsum(upper) - 1).astype(dtype)
+    # S is symmetric with sorted indices, so the CSR of its transpose has
+    # S's layout, and its data takes each entry (i, j) to that of (j, i)
+    swap = sp.csr_matrix((np.arange(S.nnz), S.indices, S.indptr),
+                         shape=S.shape).T.tocsr().data
+    return np.where(upper, rank, rank[swap])
+
+
+def _lookup(S, coord, rows, cols):
+    """The coordinate of entry (rows[m], cols[m]) of S for every m, -1 where
+    S has no entry, read off a dense table of the rows of S they span."""
+    lo, hi = int(rows.min()), int(rows.max()) + 1
+    n = S.shape[1]
+    table = np.full((hi - lo) * n, -1, dtype=coord.dtype)
+    s, t = S.indptr[lo], S.indptr[hi]
+    table[np.repeat(np.arange(hi - lo) * n, np.diff(S.indptr[lo:hi + 1]))
+          + S.indices[s:t]] = coord[s:t]
+    return np.take(table, (rows - lo) * n + cols)
+
+
+def _ranges(starts, counts):
+    """The concatenated ranges starts[m] .. starts[m] + counts[m] - 1."""
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(counts.sum())
+
+
+def _blocks(Y, per_row):
+    """Blocks of rows of Y with about _BLOCK_ENTRIES factor entries each,
+    given each row's count, and at most _TABLE_ENTRIES // n rows: per
+    block, the span ys:yt of its entries in Y and their rows and columns."""
+    n = Y.shape[0]
+    step = max(1, min(int(_BLOCK_ENTRIES // max(1, per_row.max())),
+                      _TABLE_ENTRIES // n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        ys, yt = Y.indptr[lo], Y.indptr[hi]
+        if ys < yt:
+            yield (ys, yt, np.repeat(np.arange(lo, hi),
+                                     np.diff(Y.indptr[lo:hi + 1])),
+                   Y.indices[ys:yt])
+
+
+def _factor_k1(Abar, Zp, Y, inputs, nnz):
+    """K1 of ``GlOperator`` as CSR, with ``nnz`` entries.
+
+    K1 takes the input coordinates z to the entries of Y = Z Abar on the
+    support ``Y`` of Zpat Abar. Row (i, c) holds v Abar[k, c] in the column
+    of the coordinate of {i, k} for every pattern entry (i, k), with v the
+    basis value ``SymCoords._value``: these are the k of column c of
+    Abar that lie in row i of the pattern.
+    """
+    idx = _index_dtype(nnz, Zp.shape[0])
+    AT = Abar.T.tocsr()          # row c: the k with Abar[k, c] != 0, sorted
+    a_col = np.diff(AT.indptr)
+    coords = _entry_coords(Zp, idx)
+    value = inputs._value
+    data, ind = np.empty(nnz), np.empty(nnz, idx)
+    ptr = np.zeros(Y.nnz + 1, idx)
+    at = 0
+    for ys, yt, i, c in _blocks(Y, Zp @ np.diff(Abar.indptr)):
+        counts = a_col[c]
+        src = _ranges(AT.indptr[c], counts)
+        coord = _lookup(Zp, coords, np.repeat(i, counts), AT.indices[src])
+        hit = coord >= 0
+        coord, m = coord[hit], int(np.count_nonzero(hit))
+        ind[at:at + m] = coord
+        data[at:at + m] = AT.data[src[hit]] * value[coord]
+        ptr[ys + 1:yt + 1] = at + np.cumsum(hit)[np.cumsum(counts) - 1]
+        at += m
+    return sp.csr_matrix((data, ind, ptr), shape=(Y.nnz, inputs.size))
+
+
+def _factor_k2(E, Y, O, outputs):
+    """K2 of ``GlOperator`` as CSC.
+
+    K2 takes the entries of Y = Z Abar on the support ``Y`` to the output
+    coordinates on ``O``. Column (i, c) holds u E[i, r] in the row of the
+    coordinate of {r, c} for every entry E[i, r], where u = sqrt(2) off the
+    diagonal and 2 on it folds S = E^T Y into 2 w (S[r, c] + S[c, r]).
+    """
+    e_row = np.diff(E.indptr)
+    per_row = np.diff(Y.indptr) * e_row
+    nnz = int(per_row.sum())
+    idx = _index_dtype(nnz, E.shape[0])
+    coords = _entry_coords(O, idx)
+    value = 2.0 * outputs._value
+    data, ind = np.empty(nnz), np.empty(nnz, idx)
+    ptr = np.zeros(Y.nnz + 1, idx)
+    at = 0
+    for ys, yt, i, c in _blocks(Y, per_row):
+        counts = e_row[i]
+        src = _ranges(E.indptr[i], counts)
+        m = src.size
+        if m:
+            coord = _lookup(O, coords, E.indices[src], np.repeat(c, counts))
+            ind[at:at + m] = coord
+            data[at:at + m] = E.data[src] * value[coord]
+        ptr[ys + 1:yt + 1] = at + np.cumsum(counts)
+        at += m
+    return sp.csc_matrix((data, ind, ptr), shape=(outputs.size, Y.nnz))
+
+
 class GlOperator(spla.LinearOperator):
     """The GL operator Z -> E^T Z Abar + Abar^T Z E on symmetric Z in the pattern.
 
     Both sides are ``SymCoords``, so coordinate norms are Frobenius norms.
     The unknowns ``inputs`` are the symmetric matrices on the pattern, which
     must be symmetric. The outputs ``outputs`` are the symmetric matrices on
-    the structural support of E^T Zpat Abar plus its transpose, together
+    O, the structural support of E^T Zpat Abar plus its transpose, together
     with supp(P): every matrix the operator produces and the right-hand
-    side ``rhs``, the coordinates of P's symmetric part. Each apply and
-    adjoint runs two sparse-times-dense products on dense n x n buffers that
-    the operator keeps. ``nnz`` is the structural nnz of the matrix M1 that
-    ``assemble_reduced`` builds and ``nnz_pattern`` the number of pattern
-    entries, ``inputs.nnz``.
+    side ``rhs``, the coordinates of P's symmetric part. O is computed once,
+    from the structural patterns (``_output_support``). ``nnz`` is the
+    structural nnz of the
+    matrix M1 that ``assemble_reduced`` builds and ``nnz_pattern`` the
+    number of pattern entries, ``inputs.nnz``.
+
+    The operator has two forms with the same spaces, ``rhs`` and ``nnz``:
+
+    - ``"factors"``: the product K2 K1 of two sparse matrices whose
+      structure is found once (``_factor_k1``, ``_factor_k2``). K1 takes
+      the coordinates to the entries of Z Abar on supp(Zpat Abar), with
+      nnz(K1) the sum of nnz(Abar[k, :]) over the pattern entries (i, k);
+      K2 applies E^T and folds onto the output coordinates. An apply is two
+      sparse matrix-vector products, the adjoint the same two through
+      scipy's transpose views, and no n x n array is allocated.
+    - ``"dense"``: each apply and adjoint runs two sparse-times-dense
+      products on three dense n x n buffers that the operator keeps.
+
+    The factors are built iff nnz(K1) <= 4 n^2, a count read off the row
+    counts of Zpat and Abar before either form is built. Measured at
+    fe-bilinear Newton steps 1 and 2 (w = 1, seed 7, one BLAS thread, a
+    shared 2-core VM), with the median time of one call:
+
+    =========== ========== =========== ============== ============== =======
+    grid, step  nnz(K1)/n2 K1 + K2 nnz dense ms       factors ms     factor
+                                       apply/adjoint  apply/adjoint  build s
+    =========== ========== =========== ============== ============== =======
+    13^2, 1     6.4        0.39M       0.27 / 0.27    0.46 / 0.48    0.03
+    13^2, 2     62         2.0M        1.3 / 1.3      2.1 / 2.5      0.08
+    29^2, 1     2.2        3.36M       10.2 / 10.2    4.9 / 4.3      0.17
+    29^2, 2     34         28.2M       52 / 56        52 / 52        2.2
+    45^2, 1     1.0        9.28M       86 / 84        16.8 / 17.0    0.51
+    61^2, 1     0.59       18.1M       334 / 331      39 / 36        1.1
+    =========== ========== =========== ============== ============== =======
+
+    From step 2 on Abar = A - B F fills in, and the factors cost more time
+    and memory than the dense buffers; any bound between 2.2 and 6.4 splits
+    the table. ``form`` names the form and ``stored_entries`` counts its
+    stored factor entries, or n^2 per dense buffer.
     """
 
-    def __init__(self, Abar, E, Zpat, P):
+    def __init__(self, Abar, E, Zpat, P, _factors=None):
         n = Abar.shape[0]
         for M in (E, Zpat, P):
             if M.shape != (n, n):
                 raise ShapeMismatchError("GlOperator", (n, n), M.shape)
         self.n = n
-        self._E = canonicalize(E)
-        self._Abar = canonicalize(Abar)
+        E = canonicalize(E)
+        Abar = canonicalize(Abar)
         Zp = binarize(Zpat)
         if Zp.nnz == 0:
             raise ValueError("GlOperator: empty a priori pattern")
         if (Zp != Zp.T).nnz:
             raise ValueError("GlOperator: the a priori pattern is not "
                              "symmetric")
-        # column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
-        # Abar[i,:]): with row nnz e of E and a of Abar and c their overlap,
-        # it has e_i a_j + a_i e_j - c_i c_j entries
-        i, j = Zp.nonzero()
-        e = np.diff(self._E.indptr).astype(np.int64)
-        a = np.diff(self._Abar.indptr).astype(np.int64)
-        c = np.diff(binarize(self._E).multiply(binarize(self._Abar)).indptr)
-        self.nnz = int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
-        upper = i <= j
-        self.inputs = SymCoords(n, i[upper], j[upper])
+        self.nnz = _m1_nnz(E, Abar, Zp)
+        self.inputs = SymCoords(Zp)
         self.nnz_pattern = self.inputs.nnz
-        # every product below is CSR @ C-contiguous dense
-        self._ET = self._E.T.tocsr()
-        self._AbarT = self._Abar.T.tocsr()
-        self._Z = np.zeros((n, n))
-        self._R = np.zeros((n, n))
-        self._T = np.empty((n, n))
-        # the output support: one apply with the structural patterns, whose
-        # products of positive entries cannot cancel
-        self.inputs.put(self._Z, np.ones(self.inputs.size))
-        mask = self._product(binarize(self._ET), binarize(self._AbarT)) > 0
-        Pc = canonicalize(P).tocoo()
-        mask[Pc.row, Pc.col] = True
-        mask |= mask.T
-        r, s = np.nonzero(mask)
-        upper = r <= s
-        self.outputs = SymCoords(n, r[upper], s[upper])
+        k1_nnz = _k1_nnz(np.diff(Zp.indptr), np.diff(Abar.indptr))
+        if _factors is None:
+            _factors = k1_nnz <= _FACTOR_FILL * n * n
+        # Y = supp(Zpat Abar). Where Abar fills in, Y is nearly full, and the
+        # dense product finds it faster than the sparse one (3 against 9 ms
+        # for O at fe 13^2 step 2); Zpat is symmetric, so (Abar^T Zpat)^T is
+        # Zpat Abar
+        Y = (binarize(Zp @ binarize(Abar)) if _factors
+             else (binarize(Abar).T @ Zp.toarray()).T)
+        O = _output_support(E, Y, P)
+        self.outputs = SymCoords(O)
         self.rhs = self.outputs.fold(P)
+        if _factors:
+            self.form = "factors"
+            # K2 first, so that O is gone before K1 is allocated
+            self._K2 = _factor_k2(E, Y, O, self.outputs)
+            del O
+            self._K1 = _factor_k1(Abar, Zp, Y, self.inputs, k1_nnz)
+            self._K1T, self._K2T = self._K1.T, self._K2.T
+            self.stored_entries = self._K1.nnz + self._K2.nnz
+        else:
+            self.form = "dense"
+            del Y, O
+            # every product below is CSR @ C-contiguous dense
+            self._E, self._Abar = E, Abar
+            self._ET = E.T.tocsr()
+            self._AbarT = Abar.T.tocsr()
+            self._Z = np.zeros((n, n))
+            self._R = np.zeros((n, n))
+            self._T = np.empty((n, n))
+            self.stored_entries = 3 * n * n
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
-    def _product(self, ET, AbarT):
-        """E^T Z Abar for the Z buffer, through Abar^T Z = (Z Abar)^T."""
-        # Abar^T Z is dropped before the second product allocates, so the
-        # allocator can reuse its memory instead of faulting in fresh pages
-        np.copyto(self._T, (AbarT @ self._Z).T)
-        return ET @ self._T
-
     def _matvec(self, z):
+        if self.form == "factors":
+            return self._K2 @ (self._K1 @ z)
         # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i])
+        # E^T Z Abar through Abar^T Z = (Z Abar)^T; Abar^T Z is dropped
+        # before the second product allocates, so the allocator can reuse
+        # its memory instead of faulting in fresh pages
         self.inputs.put(self._Z, z)
-        return 2.0 * self.outputs.gather(self._product(self._ET, self._AbarT))
+        np.copyto(self._T, (self._AbarT @ self._Z).T)
+        return 2.0 * self.outputs.gather(self._ET @ self._T)
 
     def _rmatvec(self, r):
+        if self.form == "factors":
+            return self._K1T @ (self._K2T @ r)
         # the adjoint of the coordinates of L is the symmetric R with
         # coordinates r; H = E (R + R^T) Abar^T enters the coordinates only
         # through H + H^T, so its transpose Abar (2 R) E^T serves as well
@@ -190,11 +394,7 @@ def _colwise_kron(X, Y, n):
     w_exp = np.repeat(X.data, rep)
     cols = np.repeat(unknown_of_x, rep)
     # gather the full Y row for each X entry via concatenated ranges
-    starts = Y.indptr[unknown_of_x].astype(np.int64)
-    total = int(rep.sum())
-    block_start = np.cumsum(rep) - rep
-    idx = np.arange(total, dtype=np.int64) \
-        - np.repeat(block_start, rep) + np.repeat(starts, rep)
+    idx = _ranges(Y.indptr[unknown_of_x].astype(np.int64), rep)
     r_exp = Y.indices[idx].astype(np.int64)
     v_exp = Y.data[idx]
     return s_exp * n + r_exp, cols, w_exp * v_exp
@@ -255,7 +455,9 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
 
     Z is sought among the symmetric matrices supported on Zpat, which must
     be symmetric; the result is exactly symmetric. CGLS starts from zero,
-    or from X0 read through its symmetric part on the pattern.
+    or from X0 read through its symmetric part on the pattern. The report's
+    ``extra`` names the operator's form and its stored entries
+    (``operator_form``, ``operator_entries``).
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, Zpat, P)
@@ -267,6 +469,8 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None):
         method="lsq", n=op.n, nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
-        extra={"residual_2norm": float(np.linalg.norm(p - op @ res.x))},
+        extra={"residual_2norm": float(np.linalg.norm(p - op @ res.x)),
+               "operator_form": op.form,
+               "operator_entries": op.stored_entries},
     )
     return Z, report

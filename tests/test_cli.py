@@ -49,6 +49,11 @@ def _heat_config(tmp_path, out="run_heat", nodes=(5, 5), **overrides):
     return _write_config(tmp_path, f"heat_{out}.json", cfg)
 
 
+# a heat model section that loads, for cases that change one key of it
+_HEAT_MODEL = {"kind": "heat", "dimension": 2, "nodes": [5, 5],
+               "lengths": [1.0, 1.0], "discretization": "fe-bilinear-2d"}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -106,6 +111,13 @@ class TestConfigValidation:
                             "riccati": {"N_max": 4.0}})
         for value in (cfg.newton.N_max, cfg.newton.gp.max_iter):
             assert value == 4 and type(value) is int
+        cfg = parse_config({"output_dir": "x",
+                            "model": _HEAT_MODEL | {"nodes": [5.0, 5]},
+                            "bench": {"sizes": [[4.0, 4], 6]}})
+        assert cfg.grid.nodes == (5, 5)
+        assert cfg.bench["sizes"] == [(4, 4), (6,)]
+        for value in (*cfg.grid.nodes, *cfg.bench["sizes"][0]):
+            assert type(value) is int
 
     @pytest.mark.parametrize("raw, names", [
         ({"sim": {"x0": "zeros"}}, ("sim.x0",)),
@@ -133,7 +145,15 @@ class TestConfigValidation:
         ({"oracle": {"enabled": "no"}}, ("oracle.enabled",)),
         ({"sim": {"steps": -5}}, ("sim.steps",)),
         ({"sim": {"steps": 0}}, ("sim.steps",)),
-        ({"sim": {"max_rows": 0}}, ("sim.max_rows",))])
+        ({"sim": {"max_rows": 0}}, ("sim.max_rows",)),
+        ({"model": _HEAT_MODEL | {"nodes": [2.5, 3]}}, ("model.nodes[0]",)),
+        ({"model": _HEAT_MODEL | {"nodes": ["a", 3]}}, ("model.nodes[0]",)),
+        ({"model": _HEAT_MODEL | {"nodes": [3, True]}}, ("model.nodes[1]",)),
+        ({"model": _HEAT_MODEL | {"lengths": [1.0, "1"]}},
+         ("model.lengths[1]",)),
+        ({"bench": {"sizes": [[4, 4.5]]}}, ("bench.sizes[0]",)),
+        ({"bench": {"sizes": [4, 4.5]}}, ("bench.sizes[1]",)),
+        ({"bench": {"sizes": [[["a"]]]}}, ("bench.sizes[0]",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -143,7 +163,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("sim.x0", "zeros"), ("pattern.w", -1), ("oracle.enabled", "no"),
         ("sim.steps", 2.5), ("sim.steps", -5), ("sim.max_rows", 0),
-        ("model", {"nodes": (1, 1)})])
+        ("model", {"nodes": (1, 1)}), ("model", {"nodes": (2.5, 3)}),
+        ("model", {"nodes": ("a", 3)}), ("bench.sizes", [[4, 4.5]])])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides

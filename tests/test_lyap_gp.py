@@ -1,10 +1,13 @@
 """Method 2: SPAI, spectrum bounds, quadrature, Faber expansion, gradient
 projection."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import bandlq.lyap_gp
 from bandlq.control import metric_e, newton_start
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             UnstableMatrixError, _collapses,
@@ -485,6 +488,26 @@ class TestSolveLyapGp:
             assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
             assert rep.extra["peak_nnz"] == max(op.inputs.nnz,
                                                 op.outputs.nnz)
+
+    def test_factors_match_dense_form(self, monkeypatch):
+        # fd-5point 9^2 runs on the factors; the dense form takes the same
+        # steps to rounding
+        model, prob = heat_problem((9, 9), discretization="fd-5point")
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
+        cfg = GpConfig(max_iter=60)
+        Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
+        monkeypatch.setattr(bandlq.lyap_gp, "GlOperator",
+                            partial(GlOperator, _factors=False))
+        Zd, rep_d = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
+        assert rep.extra["operator_form"] == "factors"
+        assert rep_d.extra["operator_form"] == "dense"
+        assert rep.extra["operator_entries"] < rep_d.extra["operator_entries"]
+        assert rep.iterations == rep_d.iterations == 60
+        np.testing.assert_allclose(rep.extra["J_history"],
+                                   rep_d.extra["J_history"], rtol=1e-12)
+        assert frobenius(Z - Zd) <= 1e-12 * frobenius(Zd)
 
     def test_gradient_matches_finite_differences(self):
         for seed in range(5):

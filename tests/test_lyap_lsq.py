@@ -1,13 +1,16 @@
 """Method 1: reduced least-squares Lyapunov solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from bandlq.cgls import cgls
-from bandlq.control import metric_e, newton_start
-from bandlq.lyap_lsq import (CglsConfig, GlOperator, assemble_reduced,
-                             scatter_solution, solve_lyap_lsq)
+from bandlq.control import metric_e, newton_start, newton_step_matrices
+from bandlq.lyap_lsq import (_TABLE_ENTRIES, CglsConfig, GlOperator,
+                             _k1_nnz, assemble_reduced, scatter_solution,
+                             solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
 from bandlq.pattern import apriori_pattern
 from bandlq.sparsecore import binarize, canonicalize, frobenius, identity
@@ -37,13 +40,28 @@ def _sym_rows(M, index, output_map):
 
 
 def _check_operator(Abar, E, pat, P, rs, M):
-    """GlOperator against the explicit Kronecker matrix M and the assembled
-    reduced system rs: the output support is rs.row_map folded by symmetry,
-    the same columns in symmetric coordinates on both sides with nothing
-    lost in the fold, the same nnz(M1), a true adjoint, fold/to_csr as an
-    isometry pair, and each space's entry count."""
-    n = Abar.shape[0]
-    op = GlOperator(Abar, E, pat, P)
+    """GlOperator, in both its forms, against the explicit Kronecker matrix
+    M and the assembled reduced system rs: the output support is rs.row_map
+    folded by symmetry, the same columns in symmetric coordinates on both
+    sides with nothing lost in the fold, the same nnz(M1), a true adjoint,
+    fold/to_csr as an isometry pair, and each space's entry count. The two
+    forms share their spaces and right-hand side exactly."""
+    dense, factors = (GlOperator(Abar, E, pat, P, _factors=f)
+                      for f in (False, True))
+    assert (dense.form, factors.form) == ("dense", "factors")
+    for name in ("map", "nnz"):
+        for space in ("inputs", "outputs"):
+            np.testing.assert_array_equal(
+                getattr(getattr(dense, space), name),
+                getattr(getattr(factors, space), name))
+    np.testing.assert_array_equal(dense.rhs, factors.rhs)
+    assert dense.nnz == factors.nnz
+    for op in (dense, factors):
+        _check_form(op, pat, P, rs, M)
+
+
+def _check_form(op, pat, P, rs, M):
+    n = op.n
     upper = rs.column_map[:, 0] <= rs.column_map[:, 1]
     np.testing.assert_array_equal(op.inputs.map, rs.column_map[upper])
     r, s = rs.row_map % n, rs.row_map // n
@@ -263,3 +281,68 @@ class TestSolve:
         e = metric_e(Z, sp.csr_matrix(Zex))
         print(f"heat 13x13 w=1 relative error: {e:.6f}")
         assert e <= 5e-2
+
+
+class TestOperatorForm:
+    def test_rule_on_real_counts(self):
+        # fe-bilinear: at 13^2 the pattern is too dense for the factors from
+        # step 1 on; at 29^2 step 1 they are built, until Abar has dense rows
+        model, prob = heat_problem((13, 13))
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        Z, rep = solve_lyap_lsq(Abar, model.E, P, pat)
+        assert rep.extra["operator_form"] == "dense"
+        assert rep.extra["operator_entries"] == 3 * model.n ** 2
+        _F, Abar2, P2 = newton_step_matrices(Z, prob)
+        assert GlOperator(Abar2, model.E, pat, P2).form == "dense"
+        model, prob = heat_problem((29, 29))
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        op = GlOperator(Abar, model.E, pat, P)
+        assert op.form == "factors"
+        assert op.stored_entries == op._K1.nnz + op._K2.nnz
+        # a dense feedback F makes every row that B touches dense
+        F = sp.csr_matrix(np.full((model.m, model.n), 1e-3))
+        assert GlOperator(canonicalize(Abar - model.B @ F), model.E, pat,
+                          P).form == "dense"
+
+    def test_k1_count_does_not_wrap(self):
+        # scipy's index arrays are int32, whose dot product would wrap
+        counts = np.full(3, 2**16, dtype=np.int32)
+        assert _k1_nnz(counts, counts) == 3 * 2**32
+
+    @pytest.mark.parametrize("nodes, discretization", [
+        ((45, 45), "fe-bilinear-2d"), ((3000,), "fe-linear-1d")])
+    def test_factors_allocate_no_n_by_n_array(self, nodes, discretization):
+        # building the step-1 factors and one apply and adjoint need, beyond
+        # what the operator keeps, scratch that scales with the CSR supports
+        # Y = supp(Zpat Abar) and O plus the bounded block scratch, not with
+        # n^2. At 45^2 that bound is 6.6 n^2 bytes, which an n x n float64
+        # array alive beside the factors breaks (one the operator keeps or
+        # an apply makes); in 1-D at n = 3000 it is 0.7 n^2 bytes, which
+        # any n x n array breaks, wherever it is made
+        model, prob = heat_problem(nodes, discretization,
+                                   dimension=len(nodes))
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        tracemalloc.start()
+        try:
+            op = GlOperator(Abar, model.E, pat, P)
+            op @ np.ones(op.shape[1])
+            op.rmatvec(np.ones(op.shape[0]))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.form == "factors"
+        kept = op.rhs.nbytes + sum(
+            K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+            for K in (op._K1, op._K2))
+        for space in (op.inputs, op.outputs):
+            kept += sum(a.nbytes for a in (space.map, space._weight,
+                                           space._value, space._upper,
+                                           space._lower))
+        # K1 has a row per entry of Y; a CSR takes 12 bytes an entry, and
+        # a block's two int32 lookup tables and its arrays below 16 bytes
+        # per table entry
+        support = 12 * (op._K1.shape[0] + op.outputs.nnz)
+        assert peak - kept < 1.5 * support + 16 * _TABLE_ENTRIES
