@@ -180,12 +180,29 @@ def parse_config(raw, source="<config>"):
         tuple(_typed(path, f"bench.sizes[{k}]", v, 0)
               for v in (size if isinstance(size, list) else [size]))
         for k, size in enumerate(sec["bench"]["sizes"])]
-    if sec["sim"]["dt"] <= 0:
-        raise ConfigError(f"{path}sim.dt must be a positive number")
-    for key in ("steps", "max_rows"):
-        if sec["sim"][key] < 1:
-            raise ConfigError(f"{path}sim.{key} must be an integer >= 1")
+    for k, method in enumerate(sec["bench"]["methods"]):
+        _typed(path, f"bench.methods[{k}]", method,
+               (NewtonConfig, "lyap_method"))
+    n = grid.n if heat else 1
+    x0 = sec["sim"]["x0"]
+    if isinstance(x0, list):
+        sec["sim"]["x0"] = [_typed(path, f"sim.x0[{k}]", v, 0.0)
+                            for k, v in enumerate(x0)]
     ric, orc = sec["riccati"], sec["oracle"]
+    for bad, name, rule in (
+            (isinstance(x0, list) and len(x0) != n, "sim.x0",
+             f"'random', 'ones' or a list of n = {n} numbers"),
+            (sec["sim"]["dt"] <= 0, "sim.dt", "a positive number"),
+            (sec["sim"]["steps"] < 1, "sim.steps", "an integer >= 1"),
+            (sec["sim"]["max_rows"] < 1, "sim.max_rows", "an integer >= 1"),
+            (ric["q_weight"] < 0, "riccati.q_weight", "a number >= 0"),
+            (ric["r_weight"] <= 0, "riccati.r_weight", "a positive number"),
+            (heat and not (0 < model["io_fraction"] <= 1
+                           and np.floor(model["io_fraction"] * n) >= 1),
+             "model.io_fraction",
+             f"in (0, 1] with floor(io_fraction * n) >= 1 for n = {n}")):
+        if bad:
+            raise ConfigError(f"{path}{name} must be {rule}")
     return RunConfig(
         output_dir=top["output_dir"], model=model, grid=grid, newton=newton,
         q_weight=ric["q_weight"], r_weight=ric["r_weight"], sim=sec["sim"],
@@ -364,8 +381,6 @@ def stage_simulate(cfg, out):
         x0 = np.ones(model.n)
     else:
         x0 = np.asarray(x0_spec, dtype=np.float64)
-        if x0.size != model.n:
-            raise ConfigError(f"sim.x0 has size {x0.size}, expected {model.n}")
     traj = simulate_closed_loop(prob, F, x0, cfg.sim["dt"], cfg.sim["steps"],
                                 cfg.sim["max_rows"])
     rows = [[fmt(int(s)), fmt(float(t)), fmt(float(nx)), fmt(float(c))]

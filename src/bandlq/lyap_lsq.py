@@ -7,9 +7,10 @@ symmetric matrices on the operator's structural output support, the
 support of E^T Zpat Abar plus its transpose and of P, and back. When
 Abar is sparse enough (nnz(K1) <= 4 n^2, see ``GlOperator``), the operator
 is the product K2 K1 of two sparse matrices whose structure is found once,
-and an apply or adjoint costs nnz(K1) + nnz(K2): n times the pattern's row
-count times the row counts of Abar and E. Otherwise, as from Newton step 2
-on where Abar fills in, it runs on three dense n x n buffers.
+both built by one routine (``_fill``), and an apply or adjoint costs
+nnz(K1) + nnz(K2): n times the pattern's row count times the row counts of
+Abar and E. Otherwise, as from Newton step 2 on where Abar fills in, it
+runs on three dense n x n buffers.
 ``assemble_reduced`` builds the reduced matrix over all pattern entries
 column by column, as the reference for the tests.
 """
@@ -136,16 +137,11 @@ def _k1_nnz(pattern_counts, abar_counts):
 
 
 def _output_support(E, Y, P):
-    """supp(E^T Y) plus supp(P), folded by symmetry, for Y = supp(Zpat Abar)
-    as a binary CSR or a nonnegative dense array: a structural product of
-    positive entries, which cannot cancel."""
+    """supp(E^T Y) plus supp(P), folded by symmetry, for a nonnegative Y,
+    CSR or dense, on supp(Zpat Abar): a structural product of positive
+    entries, which cannot cancel."""
     S = binarize(E).T.tocsr() @ Y + binarize(P)
     return binarize(S + S.T)
-
-
-def _index_dtype(nnz, n):
-    """The index type of a factor with nnz entries and n x n coordinates."""
-    return np.int32 if max(nnz, n * n) < 2**31 else np.int64
 
 
 def _entry_coords(S, dtype):
@@ -159,98 +155,62 @@ def _entry_coords(S, dtype):
     return np.where(upper, rank, rank[swap])
 
 
-def _lookup(S, coord, rows, cols):
-    """The coordinate of entry (rows[m], cols[m]) of S for every m, -1 where
-    S has no entry, read off a dense table of the rows of S they span."""
-    lo, hi = int(rows.min()), int(rows.max()) + 1
-    n = S.shape[1]
-    table = np.full((hi - lo) * n, -1, dtype=coord.dtype)
-    s, t = S.indptr[lo], S.indptr[hi]
-    table[np.repeat(np.arange(hi - lo) * n, np.diff(S.indptr[lo:hi + 1]))
-          + S.indices[s:t]] = coord[s:t]
-    return np.take(table, (rows - lo) * n + cols)
-
-
 def _ranges(starts, counts):
     """The concatenated ranges starts[m] .. starts[m] + counts[m] - 1."""
     first = np.cumsum(counts) - counts
     return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
-def _blocks(Y, per_row):
-    """Blocks of rows of Y with about _BLOCK_ENTRIES factor entries each,
-    given each row's count, and at most _TABLE_ENTRIES // n rows: per
-    block, the span ys:yt of its entries in Y and their rows and columns."""
-    n = Y.shape[0]
+def _pointers(counts, n):
+    """Pointers for counts[m] entries in slot m, in the factor's index type."""
+    big = max(int(counts.sum()), n * n) >= 2**31
+    ptr = np.zeros(len(counts) + 1, np.int64 if big else np.int32)
+    np.cumsum(counts, dtype=ptr.dtype, out=ptr[1:])
+    return ptr
+
+
+def _fill(G, M, S, weight, ptr):
+    """The data and indices of a sparse factor with one slot per entry of G.
+
+    For every entry (a, b) of the CSR G, whose value numbers its slot m,
+    the slot ptr[m] .. ptr[m + 1] - 1 receives each k of row b of M with
+    (a, k) on the symmetric support S, in M's order: the coordinate of
+    {a, k} on S, and weight[coordinate] M[b, k]. G is read a block of rows
+    at a time, with about _BLOCK_ENTRIES entries of M each, and a block
+    looks its coordinates up in a table of its own rows of S, at most
+    _TABLE_ENTRIES entries.
+    """
+    n = S.shape[0]
+    m_row = np.diff(M.indptr)
+    # the entries of M that each row of G reads
+    per_row = np.diff(np.concatenate(([0], np.cumsum(m_row[G.indices])))
+                      [G.indptr])
     step = max(1, min(int(_BLOCK_ENTRIES // max(1, per_row.max())),
                       _TABLE_ENTRIES // n))
+    coords = _entry_coords(S, ptr.dtype)
+    data, ind = np.empty(int(ptr[-1])), np.empty(int(ptr[-1]), ptr.dtype)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        ys, yt = Y.indptr[lo], Y.indptr[hi]
-        if ys < yt:
-            yield (ys, yt, np.repeat(np.arange(lo, hi),
-                                     np.diff(Y.indptr[lo:hi + 1])),
-                   Y.indices[ys:yt])
-
-
-def _factor_k1(Abar, Zp, Y, inputs, nnz):
-    """K1 of ``GlOperator`` as CSR, with ``nnz`` entries.
-
-    K1 takes the input coordinates z to the entries of Y = Z Abar on the
-    support ``Y`` of Zpat Abar. Row (i, c) holds v Abar[k, c] in the column
-    of the coordinate of {i, k} for every pattern entry (i, k), with v the
-    basis value ``SymCoords._value``: these are the k of column c of
-    Abar that lie in row i of the pattern.
-    """
-    idx = _index_dtype(nnz, Zp.shape[0])
-    AT = Abar.T.tocsr()          # row c: the k with Abar[k, c] != 0, sorted
-    a_col = np.diff(AT.indptr)
-    coords = _entry_coords(Zp, idx)
-    value = inputs._value
-    data, ind = np.empty(nnz), np.empty(nnz, idx)
-    ptr = np.zeros(Y.nnz + 1, idx)
-    at = 0
-    for ys, yt, i, c in _blocks(Y, Zp @ np.diff(Abar.indptr)):
-        counts = a_col[c]
-        src = _ranges(AT.indptr[c], counts)
-        coord = _lookup(Zp, coords, np.repeat(i, counts), AT.indices[src])
+        gs, gt = G.indptr[lo], G.indptr[hi]
+        if gs == gt:
+            continue
+        b = G.indices[gs:gt]
+        src = _ranges(M.indptr.take(b), m_row.take(b))
+        s, t = S.indptr[lo], S.indptr[hi]
+        table = np.full((hi - lo) * n, -1, dtype=ptr.dtype)
+        table[np.repeat(np.arange(hi - lo) * n, np.diff(S.indptr[lo:hi + 1]))
+              + S.indices[s:t]] = coords[s:t]
+        coord = table.take(np.repeat(np.arange(hi - lo) * n, per_row[lo:hi])
+                           + M.indices.take(src))
         hit = coord >= 0
-        coord, m = coord[hit], int(np.count_nonzero(hit))
-        ind[at:at + m] = coord
-        data[at:at + m] = AT.data[src[hit]] * value[coord]
-        ptr[ys + 1:yt + 1] = at + np.cumsum(hit)[np.cumsum(counts) - 1]
-        at += m
-    return sp.csr_matrix((data, ind, ptr), shape=(Y.nnz, inputs.size))
-
-
-def _factor_k2(E, Y, O, outputs):
-    """K2 of ``GlOperator`` as CSC.
-
-    K2 takes the entries of Y = Z Abar on the support ``Y`` to the output
-    coordinates on ``O``. Column (i, c) holds u E[i, r] in the row of the
-    coordinate of {r, c} for every entry E[i, r], where u = sqrt(2) off the
-    diagonal and 2 on it folds S = E^T Y into 2 w (S[r, c] + S[c, r]).
-    """
-    e_row = np.diff(E.indptr)
-    per_row = np.diff(Y.indptr) * e_row
-    nnz = int(per_row.sum())
-    idx = _index_dtype(nnz, E.shape[0])
-    coords = _entry_coords(O, idx)
-    value = 2.0 * outputs._value
-    data, ind = np.empty(nnz), np.empty(nnz, idx)
-    ptr = np.zeros(Y.nnz + 1, idx)
-    at = 0
-    for ys, yt, i, c in _blocks(Y, per_row):
-        counts = e_row[i]
-        src = _ranges(E.indptr[i], counts)
-        m = src.size
-        if m:
-            coord = _lookup(O, coords, E.indices[src], np.repeat(c, counts))
-            ind[at:at + m] = coord
-            data[at:at + m] = E.data[src] * value[coord]
-        ptr[ys + 1:yt + 1] = at + np.cumsum(counts)
-        at += m
-    return sp.csc_matrix((data, ind, ptr), shape=(outputs.size, Y.nnz))
+        coord, src = coord[hit], src[hit]
+        start, end = ptr.take(G.data[gs:gt]), ptr.take(G.data[gs:gt] + 1)
+        # slots that follow one another in G's order take one slice
+        dest = (slice(start[0], end[-1]) if np.all(start[1:] == end[:-1])
+                else _ranges(start, end - start))
+        ind[dest] = coord
+        data[dest] = M.data.take(src) * weight.take(coord)
+    return data, ind
 
 
 class GlOperator(spla.LinearOperator):
@@ -270,10 +230,13 @@ class GlOperator(spla.LinearOperator):
     The operator has two forms with the same spaces, ``rhs`` and ``nnz``:
 
     - ``"factors"``: the product K2 K1 of two sparse matrices whose
-      structure is found once (``_factor_k1``, ``_factor_k2``). K1 takes
-      the coordinates to the entries of Z Abar on supp(Zpat Abar), with
-      nnz(K1) the sum of nnz(Abar[k, :]) over the pattern entries (i, k);
-      K2 applies E^T and folds onto the output coordinates. An apply is two
+      structure is found once. K1 takes the coordinates to the entries of
+      Z Abar on Y = supp(Zpat Abar), with nnz(K1) the sum of
+      nnz(Abar[k, :]) over the pattern entries (i, k); K2 applies E^T and
+      folds onto the output coordinates. One routine, ``_fill``, builds
+      both: K1 from the entries of Y with Abar^T and the pattern, K2 from
+      those of Y^T with E and O, each entry's slot counted before the
+      fill, and a lookup table bounded for every E. An apply is two
       sparse matrix-vector products, the adjoint the same two through
       scipy's transpose views, and no n x n array is allocated.
     - ``"dense"``: each apply and adjoint runs two sparse-times-dense
@@ -322,21 +285,38 @@ class GlOperator(spla.LinearOperator):
         k1_nnz = _k1_nnz(np.diff(Zp.indptr), np.diff(Abar.indptr))
         if _factors is None:
             _factors = k1_nnz <= _FACTOR_FILL * n * n
-        # Y = supp(Zpat Abar). Where Abar fills in, Y is nearly full, and the
-        # dense product finds it faster than the sparse one (3 against 9 ms
-        # for O at fe 13^2 step 2); Zpat is symmetric, so (Abar^T Zpat)^T is
-        # Zpat Abar
-        Y = (binarize(Zp @ binarize(Abar)) if _factors
+        # Y = supp(Zpat Abar). For the factors it holds the overlap counts
+        # of Zpat |Abar|, the sizes of K1's rows. Where Abar fills in, Y is
+        # nearly full, and the dense product finds it faster than the sparse
+        # one (3 against 9 ms for O at fe 13^2 step 2); Zpat is symmetric,
+        # so (Abar^T Zpat)^T is Zpat Abar
+        Y = (canonicalize(Zp @ binarize(Abar)) if _factors
              else (binarize(Abar).T @ Zp.toarray()).T)
         O = _output_support(E, Y, P)
         self.outputs = SymCoords(O)
         self.rhs = self.outputs.fold(P)
         if _factors:
             self.form = "factors"
-            # K2 first, so that O is gone before K1 is allocated
-            self._K2 = _factor_k2(E, Y, O, self.outputs)
+            k1_ptr = _pointers(Y.data, n)
+            k2_ptr = _pointers(np.diff(E.indptr).repeat(np.diff(Y.indptr)), n)
+            # entry m of Y is K1's row m and K2's column m
+            Y = sp.csr_matrix((np.arange(Y.nnz, dtype=Y.indices.dtype),
+                               Y.indices, Y.indptr), shape=(n, n))
+            # K2 folds S = E^T Y onto O: the entry (c, i) of Y^T takes row i
+            # of E to the coordinates {c, k} on O, where the weight 2 v,
+            # sqrt(2) off the diagonal and 2 on it, gives their coordinates
+            # 2 w (S[k, c] + S[c, k]). K2 comes first, so that O is gone
+            # before K1 is allocated
+            self._K2 = sp.csc_matrix(
+                (*_fill(Y.T.tocsr(), E, O, 2.0 * self.outputs._value, k2_ptr),
+                 k2_ptr), shape=(self.outputs.size, Y.nnz))
             del O
-            self._K1 = _factor_k1(Abar, Zp, Y, self.inputs, k1_nnz)
+            # K1 reads Z Abar on Y: the entry (i, c) of Y takes column c of
+            # Abar to the coordinates {i, k} on the pattern, weighted by
+            # their basis value v
+            self._K1 = sp.csr_matrix(
+                (*_fill(Y, Abar.T.tocsr(), Zp, self.inputs._value, k1_ptr),
+                 k1_ptr), shape=(Y.nnz, self.inputs.size))
             self._K1T, self._K2T = self._K1.T, self._K2.T
             self.stored_entries = self._K1.nnz + self._K2.nnz
         else:

@@ -153,7 +153,24 @@ class TestConfigValidation:
          ("model.lengths[1]",)),
         ({"bench": {"sizes": [[4, 4.5]]}}, ("bench.sizes[0]",)),
         ({"bench": {"sizes": [4, 4.5]}}, ("bench.sizes[1]",)),
-        ({"bench": {"sizes": [[["a"]]]}}, ("bench.sizes[0]",))])
+        ({"bench": {"sizes": [[["a"]]]}}, ("bench.sizes[0]",)),
+        ({"riccati": {"r_weight": 0}}, ("riccati.r_weight",)),
+        ({"riccati": {"r_weight": -1.0}}, ("riccati.r_weight",)),
+        ({"riccati": {"q_weight": -0.5}}, ("riccati.q_weight",)),
+        ({"model": _HEAT_MODEL | {"io_fraction": 1.5}},
+         ("model.io_fraction",)),
+        ({"model": _HEAT_MODEL | {"io_fraction": 0}}, ("model.io_fraction",)),
+        ({"model": _HEAT_MODEL | {"io_fraction": 0.02}},
+         ("model.io_fraction", "n = 25")),
+        ({"sim": {"x0": [1, 2, 3]}}, ("sim.x0", "n = 1 numbers")),
+        ({"sim": {"x0": ["a"]}}, ("sim.x0[0]",)),
+        ({"sim": {"x0": [True]}}, ("sim.x0[0]",)),
+        ({"model": _HEAT_MODEL, "sim": {"x0": [1.0] * 24}},
+         ("sim.x0", "n = 25 numbers")),
+        ({"bench": {"methods": ["lsq", "foo", "oracle"]}},
+         ("bench.methods[1]", "lyap_method")),
+        ({"bench": {"methods": ["oracle"]}}, ("bench.methods[0]",)),
+        ({"bench": {"methods": [1]}}, ("bench.methods[0]",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -164,12 +181,19 @@ class TestConfigValidation:
         ("sim.x0", "zeros"), ("pattern.w", -1), ("oracle.enabled", "no"),
         ("sim.steps", 2.5), ("sim.steps", -5), ("sim.max_rows", 0),
         ("model", {"nodes": (1, 1)}), ("model", {"nodes": (2.5, 3)}),
-        ("model", {"nodes": ("a", 3)}), ("bench.sizes", [[4, 4.5]])])
+        ("model", {"nodes": ("a", 3)}), ("bench.sizes", [[4, 4.5]]),
+        ("riccati.r_weight", 0), ("riccati.q_weight", -1),
+        ("model.io_fraction", 1.5), ("model.io_fraction", 0.01),
+        ("sim.x0", [1, 2, 3]), ("sim.x0[0]", ["a"]),
+        ("bench.methods[1]", ["lsq", "foo"])])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
-        # a bare section name gives _heat_config's own overrides
+        # a bare section name gives _heat_config's own overrides, and a
+        # model key changes one key of its heat model
         section, _, name = key.partition(".")
-        overrides = {section: {name: value}} if name else value
+        name = name.partition("[")[0]
+        base = _HEAT_MODEL if section == "model" else {}
+        overrides = {section: base | {name: value}} if name else value
         cfg = _heat_config(tmp_path, out="run_bad", **overrides)
         rc = main(["genmodel", "--config", cfg])
         assert rc == 1

@@ -120,7 +120,7 @@ class TestAssembleReduced:
         np.testing.assert_allclose(sorted(rs.M1.toarray().sum(axis=1)),
                                    sorted(2.0 * a))
 
-    def test_columns_match_explicit_kronecker(self, rng):
+    def test_columns_match_explicit_kronecker(self, rng, monkeypatch):
         for _ in range(10):
             n = int(rng.integers(2, 7))
             Abar, E, P = random_stable_instance(n, rng, band=1)
@@ -132,6 +132,17 @@ class TestAssembleReduced:
             ref = M[np.ix_(rs.row_map, cols)]
             np.testing.assert_allclose(rs.M1.toarray(), ref, atol=1e-15)
             _check_operator(Abar, E, pat, P, rs, M)
+        # an E whose first and last rows reach across the matrix, on a
+        # banded pattern, with the factors built one row of Y (K1) and of
+        # Y^T (K2) at a time
+        monkeypatch.setattr("bandlq.lyap_lsq._BLOCK_ENTRIES", 1)
+        n = 7
+        Abar, E, P = random_stable_instance(n, rng, band=1)
+        E = canonicalize(E + sp.csr_matrix(
+            ([1.0, 1.0], ([0, n - 1], [n - 1, 0])), shape=(n, n)))
+        pat = binarize(Abar + Abar.T)
+        _check_operator(Abar, E, pat, P, assemble_reduced(Abar, E, P, pat),
+                        kron_matrix(Abar, E))
 
     def test_partial_pattern_columns(self, rng):
         n = 6
@@ -311,23 +322,33 @@ class TestOperatorForm:
         counts = np.full(3, 2**16, dtype=np.int32)
         assert _k1_nnz(counts, counts) == 3 * 2**32
 
-    @pytest.mark.parametrize("nodes, discretization", [
-        ((45, 45), "fe-bilinear-2d"), ((3000,), "fe-linear-1d")])
-    def test_factors_allocate_no_n_by_n_array(self, nodes, discretization):
+    @pytest.mark.parametrize("nodes, discretization, corner", [
+        ((45, 45), "fe-bilinear-2d", False), ((3000,), "fe-linear-1d", False),
+        ((3000,), "fe-linear-1d", True)], ids=[
+        "nodes0-fe-bilinear-2d", "nodes1-fe-linear-1d",
+        "nodes2-fe-linear-1d-corner"])
+    def test_factors_allocate_no_n_by_n_array(self, nodes, discretization,
+                                              corner):
         # building the step-1 factors and one apply and adjoint need, beyond
         # what the operator keeps, scratch that scales with the CSR supports
         # Y = supp(Zpat Abar) and O plus the bounded block scratch, not with
         # n^2. At 45^2 that bound is 6.6 n^2 bytes, which an n x n float64
         # array alive beside the factors breaks (one the operator keeps or
         # an apply makes); in 1-D at n = 3000 it is 0.7 n^2 bytes, which
-        # any n x n array breaks, wherever it is made
+        # any n x n array breaks, wherever it is made. With the corner
+        # entries E[0, n-1] and E[n-1, 0], E is not banded, and a lookup
+        # table spanning the rows that E's rows reach would be n x n
         model, prob = heat_problem(nodes, discretization,
                                    dimension=len(nodes))
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
+        E, n = model.E, model.n
+        if corner:
+            E = canonicalize(E + sp.csr_matrix(
+                (np.full(2, E[0, 0]), ([0, n - 1], [n - 1, 0])), shape=(n, n)))
         tracemalloc.start()
         try:
-            op = GlOperator(Abar, model.E, pat, P)
+            op = GlOperator(Abar, E, pat, P)
             op @ np.ones(op.shape[1])
             op.rmatvec(np.ones(op.shape[0]))
             _now, peak = tracemalloc.get_traced_memory()
