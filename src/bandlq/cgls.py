@@ -18,6 +18,7 @@ class CglsResult:
     converged: bool
     iterations: int
     residual: float                  # final ||M^T (b - M x)|| / ||M^T b||
+    residual_norm: float             # ||r||, CGLS's running b - M x
     normal_residual_history: list = field(default_factory=list)
 
 
@@ -48,9 +49,11 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     if not np.isfinite(norm_s0):
         return CglsResult(x=x, converged=False, iterations=0,
                           residual=float("nan"),
+                          residual_norm=float(np.linalg.norm(r)),
                           normal_residual_history=[float("nan")])
     if norm_s0 == 0.0:
         return CglsResult(x=x, converged=True, iterations=0, residual=0.0,
+                          residual_norm=float(np.linalg.norm(r)),
                           normal_residual_history=[0.0])
     p = s.copy()
     gamma = float(s @ s)
@@ -78,4 +81,6 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     return CglsResult(x=x, converged=converged, iterations=it,
-                      residual=history[-1], normal_residual_history=history)
+                      residual=history[-1],
+                      residual_norm=float(np.linalg.norm(r)),
+                      normal_residual_history=history)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
-from .lyap_lsq import CglsConfig, solve_lyap_lsq
+from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import apriori_pattern
 from .sparsecore import ShapeMismatchError, canonicalize, frobenius, identity
@@ -82,15 +82,24 @@ class NewtonIterationReport:
 
 
 class RiccatiDivergence(RuntimeError):
-    """The Newton loop stopped on a non-finite or persistently grown v_k."""
+    """The Newton loop stopped on a non-finite or persistently grown v_k.
 
-    def __init__(self, reports):
-        last = reports[-1]
-        super().__init__(
-            f"Riccati residual is not finite at Newton step {last.k}"
-            if not np.isfinite(last.v_k)
-            else "Riccati residual grew for 3 consecutive iterations")
+    ``step`` is the step at which v_k had been above 10 v_1 for 3
+    consecutive steps, past the last of ``reports`` when the steps between
+    repeat a fixed point; it is None for a non-finite v_k.
+    """
+
+    def __init__(self, reports, step=None):
+        k = reports[-1].k
+        msg = (f"Riccati residual is not finite at Newton step {k}"
+               if step is None else "Riccati residual v_k > 10 v_1 for 3 "
+               f"consecutive Newton steps, at step {step}")
+        if step is not None and step > k:
+            msg += f": step {k} is a fixed point that steps {k + 1} to " \
+                f"{step} would repeat"
+        super().__init__(msg)
         self.reports = reports
+        self.step = step
 
 
 def _symmetrize_checked(Z, tol=1e-10):
@@ -134,20 +143,21 @@ def newton_start(prob, cfg=NewtonConfig()):
     return newton_step_matrices(Z0, prob)
 
 
-def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
+def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None, op=None):
     """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
 
     ``cfg.lyap_method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2,
     gradient projection). Both start from X0 when given; without it LSQ
-    starts from zero and GP from the X3 initial guess. Returns
-    (Z, SolveReport), whose ``extra["residual_2norm"]`` is ||p - M z|| for
-    either method.
+    starts from zero and GP from the X3 initial guess. Both run on ``op``,
+    which must be ``GlOperator(Abar, E, pat, P)``, built by the method when
+    not given. Returns (Z, SolveReport), whose
+    ``extra["residual_2norm"]`` is ||p - M z|| for either method.
     """
     if cfg.lyap_method == "lsq":
-        return solve_lyap_lsq(Abar, E, P, pat, cfg=cfg.cgls, X0=X0)
+        return solve_lyap_lsq(Abar, E, P, pat, cfg=cfg.cgls, X0=X0, op=op)
     if X0 is None:
         X0, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
-    return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp)
+    return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp, op=op)
 
 
 def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
@@ -156,9 +166,15 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     F = R^-1 B^T Z_hat E is the LQ feedback of Z_hat.
 
     Every step solves on ``pattern``, by default the order-``cfg.w`` a
-    priori pattern of the first step's GL equation. Raises
-    ``RiccatiDivergence`` with the reports so far when v_k is not finite
-    or has stayed above 10 v_1 for 3 consecutive steps.
+    priori pattern of the first step's GL equation, with one ``GlOperator``
+    per step. v_k = ||D[Z_k]||_F is step k+1's GL residual at Z_k, read off
+    its operator, whose output coordinates are orthonormal. The loop ends
+    when v_k <= ``cfg.residual_tol`` v_1, after ``cfg.N_max`` steps, or at
+    a fixed point: a warm-started step whose inner solve makes 0 iterations
+    returns its start, which every later step would repeat. Raises
+    ``RiccatiDivergence`` with the reports so far when v_k is not finite or
+    stays above 10 v_1 for 3 consecutive steps within ``cfg.N_max``, the
+    repeats of a fixed point included.
     """
     E = prob.model.E
     # the step matrices of each new Z give its report's nnz_F and the next
@@ -166,6 +182,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     F, Abar, P = newton_start(prob, cfg)
     if pattern is None:
         pattern = apriori_pattern(Abar, E, P, cfg.w)
+    op = GlOperator(Abar, E, pattern, P)
     Z = None
     reports = []
     v1 = None
@@ -174,9 +191,12 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
         t0 = time.perf_counter()
         # inner solves start from the previous Newton iterate; step 1
         # starts LSQ from zero and GP from the X3 initial guess
-        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg, X0=Z)
-        v_k = frobenius(riccati_residual(Z, prob))
+        warm = Z is not None
+        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg, X0=Z, op=op)
         F, Abar, P = newton_step_matrices(Z, prob)
+        op = None   # release this step's operator before the next is built
+        op = GlOperator(Abar, E, pattern, P)
+        v_k = float(np.linalg.norm(op.rhs - op @ op.inputs.fold(Z)))
         reports.append(NewtonIterationReport(
             k=k, v_k=v_k, lyap_residual=lrep.extra["residual_2norm"],
             nnz_Z=Z.nnz, nnz_F=F.nnz, lyap_iterations=lrep.iterations,
@@ -189,8 +209,13 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
         if v_k <= cfg.residual_tol * v1:
             break
         growth_streak = growth_streak + 1 if v_k > 10.0 * v1 else 0
-        if growth_streak >= 3:
-            raise RiccatiDivergence(reports)
+        fixed = warm and lrep.iterations == 0
+        # a fixed point's steps k+1 .. N_max would each repeat this v_k
+        repeats = cfg.N_max - k if fixed else 0
+        if growth_streak and growth_streak + repeats >= 3:
+            raise RiccatiDivergence(reports, k + 3 - growth_streak)
+        if fixed:
+            break
     return Z, reports, F
 
 

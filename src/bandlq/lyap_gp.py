@@ -340,7 +340,7 @@ def default_delta_bar(Abar, E):
     return 1.0 / (8.0 * frobenius(E) ** 2 * frobenius(Abar) ** 2)
 
 
-def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
+def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), op=None):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
@@ -350,11 +350,14 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig()):
     its symmetric part on the pattern. Z and N are held as the GL
     operator's coordinates, so no step projects, and R as its output
     coordinates; ``peak_nnz`` is the larger of the two spaces' entry counts,
-    the storage of any iterate. ``operator_form`` and ``operator_entries``
-    name the operator's form and its stored entries.
+    the storage of any iterate. The operator ``op`` must be
+    ``GlOperator(Abar, E, Zpat, P)``, built here when not given;
+    ``operator_form`` and ``operator_entries`` name its form and its stored
+    entries.
     """
     t0 = time.perf_counter()
-    op = GlOperator(Abar, E, Zpat, P)
+    if op is None:
+        op = GlOperator(Abar, E, Zpat, P)
     p = op.rhs
     z = op.inputs.fold(X0)
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None \

@@ -185,25 +185,28 @@ class TestSolveRiccati:
 
     def test_newton_start_is_step_1(self, monkeypatch):
         # the GL equation of step 1 is the one newton_start builds, bit for
-        # bit, from Z0 = cfg.Z0_scale I
+        # bit, from Z0 = cfg.Z0_scale I, and so is the operator it runs on
         import bandlq.control
         model, prob = heat_problem((5, 5))
         cfg = NewtonConfig(Z0_scale=3.0, N_max=1)
         solve = bandlq.control.solve_lyap
         seen = []
 
-        def recorded(Abar, E, P, pat, cfg, X0=None):
-            seen.append((Abar, P, X0))
-            return solve(Abar, E, P, pat, cfg, X0=X0)
+        def recorded(Abar, E, P, pat, cfg, X0=None, op=None):
+            seen.append((Abar, P, X0, op))
+            return solve(Abar, E, P, pat, cfg, X0=X0, op=op)
 
         monkeypatch.setattr(bandlq.control, "solve_lyap", recorded)
         solve_riccati(prob, cfg=cfg)
         F, Abar, P = newton_start(prob, cfg)
-        (Abar1, P1, X0), = seen
+        (Abar1, P1, X0, op), = seen
         assert X0 is None
         assert bitwise_equal(Abar1, Abar) and bitwise_equal(P1, P)
         Z0 = canonicalize(3.0 * identity(model.n))
         assert bitwise_equal(F, feedback(Z0, prob))
+        pat = apriori_pattern(Abar, model.E, P, cfg.w)
+        rhs = GlOperator(Abar, model.E, pat, P).rhs
+        assert op.rhs.dtype == rhs.dtype and np.array_equal(op.rhs, rhs)
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
         # Z_0 and each of the N new iterates get one feedback, which serves
@@ -227,6 +230,169 @@ class TestSolveRiccati:
         assert reports[-1].nnz_F == fb(Z, prob).nnz
         assert (Z != Z.T).nnz == 0
 
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    @pytest.mark.parametrize("nodes,discretization", [
+        ((9, 9), "fe-bilinear-2d"), ((6, 6), "fd-5point")])
+    def test_v_k_is_the_riccati_residual(self, monkeypatch, method, nodes,
+                                         discretization):
+        # v_k is read off the next step's operator; it is ||D[Z_k]||_F up to
+        # rounding in units of v_1: on fe 9^2 the plateau v_k ~ 8.7e-7 of
+        # both ways differ by cancellation in p - M z at 1e-10 relative
+        import bandlq.control
+        _model, prob = heat_problem(nodes, discretization=discretization)
+        solve = bandlq.control.solve_lyap
+        iterates = []
+
+        def recorded(*args, **kwargs):
+            Z, rep = solve(*args, **kwargs)
+            iterates.append(Z)
+            return Z, rep
+
+        monkeypatch.setattr(bandlq.control, "solve_lyap", recorded)
+        cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,
+                           gp=GpConfig(max_iter=30, q=10),
+                           faber=FaberConfig(p=10))
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg)
+        assert len(iterates) == len(reports) >= 2
+        v1 = reports[0].v_k
+        for Z, rep in zip(iterates, reports):
+            assert abs(rep.v_k - frobenius(riccati_residual(Z, prob))) \
+                <= 1e-12 * v1
+
+    def test_stops_at_the_fixed_point(self, monkeypatch):
+        # the first warm-started step with 0 inner iterations returns its
+        # start; a loop told it made 1 runs on to N_max and repeats it
+        import bandlq.control
+        _model, prob = heat_problem((6, 6), discretization="fd-5point")
+        cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
+        Z, reports, F = solve_riccati(prob, cfg=cfg)
+        solve = bandlq.control.solve_lyap
+        iterates = []
+
+        def run_on(*args, **kwargs):
+            Zk, rep = solve(*args, **kwargs)
+            iterates.append(Zk)
+            return Zk, dataclasses.replace(
+                rep, iterations=max(rep.iterations, 1))
+
+        monkeypatch.setattr(bandlq.control, "solve_lyap", run_on)
+        _Z, ran_on, F_on = solve_riccati(prob, cfg=cfg)
+        k = len(reports)
+        assert k == 5 and len(ran_on) == 8
+        assert reports[-1].lyap_iterations == 0
+        assert all(r.lyap_iterations > 0 for r in reports[:-1])
+        assert bitwise_equal(Z, iterates[k - 1])
+        assert bitwise_equal(F, feedback(Z, prob))
+        rows = [dataclasses.asdict(r) for r in reports + ran_on[:k]]
+        for row in rows:
+            del row["wall_ms"], row["lyap_iterations"]
+        assert rows[:k] == rows[k:]
+        assert [r.lyap_iterations for r in ran_on[:k - 1]] \
+            == [r.lyap_iterations for r in reports[:-1]]
+        # the steps after the fixed point repeat it
+        for Zj, rep in zip(iterates[k:], ran_on[k:]):
+            assert metric_e(Zj, Z) <= 1e-12
+            assert rep.v_k == pytest.approx(reports[-1].v_k, rel=1e-12)
+        assert metric_e(F_on, F) <= 1e-12
+        # a residual_tol met before the fixed point still ends the loop
+        monkeypatch.undo()
+        tol = reports[2].v_k / reports[0].v_k
+        _Z, early, _F = solve_riccati(prob, cfg=dataclasses.replace(
+            cfg, residual_tol=tol))
+        assert len(early) == 3 and early[-1].lyap_iterations > 0
+
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    def test_one_operator_per_step(self, monkeypatch, method):
+        # each step's operator serves its inner solve and the previous
+        # step's v_k; the last one gives the last v_k
+        import bandlq.control
+        _model, prob = heat_problem((6, 6), discretization="fd-5point")
+        init = GlOperator.__init__
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the loop called riccati_residual")
+
+        monkeypatch.setattr(GlOperator, "__init__", counted)
+        monkeypatch.setattr(bandlq.control, "riccati_residual", forbidden)
+        cfg = NewtonConfig(N_max=4, residual_tol=0.0, lyap_method=method,
+                           gp=GpConfig(max_iter=30, q=10),
+                           faber=FaberConfig(p=10))
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg)
+        assert len(reports) == 4 and len(built) == 5
+
+    def test_growth_names_the_rule_and_the_step(self, monkeypatch):
+        # Z_k scaled by 1e3 from step 2 on keeps v_k above 10 v_1
+        import bandlq.control
+        _model, prob = heat_problem((4, 4))
+        solve = bandlq.control.solve_lyap
+        calls = []
+
+        def grown(*args, **kwargs):
+            calls.append(len(calls) + 1)
+            Z, rep = solve(*args, **kwargs)
+            return (Z if calls[-1] == 1 else canonicalize(1e3 * Z)), rep
+
+        monkeypatch.setattr(bandlq.control, "solve_lyap", grown)
+        with pytest.raises(RiccatiDivergence, match=(
+                r"^Riccati residual v_k > 10 v_1 for 3 consecutive Newton "
+                r"steps, at step 4$")) as exc:
+            solve_riccati(prob, cfg=NewtonConfig(N_max=20, residual_tol=0.0))
+        reports = exc.value.reports
+        assert calls == [1, 2, 3, 4] and exc.value.step == 4
+        assert [r.k for r in reports] == [1, 2, 3, 4]
+        assert all(r.lyap_iterations > 0 for r in reports)
+        assert all(r.v_k > 10.0 * reports[0].v_k for r in reports[1:])
+
+    @pytest.mark.parametrize("n_max", [3, 4, 5])
+    def test_diverged_fixed_point(self, monkeypatch, n_max):
+        # step 2 lands far from the solution (v_2 > 10 v_1) and step 3 is a
+        # fixed point there. The loop raises exactly when a loop that runs
+        # on through the repeats raises: at step 4 when N_max >= 4
+        import bandlq.control
+        _model, prob = heat_problem((4, 4))
+        solve = bandlq.control.solve_lyap
+
+        def stuck(its):
+            # steps 1 and 2 solve, step 2 then lands far away; every later
+            # step returns its start and reports ``its`` iterations
+            solved = []
+
+            def inner(*args, X0=None, **kwargs):
+                if len(solved) == 2:
+                    return X0, dataclasses.replace(solved[-1], iterations=its)
+                Z, rep = solve(*args, X0=X0, **kwargs)
+                solved.append(rep)
+                return (Z if len(solved) == 1 else canonicalize(1e3 * Z)), rep
+            return inner
+
+        def outcome(its):
+            monkeypatch.setattr(bandlq.control, "solve_lyap", stuck(its))
+            try:
+                Z, reports, _F = solve_riccati(prob, cfg=NewtonConfig(
+                    N_max=n_max, residual_tol=0.0))
+            except RiccatiDivergence as exc:
+                return str(exc).split(":")[0], exc.step, exc.reports
+            return None, Z, reports
+
+        msg, stop, reports = outcome(0)
+        msg_on, stop_on, ran_on = outcome(1)
+        assert reports[1].lyap_iterations > 0
+        assert reports[2].lyap_iterations == 0
+        assert len(reports) == 3 and len(ran_on) == (3 if n_max == 3 else 4)
+        assert reports[1].v_k > 10.0 * reports[0].v_k
+        assert reports[2].v_k == ran_on[-1].v_k
+        assert msg == msg_on
+        if n_max == 3:
+            assert msg is None and bitwise_equal(stop, stop_on)
+        else:
+            assert stop == stop_on == 4
+            assert msg.endswith("at step 4")
+
     def test_non_finite_residual_stops_the_loop(self, monkeypatch):
         _model, prob = heat_problem((4, 4))
         calls = nan_lyap_solve_at(monkeypatch, step=2)
@@ -241,7 +407,9 @@ class TestSolveRiccati:
         # steps k >= 2 start CGLS from Z_{k-1}; the cold reference drops X0.
         # On fd-5point 6x6 the w = 1 pattern is truncated (584 of 1296
         # entries), so v_k levels off at the truncation error, far above the
-        # inner tolerance, where both loops must agree
+        # inner tolerance, where both loops must agree. The cold loop never
+        # makes 0 iterations and runs all 8 steps; the warm one reaches its
+        # fixed point at step 5 and stops there
         import bandlq.control
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
@@ -253,7 +421,9 @@ class TestSolveRiccati:
 
         monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
         _Z, cold, _F = solve_riccati(prob, cfg=cfg)
-        assert len(warm) == len(cold) == 8
+        assert len(warm) == 5 and len(cold) == 8
+        assert warm[-1].lyap_iterations == 0
+        assert all(r.lyap_iterations > 0 for r in warm[:-1])
         assert all(r.lyap_converged for r in warm + cold)
         warm_its = sum(r.lyap_iterations for r in warm)
         cold_its = sum(r.lyap_iterations for r in cold)
