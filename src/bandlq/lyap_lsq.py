@@ -10,7 +10,8 @@ is the product K2 K1 of two sparse matrices whose structure is found once,
 both built by one routine (``_fill``), and an apply or adjoint costs
 nnz(K1) + nnz(K2): n times the pattern's row count times the row counts of
 Abar and E. Otherwise, as from Newton step 2 on where Abar fills in, it
-runs on three dense n x n buffers.
+runs on three dense n x n buffers, with Abar itself dense and its product
+a BLAS GEMM once it is ``filled``.
 ``assemble_reduced`` builds the reduced matrix over all pattern entries
 column by column, as the reference for the tests.
 """
@@ -26,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .cgls import cgls
 from .report import SolveReport
-from .sparsecore import ShapeMismatchError, binarize, canonicalize
+from .sparsecore import ShapeMismatchError, binarize, canonicalize, filled
 
 # vec(X) is column-major throughout: entry (r, s) lives at index s*n + r.
 
@@ -227,7 +228,7 @@ class GlOperator(spla.LinearOperator):
     matrix M1 that ``assemble_reduced`` builds and ``nnz_pattern`` the
     number of pattern entries, ``inputs.nnz``.
 
-    The operator has two forms with the same spaces, ``rhs`` and ``nnz``:
+    The operator has three forms with the same spaces, ``rhs`` and ``nnz``:
 
     - ``"factors"``: the product K2 K1 of two sparse matrices whose
       structure is found once. K1 takes the coordinates to the entries of
@@ -241,6 +242,8 @@ class GlOperator(spla.LinearOperator):
       scipy's transpose views, and no n x n array is allocated.
     - ``"dense"``: each apply and adjoint runs two sparse-times-dense
       products on three dense n x n buffers that the operator keeps.
+    - ``"dense-abar"``: the dense form with Abar held as a C-contiguous
+      n x n array, when Abar is ``filled``: its product is a BLAS GEMM.
 
     The factors are built iff nnz(K1) <= 4 n^2, a count read off the row
     counts of Zpat and Abar before either form is built. Measured at
@@ -262,10 +265,35 @@ class GlOperator(spla.LinearOperator):
     From step 2 on Abar = A - B F fills in, and the factors cost more time
     and memory than the dense buffers; any bound between 2.2 and 6.4 splits
     the table. ``form`` names the form and ``stored_entries`` counts its
-    stored factor entries, or n^2 per dense buffer.
+    stored factor entries, or n^2 per dense buffer and for a dense Abar.
+
+    Where the factors are not built, Abar is held dense iff ``filled``:
+    nnz(Abar) > n^2 / FILL_DIVISOR, with FILL_DIVISOR = 16. The same rule
+    picks LAPACK over SuperLU in ``simulate_closed_loop``. Measured at the
+    same Newton steps, in one session on a shared 2-core VM with one BLAS
+    thread, with the median time of one call and of one solve with the
+    step matrix at dt = 1e-3 (LAPACK through scipy's ``lu_solve``):
+
+    =========== ====== ============== ============== ==============
+    grid, step  Abar   CSR Abar ms    dense Abar ms  SuperLU / LU
+                dense  apply/adjoint  apply/adjoint  solve us
+    =========== ====== ============== ============== ==============
+    13^2, 1     4.8 %  0.53 / 0.51    0.69 / 0.68    21 / 28
+    13^2, 2     46 %   1.6 / 1.6      0.73 / 0.69    51 / 29
+    29^2, 1     1.0 %  14 / 14        44 / 42        91 / 371
+    29^2, 2     15 %   69 / 69        44 / 45        643 / 358
+    45^2, 1     0.4 %  100 / 96       310 / 302      228 / 1834
+    45^2, 2     7.3 %  387 / 401      354 / 376      2094 / 1821
+    61^2, 1     0.2 %  358 / 370      2106 / 1857    541 / 10295
+    61^2, 2     4.2 %  1628 / 1958    2078 / 1886    8598 / 11940
+    =========== ====== ============== ============== ==============
+
+    Dense wins from 7.3 % and loses at 4.8 % and below, so the bound
+    1/16 = 6.25 % lies between; 1/8 would leave 45^2 step 2 on the slower
+    CSR side.
     """
 
-    def __init__(self, Abar, E, Zpat, P, _factors=None):
+    def __init__(self, Abar, E, Zpat, P, _form=None):
         n = Abar.shape[0]
         for M in (E, Zpat, P):
             if M.shape != (n, n):
@@ -283,20 +311,21 @@ class GlOperator(spla.LinearOperator):
         self.inputs = SymCoords(Zp)
         self.nnz_pattern = self.inputs.nnz
         k1_nnz = _k1_nnz(np.diff(Zp.indptr), np.diff(Abar.indptr))
-        if _factors is None:
-            _factors = k1_nnz <= _FACTOR_FILL * n * n
+        if _form is None:
+            _form = ("factors" if k1_nnz <= _FACTOR_FILL * n * n
+                     else "dense-abar" if filled(Abar) else "dense")
+        self.form = _form
         # Y = supp(Zpat Abar). For the factors it holds the overlap counts
         # of Zpat |Abar|, the sizes of K1's rows. Where Abar fills in, Y is
         # nearly full, and the dense product finds it faster than the sparse
         # one (3 against 9 ms for O at fe 13^2 step 2); Zpat is symmetric,
         # so (Abar^T Zpat)^T is Zpat Abar
-        Y = (canonicalize(Zp @ binarize(Abar)) if _factors
+        Y = (canonicalize(Zp @ binarize(Abar)) if _form == "factors"
              else (binarize(Abar).T @ Zp.toarray()).T)
         O = _output_support(E, Y, P)
         self.outputs = SymCoords(O)
         self.rhs = self.outputs.fold(P)
-        if _factors:
-            self.form = "factors"
+        if _form == "factors":
             k1_ptr = _pointers(Y.data, n)
             k2_ptr = _pointers(np.diff(E.indptr).repeat(np.diff(Y.indptr)), n)
             # entry m of Y is K1's row m and K2's column m
@@ -320,27 +349,32 @@ class GlOperator(spla.LinearOperator):
             self._K1T, self._K2T = self._K1.T, self._K2.T
             self.stored_entries = self._K1.nnz + self._K2.nnz
         else:
-            self.form = "dense"
             del Y, O
-            # every product below is CSR @ C-contiguous dense
-            self._E, self._Abar = E, Abar
-            self._ET = E.T.tocsr()
-            self._AbarT = Abar.T.tocsr()
+            # every sparse product below is CSR @ C-contiguous dense
+            self._E, self._ET = E, E.T.tocsr()
+            if _form == "dense-abar":
+                self._Abar = Abar.toarray()
+            else:
+                self._Abar, self._AbarT = Abar, Abar.T.tocsr()
             self._Z = np.zeros((n, n))
             self._R = np.zeros((n, n))
             self._T = np.empty((n, n))
-            self.stored_entries = 3 * n * n
+            self.stored_entries = (4 if _form == "dense-abar" else 3) * n * n
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
     def _matvec(self, z):
         if self.form == "factors":
             return self._K2 @ (self._K1 @ z)
-        # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i])
-        # E^T Z Abar through Abar^T Z = (Z Abar)^T; Abar^T Z is dropped
+        # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i]), with
+        # S = E^T T and T = Z Abar. A dense Abar gives T by GEMM; a CSR one
+        # as (Abar^T Z)^T, Z being symmetric, where Abar^T Z is dropped
         # before the second product allocates, so the allocator can reuse
         # its memory instead of faulting in fresh pages
         self.inputs.put(self._Z, z)
-        np.copyto(self._T, (self._AbarT @ self._Z).T)
+        if self.form == "dense-abar":
+            np.matmul(self._Z, self._Abar, out=self._T)
+        else:
+            np.copyto(self._T, (self._AbarT @ self._Z).T)
         return 2.0 * self.outputs.gather(self._ET @ self._T)
 
     def _rmatvec(self, r):
@@ -350,6 +384,10 @@ class GlOperator(spla.LinearOperator):
         # coordinates r; H = E (R + R^T) Abar^T enters the coordinates only
         # through H + H^T, so its transpose Abar (2 R) E^T serves as well
         self.outputs.put(self._R, r)
+        if self.form == "dense-abar":
+            # GEMM reads the transpose of E R in place
+            np.matmul(self._Abar, (self._E @ self._R).T, out=self._T)
+            return 2.0 * self.inputs.gather(self._T)
         np.copyto(self._T, (self._E @ self._R).T)
         return 2.0 * self.inputs.gather(self._Abar @ self._T)
 

@@ -14,6 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+# ``filled``'s bound: a density above 1 / FILL_DIVISOR counts as filled
+FILL_DIVISOR = 16
+
 
 class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -72,6 +75,17 @@ def pattern_power_sum(A, k):
         cur = binarize(cur @ base)
         acc = binarize(acc + cur)
     return acc
+
+
+def filled(M):
+    """M stores more than 1 / FILL_DIVISOR of its entries.
+
+    On such an M a dense kernel (BLAS GEMM, LAPACK LU) beats the sparse
+    one; ``GlOperator`` and ``simulate_closed_loop`` switch on this rule,
+    and ``GlOperator``'s docstring records the measurements behind it.
+    """
+    rows, cols = M.shape
+    return M.nnz > rows * cols / FILL_DIVISOR
 
 
 def frobenius(A):

@@ -12,9 +12,11 @@ from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             simulate_closed_loop, solve_lyap, solve_riccati)
 from bandlq.lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
 from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
+from bandlq.modelgen import DescriptorModel
 from bandlq.oracle import dense_riccati, pencil_eigs
 from bandlq.pattern import apriori_pattern
-from bandlq.sparsecore import canonicalize, frobenius, identity
+from bandlq.sparsecore import (Permutation, canonicalize, filled, frobenius,
+                               identity)
 from conftest import (bitwise_equal, full_pattern, heat_problem,
                       nan_lyap_solve_at, random_banded, scalar_problem)
 
@@ -325,6 +327,33 @@ class TestSolveRiccati:
         _Z, reports, _F = solve_riccati(prob, cfg=cfg)
         assert len(reports) == 4 and len(built) == 5
 
+    def test_dense_abar_and_csr_abar_agree(self, monkeypatch):
+        # at fe-bilinear 9^2 every operator is dense; with Abar held as CSR
+        # and as an ndarray the loop takes the same steps to rounding
+        import bandlq.control
+        _model, prob = heat_problem((9, 9))
+        runs = []
+        for divisor in (1, np.inf):
+            monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
+            forms = []
+
+            def recorded(*args, **kwargs):
+                op = GlOperator(*args, **kwargs)
+                forms.append(op.form)
+                return op
+
+            monkeypatch.setattr(bandlq.control, "GlOperator", recorded)
+            runs.append((forms, solve_riccati(prob, cfg=NewtonConfig(
+                N_max=6, residual_tol=1e-9))))
+        (csr_forms, (Z, reports, F)), (dense_forms, (Zd, reports_d, Fd)) = runs
+        assert set(csr_forms) == {"dense"} and set(dense_forms) == {
+            "dense-abar"}
+        assert len(csr_forms) == len(dense_forms) == len(reports) + 1
+        assert ([r.lyap_iterations for r in reports]
+                == [r.lyap_iterations for r in reports_d])
+        assert frobenius(Z - Zd) <= 1e-12 * frobenius(Z)
+        assert frobenius(F - Fd) <= 1e-12 * frobenius(F)
+
     def test_growth_names_the_rule_and_the_step(self, monkeypatch):
         # Z_k scaled by 1e3 from step 2 on keeps v_k above 10 v_1
         import bandlq.control
@@ -508,6 +537,46 @@ class TestSimulateClosedLoop:
         traj = simulate_closed_loop(prob, F, np.ones(9), dt=1e-3, steps=5000,
                                     max_rows=100)
         assert len(traj.times) <= 102
+
+    # FILL_DIVISOR 1 makes no matrix filled, infinity every nonempty one
+    @pytest.mark.parametrize("divisor", [1, np.inf], ids=["splu", "lapack"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_step_matrix(self, monkeypatch, divisor, n):
+        # dt = 1/2 and Abar = A - B F with an eigenvalue 2 make E - dt Abar
+        # exactly singular: 1 - 2 dt = 0 for the scalar model, and for the
+        # filled 2 x 2 Abar = [[1, 1], [1, 1]] the LU's second pivot is 0
+        monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
+        if n == 1:
+            _model, prob = scalar_problem()
+            F = _csr([[-3.0]])
+        else:
+            eye = identity(2)
+            model = DescriptorModel(E=eye, A=_csr(np.ones((2, 2))), B=eye,
+                                    C=eye, permutation=Permutation.identity(2))
+            prob = LqProblem(model, Q=np.ones(2), R=np.ones(2))
+            F = canonicalize(sp.csr_matrix((2, 2)))
+        with pytest.raises(RuntimeError, match=r"singular step matrix at dt="
+                                               r"0\.5"):
+            simulate_closed_loop(prob, F, np.ones(n), dt=0.5, steps=3)
+
+    def test_lapack_and_splu_agree(self, monkeypatch):
+        # the Newton F at fe-bilinear 9^2 fills Abar in; forced onto each
+        # path, the simulation gives the same trajectory and cost
+        model, prob = heat_problem((9, 9))
+        _Z, _reports, F = solve_riccati(prob, cfg=NewtonConfig(N_max=3))
+        assert filled(canonicalize(model.A - model.B @ F))
+        runs = []
+        for divisor in (1, np.inf):
+            monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
+            runs.append(simulate_closed_loop(prob, F, np.ones(model.n),
+                                             dt=1e-3, steps=500, max_rows=50))
+        splu, lapack = runs
+        np.testing.assert_array_equal(splu.steps, lapack.steps)
+        np.testing.assert_array_equal(splu.times, lapack.times)
+        for name in ("state_norms", "inst_cost"):
+            np.testing.assert_allclose(getattr(lapack, name),
+                                       getattr(splu, name), rtol=1e-12)
+        assert lapack.cost == pytest.approx(splu.cost, rel=1e-12)
 
 
 class TestLqProblemValidation:

@@ -499,7 +499,7 @@ class TestSolveLyapGp:
         cfg = GpConfig(max_iter=60)
         Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
         monkeypatch.setattr(bandlq.lyap_gp, "GlOperator",
-                            partial(GlOperator, _factors=False))
+                            partial(GlOperator, _form="dense"))
         Zd, rep_d = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
         assert rep.extra["operator_form"] == "factors"
         assert rep_d.extra["operator_form"] == "dense"

@@ -13,8 +13,13 @@ from bandlq.lyap_lsq import (_TABLE_ENTRIES, CglsConfig, GlOperator,
                              solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
 from bandlq.pattern import apriori_pattern
-from bandlq.sparsecore import binarize, canonicalize, frobenius, identity
+from bandlq.sparsecore import (binarize, canonicalize, filled, frobenius,
+                               identity)
 from conftest import full_pattern, heat_problem, random_stable_instance
+
+
+# the sparse factors, dense buffers with Abar as CSR, and with Abar dense
+FORMS = ("factors", "dense", "dense-abar")
 
 
 def _csr(M):
@@ -40,23 +45,24 @@ def _sym_rows(M, index, output_map):
 
 
 def _check_operator(Abar, E, pat, P, rs, M):
-    """GlOperator, in both its forms, against the explicit Kronecker matrix
-    M and the assembled reduced system rs: the output support is rs.row_map
-    folded by symmetry, the same columns in symmetric coordinates on both
-    sides with nothing lost in the fold, the same nnz(M1), a true adjoint,
-    fold/to_csr as an isometry pair, and each space's entry count. The two
-    forms share their spaces and right-hand side exactly."""
-    dense, factors = (GlOperator(Abar, E, pat, P, _factors=f)
-                      for f in (False, True))
-    assert (dense.form, factors.form) == ("dense", "factors")
-    for name in ("map", "nnz"):
-        for space in ("inputs", "outputs"):
-            np.testing.assert_array_equal(
-                getattr(getattr(dense, space), name),
-                getattr(getattr(factors, space), name))
-    np.testing.assert_array_equal(dense.rhs, factors.rhs)
-    assert dense.nnz == factors.nnz
-    for op in (dense, factors):
+    """GlOperator, in each of its forms, against the explicit Kronecker
+    matrix M and the assembled reduced system rs: the output support is
+    rs.row_map folded by symmetry, the same columns in symmetric coordinates
+    on both sides with nothing lost in the fold, the same nnz(M1), a true
+    adjoint, fold/to_csr as an isometry pair, and each space's entry count.
+    The forms share their spaces and right-hand side exactly."""
+    factors, *dense = (GlOperator(Abar, E, pat, P, _form=form)
+                       for form in FORMS)
+    assert [op.form for op in (factors, *dense)] == list(FORMS)
+    for op in dense:
+        for name in ("map", "nnz"):
+            for space in ("inputs", "outputs"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(op, space), name),
+                    getattr(getattr(factors, space), name))
+        np.testing.assert_array_equal(op.rhs, factors.rhs)
+        assert op.nnz == factors.nnz
+    for op in (factors, *dense):
         _check_form(op, pat, P, rs, M)
 
 
@@ -297,15 +303,24 @@ class TestSolve:
 class TestOperatorForm:
     def test_rule_on_real_counts(self):
         # fe-bilinear: at 13^2 the pattern is too dense for the factors from
-        # step 1 on; at 29^2 step 1 they are built, until Abar has dense rows
+        # step 1 on, and Abar, 4.8 % dense at step 1, is kept as CSR until
+        # it fills in at step 2; at 29^2 step 1 the factors are built, until
+        # Abar has dense rows
         model, prob = heat_problem((13, 13))
+        n = model.n
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
+        assert not filled(Abar)
         Z, rep = solve_lyap_lsq(Abar, model.E, P, pat)
         assert rep.extra["operator_form"] == "dense"
-        assert rep.extra["operator_entries"] == 3 * model.n ** 2
+        assert rep.extra["operator_entries"] == 3 * n ** 2
         _F, Abar2, P2 = newton_step_matrices(Z, prob)
-        assert GlOperator(Abar2, model.E, pat, P2).form == "dense"
+        assert filled(Abar2)
+        op = GlOperator(Abar2, model.E, pat, P2)
+        assert op.form == "dense-abar"
+        assert op.stored_entries == 4 * n ** 2
+        assert isinstance(op._Abar, np.ndarray)
+        assert op._Abar.flags.c_contiguous and not hasattr(op, "_AbarT")
         model, prob = heat_problem((29, 29))
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
@@ -315,7 +330,7 @@ class TestOperatorForm:
         # a dense feedback F makes every row that B touches dense
         F = sp.csr_matrix(np.full((model.m, model.n), 1e-3))
         assert GlOperator(canonicalize(Abar - model.B @ F), model.E, pat,
-                          P).form == "dense"
+                          P).form == "dense-abar"
 
     def test_k1_count_does_not_wrap(self):
         # scipy's index arrays are int32, whose dot product would wrap
