@@ -31,8 +31,10 @@ class LqProblem:
     R: np.ndarray     # diagonal of the input weight (length m)
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=np.float64)
-        R = np.asarray(self.R, dtype=np.float64)
+        # read-only copies, so that the products below cannot go stale
+        Q = np.array(self.Q, dtype=np.float64)
+        R = np.array(self.R, dtype=np.float64)
+        Q.flags.writeable = R.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         if Q.size != self.model.r or R.size != self.model.m:
@@ -41,13 +43,19 @@ class LqProblem:
             raise ValueError("R must be positive definite")
         if np.any(Q < 0):
             raise ValueError("Q must be positive semidefinite")
+        C, B = self.model.C, self.model.B
+        object.__setattr__(self, "_ctqc",
+                           canonicalize(C.T @ sp.diags(Q) @ C))
+        object.__setattr__(self, "_r_inv_bt",
+                           canonicalize(sp.diags(1.0 / R) @ B.T))
 
     def ctqc(self):
-        C = self.model.C
-        return canonicalize(C.T @ sp.diags(self.Q) @ C)
+        """C^T Q C, computed once."""
+        return self._ctqc
 
     def r_inv_bt(self):
-        return canonicalize(sp.diags(1.0 / self.R) @ self.model.B.T)
+        """R^{-1} B^T, computed once."""
+        return self._r_inv_bt
 
 
 @dataclass(frozen=True)
@@ -169,8 +177,10 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
 
     Every step solves on ``pattern``, by default the order-``cfg.w`` a
     priori pattern of the first step's GL equation, with one ``GlOperator``
-    per step. v_k = ||D[Z_k]||_F is step k+1's GL residual at Z_k, read off
-    its operator, whose output coordinates are orthonormal. The loop ends
+    per step: the last one refilled with the step's values where its
+    structure allows (``GlOperator.refill``), else a new one.
+    v_k = ||D[Z_k]||_F is step k+1's GL residual at Z_k, read off its
+    operator, whose output coordinates are orthonormal. The loop ends
     when v_k <= ``cfg.residual_tol`` v_1, after ``cfg.N_max`` steps, or at
     a fixed point: a warm-started step whose inner solve makes 0 iterations
     returns its start, which every later step would repeat. Raises
@@ -196,8 +206,9 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
         warm = Z is not None
         Z, lrep = solve_lyap(Abar, E, P, pattern, cfg, X0=Z, op=op)
         F, Abar, P = newton_step_matrices(Z, prob)
-        op = None   # release this step's operator before the next is built
-        op = GlOperator(Abar, E, pattern, P)
+        if not op.refill(Abar, E, pattern, P):
+            op = None   # release this step's operator before the next is built
+            op = GlOperator(Abar, E, pattern, P)
         v_k = float(np.linalg.norm(op.rhs - op @ op.inputs.fold(Z)))
         reports.append(NewtonIterationReport(
             k=k, v_k=v_k, lyap_residual=lrep.extra["residual_2norm"],
@@ -231,6 +242,10 @@ def metric_e(Zhat, Zexact):
     if denom == 0.0:
         raise ZeroDivisionError("metric_e: reference solution has zero norm")
     return frobenius(canonicalize(Zhat - Zexact)) / denom
+
+
+# simulate_closed_loop keeps at most this many state entries in one block
+_SIM_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -278,26 +293,33 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
             raise RuntimeError(singular) from exc
     E = model.E.tocsr()
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
+    n = x.size
     stride = max(1, steps // max_rows)
-    rec_steps, rec_t, rec_norm, rec_cost = [], [], [], []
+    # states 0 .. steps, a block of them at a time as the columns of X
+    X = np.empty((n, max(1, _SIM_BLOCK_ENTRIES // n)), order="F")
+    rec_steps, rec_norm, rec_cost = [], [], []
     cost = 0.0
-    for i in range(steps):
-        y = model.C @ x
-        u = -(F @ x)
-        inst = float(y @ (prob.Q * y) + u @ (prob.R * u))
-        cost += dt * inst
-        if i % stride == 0:
-            rec_steps.append(i)
-            rec_t.append(i * dt)
-            rec_norm.append(float(np.linalg.norm(x)))
-            rec_cost.append(inst)
-        x = solve(E @ x)
-    rec_steps.append(steps)
-    rec_t.append(steps * dt)
-    rec_norm.append(float(np.linalg.norm(x)))
-    y = model.C @ x
-    u = -(F @ x)
-    rec_cost.append(float(y @ (prob.Q * y) + u @ (prob.R * u)))
-    return Trajectory(steps=np.array(rec_steps), times=np.array(rec_t),
+    for lo in range(0, steps + 1, X.shape[1]):
+        hi = min(steps + 1, lo + X.shape[1])
+        for j in range(hi - lo):
+            if lo + j:              # state 0 is x0
+                x = solve(E @ x)
+            X[:, j] = x
+        block = X[:, :hi - lo]
+        Y = model.C @ block
+        U = F @ block
+        inst = (np.einsum("ij,ij->j", Y, prob.Q[:, None] * Y)
+                + np.einsum("ij,ij->j", U, prob.R[:, None] * U))
+        # the cost sums dt * inst over states 0 .. steps - 1 in step order
+        for c in (dt * inst[:min(hi, steps) - lo]).tolist():
+            cost += c
+        for j in range(hi - lo):
+            if (lo + j) % stride == 0 or lo + j == steps:
+                rec_steps.append(lo + j)
+                # a contiguous column, as np.linalg.norm of one state reads
+                rec_norm.append(float(np.linalg.norm(block[:, j])))
+                rec_cost.append(float(inst[j]))
+    rec_steps = np.array(rec_steps)
+    return Trajectory(steps=rec_steps, times=rec_steps * dt,
                       state_norms=np.array(rec_norm),
                       inst_cost=np.array(rec_cost), cost=cost)

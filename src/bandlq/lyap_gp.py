@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lyap_lsq import GlOperator
+from .lyap_lsq import GlOperator, _ranges
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
@@ -106,32 +106,74 @@ def spai(E, pat):
 
 
 def _spai_one_sided(E, pat):
-    """min ||I - E X||_F with X supported on pat, solved per column."""
+    """min ||I - E X||_F with X supported on pat, solved per column.
+
+    Column j's problem reads E's columns on the support of pat[:, j], on
+    the rows those columns touch: column j of supp(E) supp(pat). The
+    problems are solved a group of equal shape at a time, by one stacked QR
+    (``_lstsq_unit``).
+    """
     n = E.shape[0]
     Ecsc = E.tocsc()
     patc = pat.tocsc()
-    cols = []
-    for j in range(n):
-        support = patc.indices[patc.indptr[j]:patc.indptr[j + 1]]
-        if support.size == 0:
-            cols.append((np.empty(0, dtype=np.int64), np.empty(0)))
+    rows = (binarize(E) @ patc).tocsc()
+    rows.sort_indices()
+    # each row of each problem: its column j, and a key ordered as the
+    # rows are
+    row_col = np.repeat(np.arange(n), np.diff(rows.indptr))
+    keys = row_col.astype(np.int64) * n + rows.indices
+    # the row where j's right-hand side e_j is 1, or -1 where j has none
+    on_diag = rows.indices == row_col
+    at = np.full(n, -1)
+    at[row_col[on_diag]] = (np.arange(rows.nnz)
+                            - rows.indptr[row_col])[on_diag]
+    # every entry of E in a column of every support: its column j of X,
+    # its place c in j's support and r in j's rows
+    counts = np.diff(Ecsc.indptr)[patc.indices]
+    entry = np.repeat(np.arange(patc.nnz), counts)
+    k = _ranges(Ecsc.indptr[patc.indices], counts)
+    j = np.repeat(np.arange(n), np.diff(patc.indptr))[entry]
+    c = entry - patc.indptr[j]
+    r = np.searchsorted(keys, j * n + Ecsc.indices[k]) - rows.indptr[j]
+    shape = np.column_stack([np.diff(rows.indptr), np.diff(patc.indptr)])
+    shapes, group = np.unique(shape, axis=0, return_inverse=True)
+    data = np.zeros(patc.nnz)
+    for g, (m, width) in enumerate(shapes):
+        if width == 0:
             continue
-        # the stored entries of E's columns in support, read off its arrays
-        starts = Ecsc.indptr[support]
-        counts = Ecsc.indptr[support + 1] - starts
-        k = np.repeat(starts - np.cumsum(counts) + counts, counts) \
-            + np.arange(counts.sum())
-        rows, at = np.unique(Ecsc.indices[k], return_inverse=True)
-        A_sub = np.zeros((rows.size, support.size))
-        A_sub[at, np.repeat(np.arange(support.size), counts)] = Ecsc.data[k]
-        b = (rows == j).astype(np.float64)
-        x, *_ = np.linalg.lstsq(A_sub, b, rcond=None)
-        cols.append((support, x))
-    data = np.concatenate([c[1] for c in cols])
-    indices = np.concatenate([c[0] for c in cols])
-    indptr = np.cumsum([0] + [c[0].size for c in cols])
-    X = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+        cols = np.flatnonzero(group == g)
+        slot = np.empty(n, dtype=np.int64)
+        slot[cols] = np.arange(cols.size)
+        mine = group[j] == g
+        A = np.zeros((cols.size, m, width))
+        A[slot[j[mine]], r[mine], c[mine]] = Ecsc.data[k[mine]]
+        x = _lstsq_unit(A, at[cols])
+        data[_ranges(patc.indptr[cols], np.full(cols.size, width))] = \
+            x.ravel()
+    X = sp.csc_matrix((data, patc.indices, patc.indptr), shape=(n, n))
     return canonicalize(X)
+
+
+def _lstsq_unit(A, at):
+    """The least-squares solutions x[g] of A[g] x = e_{at[g]}, where e_{-1}
+    is 0, for a stack A of equal-shaped matrices.
+
+    One stacked QR gives x = R^{-1} Q^T e when every A[g] has full column
+    rank; otherwise each problem goes to ``np.linalg.lstsq``, whose
+    minimum-norm solution the rank-deficient ones need.
+    """
+    count, m, width = A.shape
+    b = np.zeros((count, m))
+    b[at >= 0, at[at >= 0]] = 1.0
+    if m >= width:
+        Q, R = np.linalg.qr(A)
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if np.all(diag > diag.max(axis=1, keepdims=True) * m
+                  * np.finfo(float).eps):
+            rhs = np.einsum("gmk,gm->gk", Q, b)
+            return np.linalg.solve(R, rhs[..., None])[..., 0]
+    return np.array([np.linalg.lstsq(a, bb, rcond=None)[0]
+                     for a, bb in zip(A, b)])
 
 
 def spectrum_bounds(A1, dense_limit=_DENSE_EIG_LIMIT, inflation=0.05):

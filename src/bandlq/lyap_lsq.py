@@ -130,6 +130,27 @@ def _m1_nnz(E, Abar, Zp):
     return int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
 
 
+def _checked(Abar, E, Zpat, P):
+    """E and Abar as canonical CSR and Zpat binarized, once the shapes
+    match and the pattern is nonempty and symmetric."""
+    n = Abar.shape[0]
+    for M in (E, Zpat, P):
+        if M.shape != (n, n):
+            raise ShapeMismatchError("GlOperator", (n, n), M.shape)
+    Zp = binarize(Zpat)
+    if Zp.nnz == 0:
+        raise ValueError("GlOperator: empty a priori pattern")
+    if (Zp != Zp.T).nnz:
+        raise ValueError("GlOperator: the a priori pattern is not symmetric")
+    return canonicalize(E), canonicalize(Abar), Zp
+
+
+def _supports(*matrices):
+    """The index arrays of the canonical CSR matrices: their supports, which
+    the spaces and ``nnz`` of ``GlOperator`` depend on."""
+    return [a for M in matrices for a in (M.indptr, M.indices)]
+
+
 def _k1_nnz(pattern_counts, abar_counts):
     """nnz(K1) of ``GlOperator``: the sum of nnz(Abar[k, :]) over the
     pattern entries (i, k), from the pattern's column counts (its row
@@ -245,6 +266,14 @@ class GlOperator(spla.LinearOperator):
     - ``"dense-abar"``: the dense form with Abar held as a C-contiguous
       n x n array, when Abar is ``filled``: its product is a BLAS GEMM.
 
+    ``refill(Abar, E, Zpat, P)`` turns an operator in a dense form into the
+    operator of the next GL equation when only values change: E is the same
+    matrix and the pattern, supp(Abar) and supp(P) are the same supports,
+    as from Newton step 2 on. It keeps the spaces, ``nnz``, the form, E's
+    copies and the n x n buffers, and takes Abar's values and the new
+    ``rhs``; apply and adjoint run the same code either way. The factors
+    are always built anew.
+
     The factors are built iff nnz(K1) <= 4 n^2, a count read off the row
     counts of Zpat and Abar before either form is built. Measured at
     fe-bilinear Newton steps 1 and 2 (w = 1, seed 7, one BLAS thread, a
@@ -294,19 +323,8 @@ class GlOperator(spla.LinearOperator):
     """
 
     def __init__(self, Abar, E, Zpat, P, _form=None):
-        n = Abar.shape[0]
-        for M in (E, Zpat, P):
-            if M.shape != (n, n):
-                raise ShapeMismatchError("GlOperator", (n, n), M.shape)
-        self.n = n
-        E = canonicalize(E)
-        Abar = canonicalize(Abar)
-        Zp = binarize(Zpat)
-        if Zp.nnz == 0:
-            raise ValueError("GlOperator: empty a priori pattern")
-        if (Zp != Zp.T).nnz:
-            raise ValueError("GlOperator: the a priori pattern is not "
-                             "symmetric")
+        E, Abar, Zp = _checked(Abar, E, Zpat, P)
+        n = self.n = Abar.shape[0]
         self.nnz = _m1_nnz(E, Abar, Zp)
         self.inputs = SymCoords(Zp)
         self.nnz_pattern = self.inputs.nnz
@@ -352,15 +370,48 @@ class GlOperator(spla.LinearOperator):
             del Y, O
             # every sparse product below is CSR @ C-contiguous dense
             self._E, self._ET = E, E.T.tocsr()
+            # a refill needs the same supports and E's values
+            self._supports = _supports(E, Zp, Abar, canonicalize(P))
             if _form == "dense-abar":
-                self._Abar = Abar.toarray()
-            else:
-                self._Abar, self._AbarT = Abar, Abar.T.tocsr()
+                self._Abar = np.empty((n, n))
             self._Z = np.zeros((n, n))
             self._R = np.zeros((n, n))
             self._T = np.empty((n, n))
             self.stored_entries = (4 if _form == "dense-abar" else 3) * n * n
+            self._take(Abar)
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
+
+    def _take(self, Abar):
+        """Hold the values of the canonical Abar for the dense forms."""
+        if self.form == "dense-abar":
+            Abar.toarray(out=self._Abar)
+        else:
+            self._Abar, self._AbarT = Abar, Abar.T.tocsr()
+
+    def refill(self, Abar, E, Zpat, P):
+        """Become ``GlOperator(Abar, E, Zpat, P)`` by taking new values only.
+
+        That holds when this operator is in a dense form, E is the same
+        matrix and the pattern, supp(Abar) and supp(P) are the same
+        supports: then the spaces, ``nnz``, the form, E's copies and the
+        n x n buffers all stay, and only Abar's values and ``rhs`` change.
+        Returns whether it refilled; if not, nothing changed and the caller
+        builds a new operator. The arguments pass the constructor's checks
+        either way.
+        """
+        E, Abar, Zp = _checked(Abar, E, Zpat, P)
+        if self.form == "factors":
+            return False
+        P = canonicalize(P)
+        supports = _supports(E, Zp, Abar, P)
+        if not (all(map(np.array_equal, supports, self._supports))
+                and np.array_equal(E.data, self._E.data)):
+            return False
+        # hold the arrays of this step's matrices, not a copy of them
+        self._supports = supports
+        self._take(Abar)
+        self.rhs = self.outputs.fold(P)
+        return True
 
     def _matvec(self, z):
         if self.form == "factors":

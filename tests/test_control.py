@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             feedback, metric_e, newton_start,
@@ -305,27 +307,54 @@ class TestSolveRiccati:
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_one_operator_per_step(self, monkeypatch, method):
-        # each step's operator serves its inner solve and the previous
-        # step's v_k; the last one gives the last v_k
+        # each step's operator, built or refilled, serves its inner solve
+        # and the previous step's v_k; the last one gives the last v_k
         import bandlq.control
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
-        init = GlOperator.__init__
-        built = []
+        init, refill = GlOperator.__init__, GlOperator.refill
+        built, refilled = [], []
 
         def counted(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        def counted_refill(self, *args):
+            refilled.append(refill(self, *args))
+            return refilled[-1]
+
         def forbidden(*args, **kwargs):
             raise AssertionError("the loop called riccati_residual")
 
         monkeypatch.setattr(GlOperator, "__init__", counted)
+        monkeypatch.setattr(GlOperator, "refill", counted_refill)
         monkeypatch.setattr(bandlq.control, "riccati_residual", forbidden)
         cfg = NewtonConfig(N_max=4, residual_tol=0.0, lyap_method=method,
                            gp=GpConfig(max_iter=30, q=10),
                            faber=FaberConfig(p=10))
         _Z, reports, _F = solve_riccati(prob, cfg=cfg)
-        assert len(reports) == 4 and len(built) == 5
+        assert len(reports) == 4 and len(built) + sum(refilled) == 5
+
+    @pytest.mark.parametrize("nodes", [(9, 9), (13, 13)])
+    def test_refills_match_building_every_operator(self, monkeypatch, nodes):
+        # the loop's refilled operators take the steps that operators
+        # built anew take, bit for bit
+        _model, prob = heat_problem(nodes)
+        cfg = NewtonConfig(N_max=12, residual_tol=1e-9)
+        refill, refilled = GlOperator.refill, []
+
+        def recorded(op, *args):
+            refilled.append(refill(op, *args))
+            return refilled[-1]
+
+        monkeypatch.setattr(GlOperator, "refill", recorded)
+        Z, reports, F = solve_riccati(prob, cfg=cfg)
+        assert any(refilled)
+        monkeypatch.setattr(GlOperator, "refill", lambda op, *args: False)
+        Zb, reports_b, Fb = solve_riccati(prob, cfg=cfg)
+        assert bitwise_equal(Z, Zb) and bitwise_equal(F, Fb)
+        for rep in reports + reports_b:
+            rep.wall_ms = 0.0
+        assert reports == reports_b
 
     def test_dense_abar_and_csr_abar_agree(self, monkeypatch):
         # at fe-bilinear 9^2 every operator is dense; with Abar held as CSR
@@ -348,7 +377,8 @@ class TestSolveRiccati:
         (csr_forms, (Z, reports, F)), (dense_forms, (Zd, reports_d, Fd)) = runs
         assert set(csr_forms) == {"dense"} and set(dense_forms) == {
             "dense-abar"}
-        assert len(csr_forms) == len(dense_forms) == len(reports) + 1
+        # steps 1 and 2 build their operators; later steps refill step 2's
+        assert len(csr_forms) == len(dense_forms) == 2
         assert ([r.lyap_iterations for r in reports]
                 == [r.lyap_iterations for r in reports_d])
         assert frobenius(Z - Zd) <= 1e-12 * frobenius(Z)
@@ -579,7 +609,75 @@ class TestSimulateClosedLoop:
         assert lapack.cost == pytest.approx(splu.cost, rel=1e-12)
 
 
+def _per_step_simulation(prob, F, x0, dt, steps, max_rows, lapack):
+    """The closed-loop simulation one step at a time: C x, F x and the
+    cost of each state as it is reached."""
+    model = prob.model
+    S = canonicalize(model.E - dt * canonicalize(model.A - model.B @ F))
+    if lapack:
+        lu = scipy.linalg.lu_factor(S.toarray())
+
+        def solve(b):
+            return scipy.linalg.lu_solve(lu, b)
+    else:
+        solve = spla.splu(S.tocsc()).solve
+    x = np.asarray(x0, dtype=np.float64).copy()
+    stride = max(1, steps // max_rows)
+    rows, cost = [], 0.0
+    for i in range(steps + 1):
+        y, u = model.C @ x, -(F @ x)
+        inst = float(y @ (prob.Q * y) + u @ (prob.R * u))
+        if i < steps:
+            cost += dt * inst
+        if i % stride == 0 or i == steps:
+            rows.append((i, i * dt, float(np.linalg.norm(x)), inst))
+        x = solve(model.E @ x)
+    steps_, times, norms, insts = (np.array(c) for c in zip(*rows))
+    return steps_, times, norms, insts, cost
+
+
+class TestBlockSimulation:
+    # a block of b = 7 states at n = 16
+    BLOCK = 7
+
+    @pytest.mark.parametrize("lapack", [False, True], ids=["splu", "lapack"])
+    @pytest.mark.parametrize("max_rows", [3, 1000])
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2000])
+    def test_matches_per_step_loop(self, monkeypatch, lapack, max_rows,
+                                   steps):
+        import bandlq.control
+        model, prob = heat_problem((4, 4))
+        _Z, _reports, F = solve_riccati(prob, cfg=NewtonConfig(N_max=3))
+        monkeypatch.setattr(bandlq.control, "_SIM_BLOCK_ENTRIES",
+                            self.BLOCK * model.n + model.n - 1)
+        # FILL_DIVISOR 1 makes no matrix filled, infinity every nonempty one
+        monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR",
+                            np.inf if lapack else 1)
+        x0 = np.random.default_rng(2).standard_normal(model.n)
+        traj = simulate_closed_loop(prob, F, x0, dt=1e-3, steps=steps,
+                                    max_rows=max_rows)
+        ref = _per_step_simulation(prob, F, x0, 1e-3, steps, max_rows, lapack)
+        for got, want in zip((traj.steps, traj.times, traj.state_norms),
+                             ref[:3]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(traj.inst_cost, ref[3], rtol=1e-14)
+        assert traj.cost == pytest.approx(ref[4], rel=1e-14)
+
+
 class TestLqProblemValidation:
+    def test_weights_are_copied_and_read_only(self):
+        model, _prob = heat_problem((3, 3))
+        Q, R = np.ones(model.r), np.ones(model.m)
+        prob = LqProblem(model, Q=Q, R=R)
+        ctqc, r_inv_bt = prob.ctqc().copy(), prob.r_inv_bt().copy()
+        Q[:] = 5.0
+        R[:] = 5.0
+        assert bitwise_equal(prob.ctqc(), ctqc)
+        assert bitwise_equal(prob.r_inv_bt(), r_inv_bt)
+        assert np.all(prob.Q == 1.0) and np.all(prob.R == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            prob.Q[0] = 5.0
+
     def test_negative_r_rejected(self):
         model, _prob = heat_problem((3, 3))
         with pytest.raises(ValueError):

@@ -154,7 +154,13 @@ class TestSpai:
         forms = []
         for Es, ps in ((E, pat), (E.T.tocsr(), pat.T.tocsr())):
             forms.append(_spai_one_sided(Es, ps))
-            assert bitwise_equal(forms[-1], _spai_slicing(Es, ps))
+            # a stacked QR per group of equal-shaped problems against one
+            # lstsq per column: the same entries, equal to rounding
+            X, ref = forms[-1], _spai_slicing(Es, ps)
+            assert np.array_equal(X.indptr, ref.indptr)
+            assert np.array_equal(X.indices, ref.indices)
+            np.testing.assert_allclose(X.data, ref.data, rtol=0,
+                                       atol=1e-14 * np.abs(ref.data).max())
         if case != "empty-column":
             # E and pat are symmetric, so the row form min ||I - X E||_F,
             # the transpose of forms[1], is the column form's transpose,

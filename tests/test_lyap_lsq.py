@@ -382,3 +382,76 @@ class TestOperatorForm:
         # per table entry
         support = 12 * (op._K1.shape[0] + op.outputs.nnz)
         assert peak - kept < 1.5 * support + 16 * _TABLE_ENTRIES
+
+
+def _newton_steps_1_to_3(nodes=(9, 9)):
+    """E, the step-1 pattern and the (Abar, P) of Newton steps 1, 2 and 3."""
+    model, prob = heat_problem(nodes)
+    _F, Abar, P = newton_start(prob)
+    pat = apriori_pattern(Abar, model.E, P, w=1)
+    steps, Z = [(Abar, P)], None
+    for _ in range(2):
+        Z, _rep = solve_lyap_lsq(Abar, model.E, P, pat, X0=Z)
+        _F, Abar, P = newton_step_matrices(Z, prob)
+        steps.append((Abar, P))
+    return model.E, pat, steps
+
+
+def _same_operator(op, ref):
+    """op and ref give the same spaces, rhs, apply and adjoint, bit for bit."""
+    rng = np.random.default_rng(3)
+    z, r = rng.standard_normal(ref.shape[1]), rng.standard_normal(ref.shape[0])
+    return (op.shape == ref.shape and op.form == ref.form
+            and op.nnz == ref.nnz and op.stored_entries == ref.stored_entries
+            and all(np.array_equal(getattr(op, s).map, getattr(ref, s).map)
+                    for s in ("inputs", "outputs"))
+            and np.array_equal(op.rhs, ref.rhs)
+            and np.array_equal(op @ z, ref @ z)
+            and np.array_equal(op.rmatvec(r), ref.rmatvec(r)))
+
+
+class TestRefill:
+    # FILL_DIVISOR 1 makes no Abar filled, infinity every nonempty one
+    @pytest.mark.parametrize("divisor, form", [(1, "dense"),
+                                               (np.inf, "dense-abar")])
+    def test_refill_equals_a_new_operator(self, monkeypatch, divisor, form):
+        # fe 9^2: from Newton step 2 to 3 only the values change
+        monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
+        E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
+        op = GlOperator(Abar2, E, pat, P2)
+        assert op.form == form
+        inputs, outputs = op.inputs, op.outputs
+        assert op.refill(Abar3, E, pat, P3)
+        assert op.inputs is inputs and op.outputs is outputs
+        assert _same_operator(op, GlOperator(Abar3, E, pat, P3))
+
+    def test_support_change_rebuilds(self):
+        E, pat, [(Abar1, P1), (Abar2, P2), (Abar3, P3)] = \
+            _newton_steps_1_to_3()
+        # step 1 to 2: Abar fills in
+        op = GlOperator(Abar1, E, pat, P1)
+        assert op.form != "factors"
+        assert not op.refill(Abar2, E, pat, P2)
+        assert _same_operator(op, GlOperator(Abar1, E, pat, P1))
+        # step 2 without one symmetric pair of P's entries, then step 3,
+        # whose P has that pair (P is full at 9^2)
+        assert P3.nnz == P3.shape[0] ** 2 and P2[0, 1] != 0
+        P2m = P2.tolil()
+        P2m[0, 1] = P2m[1, 0] = 0.0
+        P2m = canonicalize(P2m)
+        op = GlOperator(Abar2, E, pat, P2m)
+        assert not op.refill(Abar3, E, pat, P3)
+        assert _same_operator(op, GlOperator(Abar2, E, pat, P2m))
+        # another E, and the factors, which are always built anew
+        assert not op.refill(Abar3, canonicalize(2.0 * E), pat, P3)
+        factors = GlOperator(Abar2, E, pat, P2, _form="factors")
+        assert not factors.refill(Abar3, E, pat, P3)
+
+    def test_refill_checks_its_arguments(self):
+        E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
+        op = GlOperator(Abar2, E, pat, P2)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            op.refill(Abar3, E, pat, P3[:-1, :-1])
+        lower = canonicalize(sp.tril(pat))
+        with pytest.raises(ValueError, match="not symmetric"):
+            op.refill(Abar3, E, lower, P3)
