@@ -432,8 +432,8 @@ def cmd_bench(cfg, out):
                 else:
                     _Z, rep = solve_lyap(Abar, model.E, P, pat, replace(
                         cfg.newton, lyap_method=method))
-                    # the storage each solve needs: Method 2's peak nnz,
-                    # Method 1's nnz(M1)
+                    # Method 2's peak storage, or Method 1's storage in
+                    # the paper, the nnz of its reduced matrix M1
                     nnz = rep.extra.get("peak_nnz", rep.nnz_m1)
                     iters = rep.iterations
                 wall = 1e3 * (time.perf_counter() - t0)

@@ -9,14 +9,16 @@ solved approximately on a frozen a priori pattern by Method 1 or 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
+from . import lyap_lsq
+from .lyap_gp import (FaberConfig, GpConfig, default_delta_bar, initial_guess,
+                      solve_lyap_gp)
 from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import apriori_pattern
@@ -153,21 +155,39 @@ def newton_start(prob, cfg=NewtonConfig()):
     return newton_step_matrices(Z0, prob)
 
 
-def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None, op=None):
-    """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
+def inner_solve(op, x0, Abar, E, P, cfg=NewtonConfig()):
+    """Method ``cfg.lyap_method`` on ``op``, the GL operator of (Abar, E, P).
 
-    ``cfg.lyap_method`` is "lsq" (Method 1, CGLS) or "gp" (Method 2,
-    gradient projection). Both start from X0 when given; without it LSQ
-    starts from zero and GP from the X3 initial guess. Both run on ``op``,
-    which must be ``GlOperator(Abar, E, pat, P)``, built by the method when
-    not given. Returns (Z, SolveReport), whose
-    ``extra["residual_2norm"]`` is ||p - M z|| for either method.
+    It starts from the coordinates x0, or else LSQ from zero and GP from
+    the X3 initial guess; GP's ``delta_bar`` defaults to
+    ``default_delta_bar(Abar, E)``. Returns the solution's coordinates and
+    a SolveReport whose ``extra["residual_2norm"]`` is ||p - M z||.
     """
     if cfg.lyap_method == "lsq":
-        return solve_lyap_lsq(Abar, E, P, pat, cfg=cfg.cgls, X0=X0, op=op)
-    if X0 is None:
-        X0, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
-    return solve_lyap_gp(Abar, E, P, pat, X0, cfg=cfg.gp, op=op)
+        return solve_lyap_lsq(op, cfg.cgls, x0=x0)
+    gp = cfg.gp
+    if gp.delta_bar is None:
+        gp = replace(gp, delta_bar=default_delta_bar(Abar, E))
+    if x0 is None:
+        X3, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
+        x0 = op.inputs.fold(X3)
+    return solve_lyap_gp(op, x0, gp)
+
+
+def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
+    """One inner solve of E^T Z Abar + Abar^T Z E = P on the pattern.
+
+    Runs ``inner_solve`` on the operator built on ``pat``, which must be
+    symmetric, from X0 read through its symmetric part on the pattern.
+    Returns (Z, SolveReport), Z exactly symmetric; ``wall_ms`` is the call.
+    """
+    t0 = time.perf_counter()
+    op = GlOperator(Abar, E, pat, P)
+    x0 = None if X0 is None else op.inputs.fold(X0)
+    x, report = inner_solve(op, x0, Abar, E, P, cfg)
+    Z = lyap_lsq.scatter_solution(op, x)
+    report.wall_ms = 1e3 * (time.perf_counter() - t0)
+    return Z, report
 
 
 def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
@@ -176,9 +196,9 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     F = R^-1 B^T Z_hat E is the LQ feedback of Z_hat.
 
     Every step solves on ``pattern``, by default the order-``cfg.w`` a
-    priori pattern of the first step's GL equation, with one ``GlOperator``
-    per step: the last one refilled with the step's values where its
-    structure allows (``GlOperator.refill``), else a new one.
+    priori pattern of the first step's GL equation, by ``inner_solve`` on
+    one ``GlOperator`` per step, refilled where it can be, from the last
+    step's coordinates; Z_k is scattered from them for F and the return.
     v_k = ||D[Z_k]||_F is step k+1's GL residual at Z_k, read off its
     operator, whose output coordinates are orthonormal. The loop ends
     when v_k <= ``cfg.residual_tol`` v_1, after ``cfg.N_max`` steps, or at
@@ -195,21 +215,20 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     if pattern is None:
         pattern = apriori_pattern(Abar, E, P, cfg.w)
     op = GlOperator(Abar, E, pattern, P)
-    Z = None
+    x = None
     reports = []
     v1 = None
     growth_streak = 0
     for k in range(1, cfg.N_max + 1):
         t0 = time.perf_counter()
-        # inner solves start from the previous Newton iterate; step 1
-        # starts LSQ from zero and GP from the X3 initial guess
-        warm = Z is not None
-        Z, lrep = solve_lyap(Abar, E, P, pattern, cfg, X0=Z, op=op)
+        warm = x is not None
+        x, lrep = inner_solve(op, x, Abar, E, P, cfg)
+        Z = lyap_lsq.scatter_solution(op, x)
         F, Abar, P = newton_step_matrices(Z, prob)
-        if not op.refill(Abar, E, pattern, P):
+        if not op.refill(Abar, P):
             op = None   # release this step's operator before the next is built
             op = GlOperator(Abar, E, pattern, P)
-        v_k = float(np.linalg.norm(op.rhs - op @ op.inputs.fold(Z)))
+        v_k = float(np.linalg.norm(op.rhs - op @ x))
         reports.append(NewtonIterationReport(
             k=k, v_k=v_k, lyap_residual=lrep.extra["residual_2norm"],
             nnz_Z=Z.nnz, nnz_F=F.nnz, lyap_iterations=lrep.iterations,
@@ -261,7 +280,9 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     """Implicit-Euler simulation of E x' = (A - B F) x with LQ running cost.
 
     cost accumulates dt * (y^T Q y + u^T R u) per step with y = C x and
-    u = -F x; the trajectory is downsampled to at most ``max_rows`` rows.
+    u = -F x. The trajectory records at most ``max_rows`` steps: every
+    s-th step and the last, with s = ceil(steps / (max_rows - 1)), or
+    step 0 alone when ``max_rows`` is 1.
     The steps solve with a LAPACK LU of the step matrix E - dt Abar when
     Abar is ``filled``, and with SuperLU otherwise; a singular step matrix
     raises RuntimeError. F stays CSR: u = -F x reads each entry once, and
@@ -294,10 +315,11 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     E = model.E.tocsr()
     x = np.asarray(x0, dtype=np.float64).ravel().copy()
     n = x.size
-    stride = max(1, steps // max_rows)
+    stride = -(-steps // max(1, max_rows - 1))
+    rec_steps = np.union1d(np.arange(0, steps + 1, stride), steps)[:max_rows]
     # states 0 .. steps, a block of them at a time as the columns of X
     X = np.empty((n, max(1, _SIM_BLOCK_ENTRIES // n)), order="F")
-    rec_steps, rec_norm, rec_cost = [], [], []
+    rec_norm, rec_cost = [], []
     cost = 0.0
     for lo in range(0, steps + 1, X.shape[1]):
         hi = min(steps + 1, lo + X.shape[1])
@@ -313,13 +335,11 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
         # the cost sums dt * inst over states 0 .. steps - 1 in step order
         for c in (dt * inst[:min(hi, steps) - lo]).tolist():
             cost += c
-        for j in range(hi - lo):
-            if (lo + j) % stride == 0 or lo + j == steps:
-                rec_steps.append(lo + j)
-                # a contiguous column, as np.linalg.norm of one state reads
-                rec_norm.append(float(np.linalg.norm(block[:, j])))
-                rec_cost.append(float(inst[j]))
-    rec_steps = np.array(rec_steps)
+        mine = rec_steps[(rec_steps >= lo) & (rec_steps < hi)] - lo
+        for j in mine.tolist():
+            # a contiguous column, as np.linalg.norm of one state reads
+            rec_norm.append(float(np.linalg.norm(block[:, j])))
+            rec_cost.append(float(inst[j]))
     return Trajectory(steps=rec_steps, times=rec_steps * dt,
                       state_norms=np.array(rec_norm),
                       inst_cost=np.array(rec_cost), cost=cost)

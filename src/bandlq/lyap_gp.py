@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lyap_lsq import GlOperator, _ranges
+from .lyap_lsq import _ranges
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
@@ -379,39 +379,32 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
 
 def default_delta_bar(Abar, E):
     """Safe upper-bound step for the quadratic objective."""
-    return 1.0 / (8.0 * frobenius(E) ** 2 * frobenius(Abar) ** 2)
+    return 1.0 / (8.0 * frobenius(canonicalize(E)) ** 2
+                  * frobenius(canonicalize(Abar)) ** 2)
 
 
-def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), op=None):
+def solve_lyap_gp(op, x0, cfg=GpConfig()):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
     delta^i = zeta^g delta_bar, N = -2 E R Abar^T - 2 Abar R E^T and
-    R = P - E^T Z Abar - Abar^T Z E. Z is sought among the symmetric
-    matrices supported on Zpat, which must be symmetric; X0 is read through
-    its symmetric part on the pattern. Z and N are held as the GL
-    operator's coordinates, so no step projects, and R as its output
-    coordinates; ``peak_nnz`` is the larger of the two spaces' entry counts,
-    the storage of any iterate. The operator ``op`` must be
-    ``GlOperator(Abar, E, Zpat, P)``, built here when not given;
-    ``operator_form`` and ``operator_entries`` name its form and its stored
-    entries.
+    R = P - E^T Z Abar - Abar^T Z E, on the GL operator ``op`` from the
+    coordinates x0, with ``cfg.delta_bar`` given. Z and N are held as its
+    coordinates, so no step projects, and R as its output coordinates.
+    Returns the coordinates and a SolveReport whose ``peak_nnz``, the
+    larger space's entry count, is the storage of any iterate.
     """
     t0 = time.perf_counter()
-    if op is None:
-        op = GlOperator(Abar, E, Zpat, P)
-    p = op.rhs
-    z = op.inputs.fold(X0)
-    delta_bar = cfg.delta_bar if cfg.delta_bar is not None \
-        else default_delta_bar(canonicalize(Abar), canonicalize(E))
-
+    if cfg.delta_bar is None:
+        raise ValueError("solve_lyap_gp: cfg.delta_bar must be given")
+    p, z = op.rhs, x0
     r = p - op @ z
     J = float(r @ r)
     J_history = [J]
     stalled = False
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
-        delta = delta_bar
+        delta = cfg.delta_bar
         for _g in range(61):
             z_try = z - delta * g
             r_try = p - op @ z_try
@@ -438,4 +431,4 @@ def solve_lyap_gp(Abar, E, P, Zpat, X0, cfg=GpConfig(), op=None):
                "residual_2norm": residual, "operator_form": op.form,
                "operator_entries": op.stored_entries},
     )
-    return op.inputs.to_csr(z), report
+    return z, report

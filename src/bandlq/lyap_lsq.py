@@ -1,17 +1,8 @@
 """Method 1: pattern-reduced least-squares solution of the GL equation.
 
 The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
-is never formed: CGLS runs on ``GlOperator``, which maps coordinates of the
-symmetric matrices inside the a priori pattern to coordinates of the
-symmetric matrices on the operator's structural output support, the
-support of E^T Zpat Abar plus its transpose and of P, and back. When
-Abar is sparse enough (nnz(K1) <= 4 n^2, see ``GlOperator``), the operator
-is the product K2 K1 of two sparse matrices whose structure is found once,
-both built by one routine (``_fill``), and an apply or adjoint costs
-nnz(K1) + nnz(K2): n times the pattern's row count times the row counts of
-Abar and E. Otherwise, as from Newton step 2 on where Abar fills in, it
-runs on three dense n x n buffers, with Abar itself dense and its product
-a BLAS GEMM once it is ``filled``.
+is never formed: CGLS runs on ``GlOperator``, the GL operator on
+coordinates of symmetric matrices that both methods share.
 ``assemble_reduced`` builds the reduced matrix over all pattern entries
 column by column, as the reference for the tests.
 """
@@ -89,8 +80,7 @@ class SymCoords:
 
     def fold(self, X):
         """Coordinates of the symmetric part of the sparse n x n X."""
-        if X.shape != (self.n, self.n):
-            raise ShapeMismatchError("fold", (self.n, self.n), X.shape)
+        _square("fold", self.n, X)
         X = canonicalize(X)
         rows, cols = self.map.T
         return np.asarray((X + X.T)[rows, cols]).ravel() * self._weight
@@ -130,19 +120,12 @@ def _m1_nnz(E, Abar, Zp):
     return int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
 
 
-def _checked(Abar, E, Zpat, P):
-    """E and Abar as canonical CSR and Zpat binarized, once the shapes
-    match and the pattern is nonempty and symmetric."""
-    n = Abar.shape[0]
-    for M in (E, Zpat, P):
+def _square(routine, n, *matrices):
+    """Raise ShapeMismatchError naming ``routine`` unless each matrix is
+    n x n."""
+    for M in matrices:
         if M.shape != (n, n):
-            raise ShapeMismatchError("GlOperator", (n, n), M.shape)
-    Zp = binarize(Zpat)
-    if Zp.nnz == 0:
-        raise ValueError("GlOperator: empty a priori pattern")
-    if (Zp != Zp.T).nnz:
-        raise ValueError("GlOperator: the a priori pattern is not symmetric")
-    return canonicalize(E), canonicalize(Abar), Zp
+            raise ShapeMismatchError(routine, (n, n), M.shape)
 
 
 def _supports(*matrices):
@@ -245,9 +228,8 @@ class GlOperator(spla.LinearOperator):
     with supp(P): every matrix the operator produces and the right-hand
     side ``rhs``, the coordinates of P's symmetric part. O is computed once,
     from the structural patterns (``_output_support``). ``nnz`` is the
-    structural nnz of the
-    matrix M1 that ``assemble_reduced`` builds and ``nnz_pattern`` the
-    number of pattern entries, ``inputs.nnz``.
+    structural nnz of the matrix M1 that ``assemble_reduced`` builds and
+    ``nnz_pattern`` the number of pattern entries, ``inputs.nnz``.
 
     The operator has three forms with the same spaces, ``rhs`` and ``nnz``:
 
@@ -266,65 +248,28 @@ class GlOperator(spla.LinearOperator):
     - ``"dense-abar"``: the dense form with Abar held as a C-contiguous
       n x n array, when Abar is ``filled``: its product is a BLAS GEMM.
 
-    ``refill(Abar, E, Zpat, P)`` turns an operator in a dense form into the
-    operator of the next GL equation when only values change: E is the same
-    matrix and the pattern, supp(Abar) and supp(P) are the same supports,
-    as from Newton step 2 on. It keeps the spaces, ``nnz``, the form, E's
-    copies and the n x n buffers, and takes Abar's values and the new
-    ``rhs``; apply and adjoint run the same code either way. The factors
-    are always built anew.
-
-    The factors are built iff nnz(K1) <= 4 n^2, a count read off the row
-    counts of Zpat and Abar before either form is built. Measured at
-    fe-bilinear Newton steps 1 and 2 (w = 1, seed 7, one BLAS thread, a
-    shared 2-core VM), with the median time of one call:
-
-    =========== ========== =========== ============== ============== =======
-    grid, step  nnz(K1)/n2 K1 + K2 nnz dense ms       factors ms     factor
-                                       apply/adjoint  apply/adjoint  build s
-    =========== ========== =========== ============== ============== =======
-    13^2, 1     6.4        0.39M       0.27 / 0.27    0.46 / 0.48    0.03
-    13^2, 2     62         2.0M        1.3 / 1.3      2.1 / 2.5      0.08
-    29^2, 1     2.2        3.36M       10.2 / 10.2    4.9 / 4.3      0.17
-    29^2, 2     34         28.2M       52 / 56        52 / 52        2.2
-    45^2, 1     1.0        9.28M       86 / 84        16.8 / 17.0    0.51
-    61^2, 1     0.59       18.1M       334 / 331      39 / 36        1.1
-    =========== ========== =========== ============== ============== =======
-
-    From step 2 on Abar = A - B F fills in, and the factors cost more time
-    and memory than the dense buffers; any bound between 2.2 and 6.4 splits
-    the table. ``form`` names the form and ``stored_entries`` counts its
-    stored factor entries, or n^2 per dense buffer and for a dense Abar.
-
-    Where the factors are not built, Abar is held dense iff ``filled``:
-    nnz(Abar) > n^2 / FILL_DIVISOR, with FILL_DIVISOR = 16. The same rule
-    picks LAPACK over SuperLU in ``simulate_closed_loop``. Measured at the
-    same Newton steps, in one session on a shared 2-core VM with one BLAS
-    thread, with the median time of one call and of one solve with the
-    step matrix at dt = 1e-3 (LAPACK through scipy's ``lu_solve``):
-
-    =========== ====== ============== ============== ==============
-    grid, step  Abar   CSR Abar ms    dense Abar ms  SuperLU / LU
-                dense  apply/adjoint  apply/adjoint  solve us
-    =========== ====== ============== ============== ==============
-    13^2, 1     4.8 %  0.53 / 0.51    0.69 / 0.68    21 / 28
-    13^2, 2     46 %   1.6 / 1.6      0.73 / 0.69    51 / 29
-    29^2, 1     1.0 %  14 / 14        44 / 42        91 / 371
-    29^2, 2     15 %   69 / 69        44 / 45        643 / 358
-    45^2, 1     0.4 %  100 / 96       310 / 302      228 / 1834
-    45^2, 2     7.3 %  387 / 401      354 / 376      2094 / 1821
-    61^2, 1     0.2 %  358 / 370      2106 / 1857    541 / 10295
-    61^2, 2     4.2 %  1628 / 1958    2078 / 1886    8598 / 11940
-    =========== ====== ============== ============== ==============
-
-    Dense wins from 7.3 % and loses at 4.8 % and below, so the bound
-    1/16 = 6.25 % lies between; 1/8 would leave 45^2 step 2 on the slower
-    CSR side.
+    The factors are built iff nnz(K1) <= _FACTOR_FILL n^2 = 4 n^2, a count
+    read off the row counts of Zpat and Abar before either form is built:
+    from Newton step 2 on, where Abar = A - B F fills in, they cost more
+    than the dense buffers. Otherwise Abar is held dense iff ``filled``:
+    nnz(Abar) > n^2 / FILL_DIVISOR = n^2 / 16, the rule that also picks
+    LAPACK over SuperLU in ``simulate_closed_loop``. The README's
+    performance note has the timings both bounds rest on. ``form`` names
+    the form and ``stored_entries`` counts its stored factor entries, or
+    n^2 per dense buffer and for a dense Abar. ``refill`` gives an operator
+    in a dense form the values of the next Newton step.
     """
 
     def __init__(self, Abar, E, Zpat, P, _form=None):
-        E, Abar, Zp = _checked(Abar, E, Zpat, P)
         n = self.n = Abar.shape[0]
+        _square("GlOperator", n, Abar, E, Zpat, P)
+        Zp = binarize(Zpat)
+        if Zp.nnz == 0:
+            raise ValueError("GlOperator: empty a priori pattern")
+        if (Zp != Zp.T).nnz:
+            raise ValueError(
+                "GlOperator: the a priori pattern is not symmetric")
+        E, Abar = canonicalize(E), canonicalize(Abar)
         self.nnz = _m1_nnz(E, Abar, Zp)
         self.inputs = SymCoords(Zp)
         self.nnz_pattern = self.inputs.nnz
@@ -370,8 +315,8 @@ class GlOperator(spla.LinearOperator):
             del Y, O
             # every sparse product below is CSR @ C-contiguous dense
             self._E, self._ET = E, E.T.tocsr()
-            # a refill needs the same supports and E's values
-            self._supports = _supports(E, Zp, Abar, canonicalize(P))
+            # a refill needs the same supports
+            self._supports = _supports(Abar, canonicalize(P))
             if _form == "dense-abar":
                 self._Abar = np.empty((n, n))
             self._Z = np.zeros((n, n))
@@ -388,24 +333,21 @@ class GlOperator(spla.LinearOperator):
         else:
             self._Abar, self._AbarT = Abar, Abar.T.tocsr()
 
-    def refill(self, Abar, E, Zpat, P):
-        """Become ``GlOperator(Abar, E, Zpat, P)`` by taking new values only.
+    def refill(self, Abar, P):
+        """Become the operator of (Abar, P) on this operator's E and pattern
+        by taking Abar's values and the new ``rhs`` only.
 
-        That holds when this operator is in a dense form, E is the same
-        matrix and the pattern, supp(Abar) and supp(P) are the same
-        supports: then the spaces, ``nnz``, the form, E's copies and the
-        n x n buffers all stay, and only Abar's values and ``rhs`` change.
-        Returns whether it refilled; if not, nothing changed and the caller
-        builds a new operator. The arguments pass the constructor's checks
-        either way.
+        That holds for a dense form when supp(Abar) and supp(P) are this
+        operator's, as from Newton step 2 on; the spaces, ``nnz``, the form,
+        E's copies and the buffers stay. Returns whether it refilled; if
+        not, nothing changed. Abar and P must be n x n either way.
         """
-        E, Abar, Zp = _checked(Abar, E, Zpat, P)
+        _square("GlOperator.refill", self.n, Abar, P)
         if self.form == "factors":
             return False
-        P = canonicalize(P)
-        supports = _supports(E, Zp, Abar, P)
-        if not (all(map(np.array_equal, supports, self._supports))
-                and np.array_equal(E.data, self._E.data)):
+        Abar, P = canonicalize(Abar), canonicalize(P)
+        supports = _supports(Abar, P)
+        if not all(map(np.array_equal, supports, self._supports)):
             return False
         # hold the arrays of this step's matrices, not a copy of them
         self._supports = supports
@@ -477,9 +419,7 @@ def assemble_reduced(Abar, E, P, Zpat):
     memory stays proportional to nnz(M1).
     """
     n = Abar.shape[0]
-    for M in (E, P, Zpat):
-        if M.shape != (n, n):
-            raise ShapeMismatchError("assemble_reduced", (n, n), M.shape)
+    _square("assemble_reduced", n, Abar, E, P, Zpat)
     Zp = binarize(Zpat)
     if Zp.nnz == 0:
         raise ValueError("assemble_reduced: empty a priori pattern")
@@ -519,24 +459,17 @@ def scatter_solution(op, z):
     return op.inputs.to_csr(z)
 
 
-def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None, op=None):
-    """Method 1 end to end: CGLS on the GL operator, then scatter.
+def solve_lyap_lsq(op, cfg=CglsConfig(), x0=None):
+    """Method 1: CGLS on the GL operator ``op`` from the coordinates x0 on
+    ``op.inputs``, or from zero.
 
-    Z is sought among the symmetric matrices supported on Zpat, which must
-    be symmetric; the result is exactly symmetric. CGLS runs on ``op``,
-    which must be ``GlOperator(Abar, E, Zpat, P)``, built here when not
-    given. It starts from zero, or from X0 read through its symmetric part
-    on the pattern. The report's ``extra`` holds ``residual_2norm``, CGLS's
-    own ||p - M z||, and names the operator's form and its stored entries
-    (``operator_form``, ``operator_entries``).
+    Returns the solution's coordinates on ``op.inputs`` and a SolveReport
+    whose ``extra`` holds ``residual_2norm``, CGLS's own ||p - M z||, and
+    names the operator's form and its stored entries (``operator_form``,
+    ``operator_entries``).
     """
     t0 = time.perf_counter()
-    if op is None:
-        op = GlOperator(Abar, E, Zpat, P)
-    p = op.rhs
-    x0 = None if X0 is None else op.inputs.fold(X0)
-    res = cgls(op, p, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
-    Z = scatter_solution(op, res.x)
+    res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     report = SolveReport(
         method="lsq", n=op.n, nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
@@ -545,4 +478,4 @@ def solve_lyap_lsq(Abar, E, P, Zpat, cfg=CglsConfig(), X0=None, op=None):
                "operator_form": op.form,
                "operator_entries": op.stored_entries},
     )
-    return Z, report
+    return res.x, report

@@ -59,8 +59,8 @@ def scalar_problem():
 def nan_lyap_solve_at(monkeypatch, step):
     """Make Newton step ``step`` receive a NaN Method-1 solution.
 
-    Wraps ``bandlq.control.solve_lyap_lsq``; returns the list of the steps
-    it was called at.
+    Wraps ``bandlq.control.solve_lyap_lsq``, whose solution is coordinates;
+    returns the list of the steps it was called at.
     """
     import bandlq.control
     solve = bandlq.control.solve_lyap_lsq
@@ -68,11 +68,10 @@ def nan_lyap_solve_at(monkeypatch, step):
 
     def wrapped(*args, **kwargs):
         calls.append(len(calls) + 1)
-        Z, rep = solve(*args, **kwargs)
+        x, rep = solve(*args, **kwargs)
         if calls[-1] == step:
-            Z = Z.copy()
-            Z.data[:] = np.nan
-        return Z, rep
+            x = np.full_like(x, np.nan)
+        return x, rep
 
     monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", wrapped)
     return calls

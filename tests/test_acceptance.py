@@ -8,11 +8,10 @@ import scipy.sparse as sp
 
 from bandlq.cli import main
 from bandlq.control import (NewtonConfig, metric_e, newton_start,
-                            simulate_closed_loop, solve_riccati)
+                            simulate_closed_loop, solve_lyap, solve_riccati)
 from bandlq.lyap_gp import (FaberConfig, GpConfig, faber_expm, initial_guess,
-                            solve_lyap_gp, spai, spectrum_bounds,
-                            transformed_problem)
-from bandlq.lyap_lsq import CglsConfig, assemble_reduced, solve_lyap_lsq
+                            spai, spectrum_bounds, transformed_problem)
+from bandlq.lyap_lsq import CglsConfig, assemble_reduced
 from bandlq.oracle import (dense_expm, dense_lyap, dense_riccati, kron_matrix,
                            pencil_eigs)
 from bandlq.pattern import apriori_pattern, inverse_pattern
@@ -49,8 +48,8 @@ def test_criterion_02_lyapunov_oracle_equivalence():
     for k in range(20):
         n = int(rng.integers(5, 51))
         Abar, E, P = random_stable_instance(n, rng)
-        Z, _rep = solve_lyap_lsq(Abar, E, P, full_pattern(n),
-                                 cfg=CglsConfig(tol=1e-10))
+        Z, _rep = solve_lyap(Abar, E, P, full_pattern(n),
+                             NewtonConfig(cgls=CglsConfig(tol=1e-10)))
         e = metric_e(Z, sp.csr_matrix(dense_lyap(Abar, E, P)))
         worst = max(worst, e)
     elapsed = time.perf_counter() - t0
@@ -103,8 +102,8 @@ def test_criterion_05_accuracy_vs_w_monotonicity():
         errs = []
         for w in (0, 1, 2, 3):
             pat = apriori_pattern(Abar, model.E, P, w=w)
-            Z, _rep = solve_lyap_lsq(Abar, model.E, P, pat,
-                                     cfg=CglsConfig(tol=1e-7))
+            Z, _rep = solve_lyap(Abar, model.E, P, pat,
+                                 NewtonConfig(cgls=CglsConfig(tol=1e-7)))
             errs.append(metric_e(Z, Zex))
         for lo, hi in zip(errs[1:], errs[:-1]):
             ok = ok and lo <= 1.05 * hi
@@ -274,8 +273,8 @@ def test_criterion_11_scaling_property():
         rs = assemble_reduced(Abar, model.E, P, pat)
         ratios.append(rs.M1.nnz / model.n)
         X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
-        _Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
-                                cfg=GpConfig(max_iter=60))
+        _Z, rep = solve_lyap(Abar, model.E, P, pat, NewtonConfig(
+            lyap_method="gp", gp=GpConfig(max_iter=60)), X0=X0)
         peak = rep.extra["peak_nnz"]
         peaks_ok = peaks_ok and peak < rs.M1.nnz
         details.append(f"n={model.n}: nnz(M1)/n = {rs.M1.nnz / model.n:.1f},"

@@ -1,8 +1,10 @@
 """CLI: config validation, stages, artifacts, exit codes, determinism."""
 
 import csv
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,15 @@ from bandlq.lyap_gp import FaberConfig, GpConfig
 from bandlq.lyap_lsq import CglsConfig
 from bandlq.mmio import read_matrix, write_pattern
 from conftest import nan_lyap_solve_at
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def _readme_config():
+    """The example config of the README, parsed from its JSON block."""
+    readme = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
 def _write_config(tmp_path, name, cfg):
@@ -202,13 +213,22 @@ class TestConfigValidation:
 
     def test_readme_example_loads(self):
         # the README's example config, so that the example cannot go stale
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
-        cfg = parse_config(json.loads(block))
+        cfg = parse_config(_readme_config())
         assert cfg.newton == NewtonConfig(N_max=12, residual_tol=1e-9, w=1,
                                           cgls=CglsConfig(tol=1e-7))
         assert cfg.sim == {"dt": 1e-3, "steps": 2000, "x0": "ones",
                            "x0_seed": 0, "max_rows": 1000}
+
+    def test_readme_example_is_the_benchmark_config(self, monkeypatch):
+        # the benchmark's workloads start from the README example, which
+        # perfbench/workloads.py copies; the two must not drift apart
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while it runs
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert _readme_config() == workloads.README_CONFIG
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

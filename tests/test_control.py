@@ -12,7 +12,8 @@ from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             feedback, metric_e, newton_start,
                             newton_step_matrices, riccati_residual,
                             simulate_closed_loop, solve_lyap, solve_riccati)
-from bandlq.lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
+from bandlq.lyap_gp import (FaberConfig, GpConfig, default_delta_bar,
+                            initial_guess, solve_lyap_gp)
 from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.modelgen import DescriptorModel
 from bandlq.oracle import dense_riccati, pencil_eigs
@@ -95,9 +96,22 @@ class TestSolveLyap:
                            faber=self.FABER)
         return solve_lyap(*step1, cfg, X0=X0)
 
+    def _method(self, step1, method, X0=None):
+        """Method 1 or 2 by hand on the step's operator, from zero or X0,
+        with Method 2's default first step."""
+        Abar, E, P, pat = step1
+        op = GlOperator(Abar, E, pat, P)
+        x0 = None if X0 is None else op.inputs.fold(X0)
+        if method == "lsq":
+            x, rep = solve_lyap_lsq(op, self.CGLS, x0=x0)
+        else:
+            x, rep = solve_lyap_gp(op, x0, dataclasses.replace(
+                self.GP, delta_bar=default_delta_bar(Abar, E)))
+        return op.inputs.to_csr(x), rep
+
     def test_lsq_from_zero_is_method_1(self, step1):
         Z, rep = self._solve(step1, "lsq")
-        Zref, ref = solve_lyap_lsq(*step1, cfg=self.CGLS)
+        Zref, ref = self._method(step1, "lsq")
         assert bitwise_equal(Z, Zref)
         assert rep.iterations == ref.iterations
 
@@ -105,7 +119,7 @@ class TestSolveLyap:
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, "gp")
         X3, _info = initial_guess(Abar, E, P, cfg=self.GP, fcfg=self.FABER)
-        Zref, ref = solve_lyap_gp(Abar, E, P, pat, X3, cfg=self.GP)
+        Zref, ref = self._method(step1, "gp", X3)
         assert bitwise_equal(Z, Zref)
         assert rep.extra["J_history"] == ref.extra["J_history"]
 
@@ -113,11 +127,16 @@ class TestSolveLyap:
     def test_given_start_is_used(self, step1, method):
         X0 = self._solve(step1, "lsq")[0]
         Z, _rep = self._solve(step1, method, X0=X0)
-        if method == "lsq":
-            Zref, _ = solve_lyap_lsq(*step1, cfg=self.CGLS, X0=X0)
-        else:
-            Zref, _ = solve_lyap_gp(*step1, X0, cfg=self.GP)
+        Zref, _ = self._method(step1, method, X0)
         assert bitwise_equal(Z, Zref)
+
+    def test_gp_needs_its_first_step(self, step1):
+        # the operator carries no norms of Abar and E: solve_lyap defaults
+        # delta_bar, and the method alone asks for it
+        Abar, E, P, pat = step1
+        op = GlOperator(Abar, E, pat, P)
+        with pytest.raises(ValueError, match="delta_bar"):
+            solve_lyap_gp(op, np.zeros(op.shape[1]), self.GP)
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_residual_2norm_is_the_gl_residual(self, step1, method):
@@ -193,14 +212,14 @@ class TestSolveRiccati:
         import bandlq.control
         model, prob = heat_problem((5, 5))
         cfg = NewtonConfig(Z0_scale=3.0, N_max=1)
-        solve = bandlq.control.solve_lyap
+        solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(Abar, E, P, pat, cfg, X0=None, op=None):
-            seen.append((Abar, P, X0, op))
-            return solve(Abar, E, P, pat, cfg, X0=X0, op=op)
+        def recorded(op, x0, Abar, E, P, cfg):
+            seen.append((Abar, P, x0, op))
+            return solve(op, x0, Abar, E, P, cfg)
 
-        monkeypatch.setattr(bandlq.control, "solve_lyap", recorded)
+        monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         solve_riccati(prob, cfg=cfg)
         F, Abar, P = newton_start(prob, cfg)
         (Abar1, P1, X0, op), = seen
@@ -244,15 +263,15 @@ class TestSolveRiccati:
         # both ways differ by cancellation in p - M z at 1e-10 relative
         import bandlq.control
         _model, prob = heat_problem(nodes, discretization=discretization)
-        solve = bandlq.control.solve_lyap
+        solve = bandlq.control.inner_solve
         iterates = []
 
-        def recorded(*args, **kwargs):
-            Z, rep = solve(*args, **kwargs)
-            iterates.append(Z)
-            return Z, rep
+        def recorded(op, *args):
+            x, rep = solve(op, *args)
+            iterates.append(op.inputs.to_csr(x))
+            return x, rep
 
-        monkeypatch.setattr(bandlq.control, "solve_lyap", recorded)
+        monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,
                            gp=GpConfig(max_iter=30, q=10),
                            faber=FaberConfig(p=10))
@@ -270,16 +289,16 @@ class TestSolveRiccati:
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
         Z, reports, F = solve_riccati(prob, cfg=cfg)
-        solve = bandlq.control.solve_lyap
+        solve = bandlq.control.inner_solve
         iterates = []
 
-        def run_on(*args, **kwargs):
-            Zk, rep = solve(*args, **kwargs)
-            iterates.append(Zk)
-            return Zk, dataclasses.replace(
+        def run_on(op, *args):
+            x, rep = solve(op, *args)
+            iterates.append(op.inputs.to_csr(x))
+            return x, dataclasses.replace(
                 rep, iterations=max(rep.iterations, 1))
 
-        monkeypatch.setattr(bandlq.control, "solve_lyap", run_on)
+        monkeypatch.setattr(bandlq.control, "inner_solve", run_on)
         _Z, ran_on, F_on = solve_riccati(prob, cfg=cfg)
         k = len(reports)
         assert k == 5 and len(ran_on) == 8
@@ -293,11 +312,11 @@ class TestSolveRiccati:
         assert rows[:k] == rows[k:]
         assert [r.lyap_iterations for r in ran_on[:k - 1]] \
             == [r.lyap_iterations for r in reports[:-1]]
-        # the steps after the fixed point repeat it
+        # the steps after the fixed point repeat it bit for bit
         for Zj, rep in zip(iterates[k:], ran_on[k:]):
-            assert metric_e(Zj, Z) <= 1e-12
-            assert rep.v_k == pytest.approx(reports[-1].v_k, rel=1e-12)
-        assert metric_e(F_on, F) <= 1e-12
+            assert bitwise_equal(Zj, Z)
+            assert rep.v_k == reports[-1].v_k
+        assert bitwise_equal(F_on, F)
         # a residual_tol met before the fixed point still ends the loop
         monkeypatch.undo()
         tol = reports[2].v_k / reports[0].v_k
@@ -388,15 +407,15 @@ class TestSolveRiccati:
         # Z_k scaled by 1e3 from step 2 on keeps v_k above 10 v_1
         import bandlq.control
         _model, prob = heat_problem((4, 4))
-        solve = bandlq.control.solve_lyap
+        solve = bandlq.control.inner_solve
         calls = []
 
-        def grown(*args, **kwargs):
+        def grown(*args):
             calls.append(len(calls) + 1)
-            Z, rep = solve(*args, **kwargs)
-            return (Z if calls[-1] == 1 else canonicalize(1e3 * Z)), rep
+            x, rep = solve(*args)
+            return (x if calls[-1] == 1 else 1e3 * x), rep
 
-        monkeypatch.setattr(bandlq.control, "solve_lyap", grown)
+        monkeypatch.setattr(bandlq.control, "inner_solve", grown)
         with pytest.raises(RiccatiDivergence, match=(
                 r"^Riccati residual v_k > 10 v_1 for 3 consecutive Newton "
                 r"steps, at step 4$")) as exc:
@@ -414,23 +433,23 @@ class TestSolveRiccati:
         # on through the repeats raises: at step 4 when N_max >= 4
         import bandlq.control
         _model, prob = heat_problem((4, 4))
-        solve = bandlq.control.solve_lyap
+        solve = bandlq.control.inner_solve
 
         def stuck(its):
             # steps 1 and 2 solve, step 2 then lands far away; every later
             # step returns its start and reports ``its`` iterations
             solved = []
 
-            def inner(*args, X0=None, **kwargs):
+            def inner(op, x0, *args):
                 if len(solved) == 2:
-                    return X0, dataclasses.replace(solved[-1], iterations=its)
-                Z, rep = solve(*args, X0=X0, **kwargs)
+                    return x0, dataclasses.replace(solved[-1], iterations=its)
+                x, rep = solve(op, x0, *args)
                 solved.append(rep)
-                return (Z if len(solved) == 1 else canonicalize(1e3 * Z)), rep
+                return (x if len(solved) == 1 else 1e3 * x), rep
             return inner
 
         def outcome(its):
-            monkeypatch.setattr(bandlq.control, "solve_lyap", stuck(its))
+            monkeypatch.setattr(bandlq.control, "inner_solve", stuck(its))
             try:
                 Z, reports, _F = solve_riccati(prob, cfg=NewtonConfig(
                     N_max=n_max, residual_tol=0.0))
@@ -475,8 +494,8 @@ class TestSolveRiccati:
         _Z, warm, _F = solve_riccati(prob, cfg=cfg)
         solve = bandlq.control.solve_lyap_lsq
 
-        def cold_solve(*args, X0=None, **kwargs):
-            return solve(*args, **kwargs)
+        def cold_solve(op, cfg, x0=None):
+            return solve(op, cfg)
 
         monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
         _Z, cold, _F = solve_riccati(prob, cfg=cfg)
@@ -561,6 +580,19 @@ class TestSimulateClosedLoop:
                 simulate_closed_loop(prob, F, np.ones(9), dt=dt, steps=steps,
                                      max_rows=max_rows)
 
+    @pytest.mark.parametrize("steps, max_rows", [
+        (2000, 1000), (10, 3), (5, 3), (7, 2), (10, 1), (1, 1), (3, 10)])
+    def test_at_most_max_rows(self, steps, max_rows):
+        # every stride-th step and the last, or step 0 alone for one row
+        model, prob = heat_problem((3, 3))
+        F = canonicalize(sp.csr_matrix((model.m, model.n)))
+        traj = simulate_closed_loop(prob, F, np.ones(9), dt=1e-3, steps=steps,
+                                    max_rows=max_rows)
+        assert 1 <= len(traj.steps) <= max_rows
+        assert traj.steps[0] == 0 and np.all(np.diff(traj.steps) > 0)
+        if max_rows >= 2:
+            assert traj.steps[-1] == steps
+
     def test_trajectory_downsampling(self):
         model, prob = heat_problem((3, 3))
         F = canonicalize(sp.csr_matrix((model.m, model.n)))
@@ -622,14 +654,15 @@ def _per_step_simulation(prob, F, x0, dt, steps, max_rows, lapack):
     else:
         solve = spla.splu(S.tocsc()).solve
     x = np.asarray(x0, dtype=np.float64).copy()
-    stride = max(1, steps // max_rows)
+    # every stride-th step and the last, the first max_rows of them
+    stride = -(-steps // max(1, max_rows - 1))
     rows, cost = [], 0.0
     for i in range(steps + 1):
         y, u = model.C @ x, -(F @ x)
         inst = float(y @ (prob.Q * y) + u @ (prob.R * u))
         if i < steps:
             cost += dt * inst
-        if i % stride == 0 or i == steps:
+        if (i % stride == 0 or i == steps) and len(rows) < max_rows:
             rows.append((i, i * dt, float(np.linalg.norm(x)), inst))
         x = solve(model.E @ x)
     steps_, times, norms, insts = (np.array(c) for c in zip(*rows))

@@ -8,13 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 import bandlq.lyap_gp
-from bandlq.control import metric_e, newton_start
+import bandlq.control
+from bandlq.control import NewtonConfig, metric_e, newton_start, solve_lyap
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             UnstableMatrixError, _collapses,
                             _faber_constants, _spai_one_sided,
                             default_delta_bar, faber_basis,
                             faber_coefficients, faber_expm, initial_guess,
-                            quadrature_nodes, solve_lyap_gp, spai,
+                            quadrature_nodes, spai,
                             spectrum_bounds, transformed_problem)
 from bandlq.lyap_lsq import GlOperator
 from bandlq.pattern import apriori_pattern, inverse_pattern
@@ -27,6 +28,12 @@ from conftest import (bitwise_equal, full_pattern, heat_problem,
 
 def _csr(M):
     return canonicalize(sp.csr_matrix(np.asarray(M, dtype=np.float64)))
+
+
+def _gp(Abar, E, P, pat, X0, cfg=GpConfig()):
+    """Method 2 from X0 through the matrix-level entry ``solve_lyap``."""
+    return solve_lyap(Abar, E, P, pat, NewtonConfig(lyap_method="gp", gp=cfg),
+                      X0=X0)
 
 
 def _fe_mass(n, h=0.1):
@@ -451,10 +458,10 @@ class TestInitialGuess:
 
 class TestSolveLyapGp:
     def test_scalar_converges(self):
-        Z, rep = solve_lyap_gp(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
-                               full_pattern(1),
-                               canonicalize(sp.csr_matrix((1, 1))),
-                               cfg=GpConfig(max_iter=4000))
+        Z, rep = _gp(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
+                     full_pattern(1),
+                     canonicalize(sp.csr_matrix((1, 1))),
+                     cfg=GpConfig(max_iter=4000))
         assert abs(Z.toarray()[0, 0] - 1.0) <= 1e-8
 
     def test_objective_nonincreasing(self, rng):
@@ -463,9 +470,9 @@ class TestSolveLyapGp:
         P0 = random_banded(n, 1, rng)
         P = _csr(P0 + P0.T)
         pat = apriori_pattern(A, identity(n), P, w=1)
-        _Z, rep = solve_lyap_gp(A, identity(n), P, pat,
-                                canonicalize(sp.csr_matrix((n, n))),
-                                cfg=GpConfig(max_iter=300))
+        _Z, rep = _gp(A, identity(n), P, pat,
+                      canonicalize(sp.csr_matrix((n, n))),
+                      cfg=GpConfig(max_iter=300))
         J = rep.extra["J_history"]
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(J, J[1:]))
 
@@ -475,10 +482,10 @@ class TestSolveLyapGp:
         P0 = random_banded(n, 1, rng)
         P = _csr(P0 + P0.T)
         pat = apriori_pattern(A, identity(n), P, w=0)
-        Z, _rep = solve_lyap_gp(A, identity(n), P, pat,
-                                canonicalize(sp.csr_matrix(
-                                    rng.standard_normal((n, n)))),
-                                cfg=GpConfig(max_iter=50))
+        Z, _rep = _gp(A, identity(n), P, pat,
+                      canonicalize(sp.csr_matrix(
+                          rng.standard_normal((n, n)))),
+                      cfg=GpConfig(max_iter=50))
         assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
         # the storage figure is the larger coordinate space's entry count,
         # with or without iterations
@@ -488,8 +495,8 @@ class TestSolveLyapGp:
         op = GlOperator(Abar, model.E, pat, P)
         X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
         for max_iter in (0, 50):
-            Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0,
-                                   cfg=GpConfig(max_iter=max_iter))
+            Z, rep = _gp(Abar, model.E, P, pat, X0,
+                         cfg=GpConfig(max_iter=max_iter))
             assert rep.iterations == max_iter
             assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
             assert rep.extra["peak_nnz"] == max(op.inputs.nnz,
@@ -503,10 +510,10 @@ class TestSolveLyapGp:
         pat = apriori_pattern(Abar, model.E, P, w=1)
         X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
         cfg = GpConfig(max_iter=60)
-        Z, rep = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
-        monkeypatch.setattr(bandlq.lyap_gp, "GlOperator",
+        Z, rep = _gp(Abar, model.E, P, pat, X0, cfg=cfg)
+        monkeypatch.setattr(bandlq.control, "GlOperator",
                             partial(GlOperator, _form="dense"))
-        Zd, rep_d = solve_lyap_gp(Abar, model.E, P, pat, X0, cfg=cfg)
+        Zd, rep_d = _gp(Abar, model.E, P, pat, X0, cfg=cfg)
         assert rep.extra["operator_form"] == "factors"
         assert rep_d.extra["operator_form"] == "dense"
         assert rep.extra["operator_entries"] < rep_d.extra["operator_entries"]
@@ -553,8 +560,8 @@ class TestSolveLyapGp:
         pat = apriori_pattern(Abar, model.E, P, w=1)
         X0, _info = initial_guess(Abar, model.E, P)
         db = 32.0 * default_delta_bar(Abar, model.E)
-        Z, rep = solve_lyap_gp(Abar, model.E, P, pat, project(X0, pat),
-                               cfg=GpConfig(delta_bar=db, max_iter=4000))
+        Z, rep = _gp(Abar, model.E, P, pat, project(X0, pat),
+                     cfg=GpConfig(delta_bar=db, max_iter=4000))
         e = metric_e(Z, sp.csr_matrix(Zex))
         print(f"gp heat 13x13 w=1 relative error: {e:.4f}")
         assert e <= 0.3
@@ -562,8 +569,8 @@ class TestSolveLyapGp:
     def test_stall_flag_on_impossible_step(self):
         # a huge fixed step with tiny zeta exhausts the backtracking budget
         Z0 = canonicalize(sp.csr_matrix(np.array([[5.0]])))
-        _Z, rep = solve_lyap_gp(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
-                                full_pattern(1), Z0,
-                                cfg=GpConfig(delta_bar=1e30, zeta=0.999999,
-                                             max_iter=5))
+        _Z, rep = _gp(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
+                      full_pattern(1), Z0,
+                      cfg=GpConfig(delta_bar=1e30, zeta=0.999999,
+                                   max_iter=5))
         assert rep.extra["stalled"] or rep.iterations <= 5

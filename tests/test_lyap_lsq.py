@@ -7,14 +7,15 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.cgls import cgls
-from bandlq.control import metric_e, newton_start, newton_step_matrices
+from bandlq.control import (NewtonConfig, metric_e, newton_start,
+                            newton_step_matrices, solve_lyap)
 from bandlq.lyap_lsq import (_TABLE_ENTRIES, CglsConfig, GlOperator,
                              _k1_nnz, assemble_reduced, scatter_solution,
                              solve_lyap_lsq)
 from bandlq.oracle import dense_lyap, kron_matrix
 from bandlq.pattern import apriori_pattern
-from bandlq.sparsecore import (binarize, canonicalize, filled, frobenius,
-                               identity)
+from bandlq.sparsecore import (ShapeMismatchError, binarize, canonicalize,
+                               filled, frobenius, identity)
 from conftest import full_pattern, heat_problem, random_stable_instance
 
 
@@ -24,6 +25,11 @@ FORMS = ("factors", "dense", "dense-abar")
 
 def _csr(M):
     return canonicalize(sp.csr_matrix(np.asarray(M, dtype=np.float64)))
+
+
+def _lsq(Abar, E, P, pat, cfg=CglsConfig(), X0=None):
+    """Method 1 through the matrix-level entry ``solve_lyap``."""
+    return solve_lyap(Abar, E, P, pat, NewtonConfig(cgls=cfg), X0=X0)
 
 
 def _sym_columns(M, index, column_map):
@@ -184,19 +190,32 @@ class TestAssembleReduced:
             assemble_reduced(identity(2), identity(2), identity(2),
                              binarize(sp.csr_matrix((2, 2))))
 
+    @pytest.mark.parametrize("operand", ["Abar", "E", "P", "Zpat"])
+    @pytest.mark.parametrize("build", [assemble_reduced, GlOperator],
+                             ids=["assemble_reduced", "GlOperator"])
+    def test_shape_mismatch_names_the_routine(self, build, operand):
+        # a 4 x 5 operand, Abar included, fails naming the routine
+        args = {"Abar": _csr(-np.eye(4)), "E": identity(4),
+                "P": _csr(np.eye(4)), "Zpat": identity(4)}
+        args[operand] = _csr(np.ones((4, 5)))
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"^{build.__name__}: incompatible shapes "
+                                 r"\(4, 4\) and \(4, 5\)$"):
+            build(**args)
+
 
 class TestSolve:
     def test_scalar_end_to_end(self):
-        Z, rep = solve_lyap_lsq(_csr([[-1.0]]), _csr([[1.0]]), _csr([[-2.0]]),
-                                full_pattern(1))
+        Z, rep = _lsq(_csr([[-1.0]]), _csr([[1.0]]), _csr([[-2.0]]),
+                      full_pattern(1))
         np.testing.assert_allclose(Z.toarray(), [[1.0]], atol=1e-10)
         assert rep.converged
 
     def test_full_pattern_matches_dense_oracle(self, rng):
         for n in (6, 14, 25):
             Abar, E, P = random_stable_instance(n, rng)
-            Z, rep = solve_lyap_lsq(Abar, E, P, full_pattern(n),
-                                    cfg=CglsConfig(tol=1e-10))
+            Z, rep = _lsq(Abar, E, P, full_pattern(n),
+                          cfg=CglsConfig(tol=1e-10))
             Zex = dense_lyap(Abar, E, P)
             assert metric_e(Z, sp.csr_matrix(Zex)) <= 1e-6
 
@@ -205,7 +224,7 @@ class TestSolve:
         Abar, E, P = random_stable_instance(n, rng)
         mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
         pat = binarize(identity(n) + mask + mask.T)
-        Z, _rep = solve_lyap_lsq(Abar, E, P, pat)
+        Z, _rep = _lsq(Abar, E, P, pat)
         assert frobenius(Z - Z.T) <= 1e-12 * max(frobenius(Z), 1.0)
         assert (binarize(Z) - pat.multiply(binarize(Z))).nnz == 0
 
@@ -224,7 +243,7 @@ class TestSolve:
         Ms = _sym_columns(rs.M1.toarray(), index, op.inputs.map)
         z, *_ = np.linalg.lstsq(Ms, rs.p1, rcond=None)
         Zref = op.inputs.to_csr(z)
-        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=CglsConfig(tol=1e-12))
+        Z, rep = _lsq(Abar, E, P, pat, cfg=CglsConfig(tol=1e-12))
         assert rep.converged and rep.nnz_pattern == pat.nnz
         assert frobenius(Z - Zref) <= 1e-8 * frobenius(Zref)
 
@@ -239,9 +258,9 @@ class TestSolve:
         X0_sym = canonicalize(0.5 * (X0 + X0.T)).multiply(pat).tocsr()
         assert frobenius(X0 - X0.T) > 0 and (X0 - X0.multiply(pat)).nnz > 0
         cfg = CglsConfig(tol=1e-12, max_iter=3)
-        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=X0)
-        Z_sym, rep_sym = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=X0_sym)
-        Z_cold, _rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg)
+        Z, rep = _lsq(Abar, E, P, pat, cfg=cfg, X0=X0)
+        Z_sym, rep_sym = _lsq(Abar, E, P, pat, cfg=cfg, X0=X0_sym)
+        Z_cold, _rep = _lsq(Abar, E, P, pat, cfg=cfg)
         assert rep.iterations == rep_sym.iterations == 3
         assert frobenius(Z - Z_sym) <= 1e-14 * frobenius(Z_sym)
         assert frobenius(Z - Z_cold) > 1e-6 * frobenius(Z_cold)
@@ -252,18 +271,24 @@ class TestSolve:
         mask = sp.csr_matrix(rng.random((n, n)) < 0.3)
         pat = binarize(identity(n) + mask + mask.T)
         cfg = CglsConfig(tol=1e-8)
-        Z, rep = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg)
-        Z2, rep2 = solve_lyap_lsq(Abar, E, P, pat, cfg=cfg, X0=Z)
+        Z, rep = _lsq(Abar, E, P, pat, cfg=cfg)
+        Z2, rep2 = _lsq(Abar, E, P, pat, cfg=cfg, X0=Z)
         assert rep.iterations > 0
         assert rep2.converged and rep2.iterations == 0
         assert frobenius(Z2 - Z) <= 1e-14 * frobenius(Z)
+        # on the operator alone, a solution's coordinates return bit for bit
+        op = GlOperator(Abar, E, pat, P)
+        x, _rep = solve_lyap_lsq(op, cfg)
+        x2, rep3 = solve_lyap_lsq(op, cfg, x0=x)
+        assert rep3.converged and rep3.iterations == 0
+        assert np.array_equal(x2, x)
 
     def test_x0_none_is_the_cold_start(self, rng):
         n = 12
         Abar, E, P = random_stable_instance(n, rng)
         pat = full_pattern(n)
-        Z, rep = solve_lyap_lsq(Abar, E, P, pat)
-        Z_none, rep_none = solve_lyap_lsq(Abar, E, P, pat, X0=None)
+        Z, rep = _lsq(Abar, E, P, pat)
+        Z_none, rep_none = _lsq(Abar, E, P, pat, X0=None)
         assert rep.iterations == rep_none.iterations
         np.testing.assert_array_equal(Z.indptr, Z_none.indptr)
         np.testing.assert_array_equal(Z.indices, Z_none.indices)
@@ -292,8 +317,7 @@ class TestSolve:
         model, prob = heat_problem((13, 13))
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
-        Z, rep = solve_lyap_lsq(Abar, model.E, P, pat,
-                                cfg=CglsConfig(tol=1e-5))
+        Z, rep = _lsq(Abar, model.E, P, pat, cfg=CglsConfig(tol=1e-5))
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)
         e = metric_e(Z, sp.csr_matrix(Zex))
         print(f"heat 13x13 w=1 relative error: {e:.6f}")
@@ -311,7 +335,7 @@ class TestOperatorForm:
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         assert not filled(Abar)
-        Z, rep = solve_lyap_lsq(Abar, model.E, P, pat)
+        Z, rep = _lsq(Abar, model.E, P, pat)
         assert rep.extra["operator_form"] == "dense"
         assert rep.extra["operator_entries"] == 3 * n ** 2
         _F, Abar2, P2 = newton_step_matrices(Z, prob)
@@ -391,7 +415,7 @@ def _newton_steps_1_to_3(nodes=(9, 9)):
     pat = apriori_pattern(Abar, model.E, P, w=1)
     steps, Z = [(Abar, P)], None
     for _ in range(2):
-        Z, _rep = solve_lyap_lsq(Abar, model.E, P, pat, X0=Z)
+        Z, _rep = _lsq(Abar, model.E, P, pat, X0=Z)
         _F, Abar, P = newton_step_matrices(Z, prob)
         steps.append((Abar, P))
     return model.E, pat, steps
@@ -421,7 +445,7 @@ class TestRefill:
         op = GlOperator(Abar2, E, pat, P2)
         assert op.form == form
         inputs, outputs = op.inputs, op.outputs
-        assert op.refill(Abar3, E, pat, P3)
+        assert op.refill(Abar3, P3)
         assert op.inputs is inputs and op.outputs is outputs
         assert _same_operator(op, GlOperator(Abar3, E, pat, P3))
 
@@ -431,7 +455,7 @@ class TestRefill:
         # step 1 to 2: Abar fills in
         op = GlOperator(Abar1, E, pat, P1)
         assert op.form != "factors"
-        assert not op.refill(Abar2, E, pat, P2)
+        assert not op.refill(Abar2, P2)
         assert _same_operator(op, GlOperator(Abar1, E, pat, P1))
         # step 2 without one symmetric pair of P's entries, then step 3,
         # whose P has that pair (P is full at 9^2)
@@ -440,18 +464,16 @@ class TestRefill:
         P2m[0, 1] = P2m[1, 0] = 0.0
         P2m = canonicalize(P2m)
         op = GlOperator(Abar2, E, pat, P2m)
-        assert not op.refill(Abar3, E, pat, P3)
+        assert not op.refill(Abar3, P3)
         assert _same_operator(op, GlOperator(Abar2, E, pat, P2m))
-        # another E, and the factors, which are always built anew
-        assert not op.refill(Abar3, canonicalize(2.0 * E), pat, P3)
+        # the factors, which are always built anew
         factors = GlOperator(Abar2, E, pat, P2, _form="factors")
-        assert not factors.refill(Abar3, E, pat, P3)
+        assert not factors.refill(Abar3, P3)
 
     def test_refill_checks_its_arguments(self):
         E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
         op = GlOperator(Abar2, E, pat, P2)
-        with pytest.raises(ValueError, match="incompatible shapes"):
-            op.refill(Abar3, E, pat, P3[:-1, :-1])
-        lower = canonicalize(sp.tril(pat))
-        with pytest.raises(ValueError, match="not symmetric"):
-            op.refill(Abar3, E, lower, P3)
+        with pytest.raises(ShapeMismatchError, match="incompatible shapes"):
+            op.refill(Abar3, P3[:-1, :-1])
+        with pytest.raises(ShapeMismatchError, match="^GlOperator.refill"):
+            op.refill(Abar3[:, :-1], P3)
