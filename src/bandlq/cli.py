@@ -96,9 +96,10 @@ def _typed(path, name, value, default):
     """``value`` as the kind of ``default``, or a ConfigError naming it.
 
     A bool default takes a JSON bool; an int one an integral number (4.0
-    gives 4); a float one any number, stored as float, and a None one also
-    null; any other default a value of its type. A pair (config, field)
-    takes the field's kind, and the config checks the value's range alone.
+    gives 4); a float one any finite number (not NaN or +-Infinity, which
+    json.load reads), stored as float, and a None one also null; any other
+    default a value of its type. A pair (config, field) takes the field's
+    kind, and the config checks the value's range alone.
     """
     if isinstance(default, tuple):
         value = _typed(path, name, value, getattr(*default))
@@ -110,7 +111,8 @@ def _typed(path, name, value, default):
     elif isinstance(default, int):
         kind, ok = "an integer", number and value % 1 == 0
     elif default is None or isinstance(default, float):
-        kind, ok = "a number", number or value is default
+        kind, ok = "a finite number", value is default or (
+            number and abs(value) <= sys.float_info.max)
     else:
         kind = {str: "a string", list: "a list", dict: "an object"}[
             type(default)]
@@ -195,6 +197,8 @@ def parse_config(raw, source="<config>"):
             (sec["sim"]["dt"] <= 0, "sim.dt", "a positive number"),
             (sec["sim"]["steps"] < 1, "sim.steps", "an integer >= 1"),
             (sec["sim"]["max_rows"] < 1, "sim.max_rows", "an integer >= 1"),
+            (sec["sim"]["x0_seed"] < 0, "sim.x0_seed", "an integer >= 0"),
+            (model.get("seed", 0) < 0, "model.seed", "an integer >= 0"),
             (ric["q_weight"] < 0, "riccati.q_weight", "a number >= 0"),
             (ric["r_weight"] <= 0, "riccati.r_weight", "a positive number"),
             (heat and not (0 < model["io_fraction"] <= 1
@@ -480,6 +484,8 @@ def main(argv=None):
         if args.oracle:
             cfg.oracle_enabled = args.oracle == "on"
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be an integer >= 0")
             cfg.model["seed"] = args.seed
         out = cfg.output_dir
         os.makedirs(out, exist_ok=True)

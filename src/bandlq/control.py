@@ -9,7 +9,7 @@ solved approximately on a frozen a priori pattern by Method 1 or 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,8 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from . import lyap_lsq
-from .lyap_gp import (FaberConfig, GpConfig, default_delta_bar, initial_guess,
-                      solve_lyap_gp)
+from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
 from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import apriori_pattern
@@ -155,23 +154,18 @@ def newton_start(prob, cfg=NewtonConfig()):
     return newton_step_matrices(Z0, prob)
 
 
-def inner_solve(op, x0, Abar, E, P, cfg=NewtonConfig()):
-    """Method ``cfg.lyap_method`` on ``op``, the GL operator of (Abar, E, P).
-
-    It starts from the coordinates x0, or else LSQ from zero and GP from
-    the X3 initial guess; GP's ``delta_bar`` defaults to
-    ``default_delta_bar(Abar, E)``. Returns the solution's coordinates and
-    a SolveReport whose ``extra["residual_2norm"]`` is ||p - M z||.
-    """
+def inner_solve(op, x0, cfg=NewtonConfig()):
+    """Method ``cfg.lyap_method`` on the GL operator ``op`` from the
+    coordinates x0, or else LSQ from zero and GP from the X3 initial guess
+    of the operator's equation. Returns the solution's coordinates and a
+    SolveReport whose ``extra["residual_2norm"]`` is ||p - M z||."""
     if cfg.lyap_method == "lsq":
-        return solve_lyap_lsq(op, cfg.cgls, x0=x0)
-    gp = cfg.gp
-    if gp.delta_bar is None:
-        gp = replace(gp, delta_bar=default_delta_bar(Abar, E))
+        return solve_lyap_lsq(op, x0, cfg.cgls)
     if x0 is None:
-        X3, _info = initial_guess(Abar, E, P, cfg=cfg.gp, fcfg=cfg.faber)
+        X3, _info = initial_guess(op.Abar, op.E, op.P, cfg=cfg.gp,
+                                  fcfg=cfg.faber)
         x0 = op.inputs.fold(X3)
-    return solve_lyap_gp(op, x0, gp)
+    return solve_lyap_gp(op, x0, cfg.gp)
 
 
 def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
@@ -184,7 +178,7 @@ def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, pat, P)
     x0 = None if X0 is None else op.inputs.fold(X0)
-    x, report = inner_solve(op, x0, Abar, E, P, cfg)
+    x, report = inner_solve(op, x0, cfg)
     Z = lyap_lsq.scatter_solution(op, x)
     report.wall_ms = 1e3 * (time.perf_counter() - t0)
     return Z, report
@@ -222,7 +216,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     for k in range(1, cfg.N_max + 1):
         t0 = time.perf_counter()
         warm = x is not None
-        x, lrep = inner_solve(op, x, Abar, E, P, cfg)
+        x, lrep = inner_solve(op, x, cfg)
         Z = lyap_lsq.scatter_solution(op, x)
         F, Abar, P = newton_step_matrices(Z, prob)
         if not op.refill(Abar, P):

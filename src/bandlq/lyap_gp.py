@@ -18,11 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lyap_lsq import _ranges
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         frobenius, identity, pattern_power_sum, project)
+                         concat_ranges, frobenius, identity, pattern_power_sum,
+                         project)
 
 _DENSE_EIG_LIMIT = 2000
 # the gradient iteration stops when J fell by less than this share over
@@ -131,7 +131,7 @@ def _spai_one_sided(E, pat):
     # its place c in j's support and r in j's rows
     counts = np.diff(Ecsc.indptr)[patc.indices]
     entry = np.repeat(np.arange(patc.nnz), counts)
-    k = _ranges(Ecsc.indptr[patc.indices], counts)
+    k = concat_ranges(Ecsc.indptr[patc.indices], counts)
     j = np.repeat(np.arange(n), np.diff(patc.indptr))[entry]
     c = entry - patc.indptr[j]
     r = np.searchsorted(keys, j * n + Ecsc.indices[k]) - rows.indptr[j]
@@ -148,7 +148,7 @@ def _spai_one_sided(E, pat):
         A = np.zeros((cols.size, m, width))
         A[slot[j[mine]], r[mine], c[mine]] = Ecsc.data[k[mine]]
         x = _lstsq_unit(A, at[cols])
-        data[_ranges(patc.indptr[cols], np.full(cols.size, width))] = \
+        data[concat_ranges(patc.indptr[cols], np.full(cols.size, width))] = \
             x.ravel()
     X = sp.csc_matrix((data, patc.indices, patc.indptr), shape=(n, n))
     return canonicalize(X)
@@ -389,14 +389,15 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
     delta^i = zeta^g delta_bar, N = -2 E R Abar^T - 2 Abar R E^T and
     R = P - E^T Z Abar - Abar^T Z E, on the GL operator ``op`` from the
-    coordinates x0, with ``cfg.delta_bar`` given. Z and N are held as its
-    coordinates, so no step projects, and R as its output coordinates.
+    coordinates x0, where delta_bar defaults to default_delta_bar(op.Abar,
+    op.E). Z and N are held as its coordinates, so no step projects, and R
+    as its output coordinates.
     Returns the coordinates and a SolveReport whose ``peak_nnz``, the
     larger space's entry count, is the storage of any iterate.
     """
     t0 = time.perf_counter()
-    if cfg.delta_bar is None:
-        raise ValueError("solve_lyap_gp: cfg.delta_bar must be given")
+    delta_bar = (default_delta_bar(op.Abar, op.E) if cfg.delta_bar is None
+                 else cfg.delta_bar)
     p, z = op.rhs, x0
     r = p - op @ z
     J = float(r @ r)
@@ -404,7 +405,7 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
     stalled = False
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
-        delta = cfg.delta_bar
+        delta = delta_bar
         for _g in range(61):
             z_try = z - delta * g
             r_try = p - op @ z_try
@@ -423,7 +424,7 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
                 break
     residual = float(np.sqrt(J))
     report = SolveReport(
-        method="gp", n=op.n, nnz_pattern=op.nnz_pattern,
+        method="gp", n=op.n, nnz_pattern=op.inputs.nnz,
         iterations=len(J_history) - 1, final_residual=residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
         extra={"J_history": J_history, "stalled": stalled,

@@ -18,7 +18,8 @@ import scipy.sparse.linalg as spla
 
 from .cgls import cgls
 from .report import SolveReport
-from .sparsecore import ShapeMismatchError, binarize, canonicalize, filled
+from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
+                         concat_ranges, filled)
 
 # vec(X) is column-major throughout: entry (r, s) lives at index s*n + r.
 
@@ -128,10 +129,10 @@ def _square(routine, n, *matrices):
             raise ShapeMismatchError(routine, (n, n), M.shape)
 
 
-def _supports(*matrices):
-    """The index arrays of the canonical CSR matrices: their supports, which
-    the spaces and ``nnz`` of ``GlOperator`` depend on."""
-    return [a for M in matrices for a in (M.indptr, M.indices)]
+def _same_support(A, B):
+    """Whether the canonical CSR A and B store the same entries."""
+    return (np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices))
 
 
 def _k1_nnz(pattern_counts, abar_counts):
@@ -158,12 +159,6 @@ def _entry_coords(S, dtype):
     swap = sp.csr_matrix((np.arange(S.nnz), S.indices, S.indptr),
                          shape=S.shape).T.tocsr().data
     return np.where(upper, rank, rank[swap])
-
-
-def _ranges(starts, counts):
-    """The concatenated ranges starts[m] .. starts[m] + counts[m] - 1."""
-    first = np.cumsum(counts) - counts
-    return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
 def _pointers(counts, n):
@@ -200,7 +195,7 @@ def _fill(G, M, S, weight, ptr):
         if gs == gt:
             continue
         b = G.indices[gs:gt]
-        src = _ranges(M.indptr.take(b), m_row.take(b))
+        src = concat_ranges(M.indptr.take(b), m_row.take(b))
         s, t = S.indptr[lo], S.indptr[hi]
         table = np.full((hi - lo) * n, -1, dtype=ptr.dtype)
         table[np.repeat(np.arange(hi - lo) * n, np.diff(S.indptr[lo:hi + 1]))
@@ -212,7 +207,7 @@ def _fill(G, M, S, weight, ptr):
         start, end = ptr.take(G.data[gs:gt]), ptr.take(G.data[gs:gt] + 1)
         # slots that follow one another in G's order take one slice
         dest = (slice(start[0], end[-1]) if np.all(start[1:] == end[:-1])
-                else _ranges(start, end - start))
+                else concat_ranges(start, end - start))
         ind[dest] = coord
         data[dest] = M.data.take(src) * weight.take(coord)
     return data, ind
@@ -221,6 +216,8 @@ def _fill(G, M, S, weight, ptr):
 class GlOperator(spla.LinearOperator):
     """The GL operator Z -> E^T Z Abar + Abar^T Z E on symmetric Z in the pattern.
 
+    ``Abar``, ``E`` and ``P`` hold the equation it was built from, as
+    canonical CSR that shares the arrays of canonical CSR arguments.
     Both sides are ``SymCoords``, so coordinate norms are Frobenius norms.
     The unknowns ``inputs`` are the symmetric matrices on the pattern, which
     must be symmetric. The outputs ``outputs`` are the symmetric matrices on
@@ -228,8 +225,7 @@ class GlOperator(spla.LinearOperator):
     with supp(P): every matrix the operator produces and the right-hand
     side ``rhs``, the coordinates of P's symmetric part. O is computed once,
     from the structural patterns (``_output_support``). ``nnz`` is the
-    structural nnz of the matrix M1 that ``assemble_reduced`` builds and
-    ``nnz_pattern`` the number of pattern entries, ``inputs.nnz``.
+    structural nnz of the matrix M1 that ``assemble_reduced`` builds.
 
     The operator has three forms with the same spaces, ``rhs`` and ``nnz``:
 
@@ -257,10 +253,10 @@ class GlOperator(spla.LinearOperator):
     performance note has the timings both bounds rest on. ``form`` names
     the form and ``stored_entries`` counts its stored factor entries, or
     n^2 per dense buffer and for a dense Abar. ``refill`` gives an operator
-    in a dense form the values of the next Newton step.
+    in a dense form the equation of the next Newton step.
     """
 
-    def __init__(self, Abar, E, Zpat, P, _form=None):
+    def __init__(self, Abar, E, Zpat, P):
         n = self.n = Abar.shape[0]
         _square("GlOperator", n, Abar, E, Zpat, P)
         Zp = binarize(Zpat)
@@ -269,26 +265,23 @@ class GlOperator(spla.LinearOperator):
         if (Zp != Zp.T).nnz:
             raise ValueError(
                 "GlOperator: the a priori pattern is not symmetric")
-        E, Abar = canonicalize(E), canonicalize(Abar)
+        E, Abar, P = canonicalize(E), canonicalize(Abar), canonicalize(P)
+        self.E = E
         self.nnz = _m1_nnz(E, Abar, Zp)
         self.inputs = SymCoords(Zp)
-        self.nnz_pattern = self.inputs.nnz
         k1_nnz = _k1_nnz(np.diff(Zp.indptr), np.diff(Abar.indptr))
-        if _form is None:
-            _form = ("factors" if k1_nnz <= _FACTOR_FILL * n * n
-                     else "dense-abar" if filled(Abar) else "dense")
-        self.form = _form
+        form = self.form = ("factors" if k1_nnz <= _FACTOR_FILL * n * n
+                            else "dense-abar" if filled(Abar) else "dense")
         # Y = supp(Zpat Abar). For the factors it holds the overlap counts
         # of Zpat |Abar|, the sizes of K1's rows. Where Abar fills in, Y is
         # nearly full, and the dense product finds it faster than the sparse
         # one (3 against 9 ms for O at fe 13^2 step 2); Zpat is symmetric,
         # so (Abar^T Zpat)^T is Zpat Abar
-        Y = (canonicalize(Zp @ binarize(Abar)) if _form == "factors"
+        Y = (canonicalize(Zp @ binarize(Abar)) if form == "factors"
              else (binarize(Abar).T @ Zp.toarray()).T)
         O = _output_support(E, Y, P)
         self.outputs = SymCoords(O)
-        self.rhs = self.outputs.fold(P)
-        if _form == "factors":
+        if form == "factors":
             k1_ptr = _pointers(Y.data, n)
             k2_ptr = _pointers(np.diff(E.indptr).repeat(np.diff(Y.indptr)), n)
             # entry m of Y is K1's row m and K2's column m
@@ -314,45 +307,41 @@ class GlOperator(spla.LinearOperator):
         else:
             del Y, O
             # every sparse product below is CSR @ C-contiguous dense
-            self._E, self._ET = E, E.T.tocsr()
-            # a refill needs the same supports
-            self._supports = _supports(Abar, canonicalize(P))
-            if _form == "dense-abar":
+            self._ET = E.T.tocsr()
+            if form == "dense-abar":
                 self._Abar = np.empty((n, n))
             self._Z = np.zeros((n, n))
             self._R = np.zeros((n, n))
             self._T = np.empty((n, n))
-            self.stored_entries = (4 if _form == "dense-abar" else 3) * n * n
-            self._take(Abar)
+            self.stored_entries = (4 if form == "dense-abar" else 3) * n * n
+        self._take(Abar, P)
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
-    def _take(self, Abar):
-        """Hold the values of the canonical Abar for the dense forms."""
+    def _take(self, Abar, P):
+        """Hold the canonical Abar and P, and the values the form reads."""
+        self.Abar, self.P = Abar, P
+        self.rhs = self.outputs.fold(P)
         if self.form == "dense-abar":
             Abar.toarray(out=self._Abar)
-        else:
-            self._Abar, self._AbarT = Abar, Abar.T.tocsr()
+        elif self.form == "dense":
+            self._AbarT = Abar.T.tocsr()
 
     def refill(self, Abar, P):
-        """Become the operator of (Abar, P) on this operator's E and pattern
-        by taking Abar's values and the new ``rhs`` only.
+        """Become the operator of (Abar, ``self.E``, P) on this pattern by
+        taking the values of Abar and P only.
 
-        That holds for a dense form when supp(Abar) and supp(P) are this
-        operator's, as from Newton step 2 on; the spaces, ``nnz``, the form,
-        E's copies and the buffers stay. Returns whether it refilled; if
-        not, nothing changed. Abar and P must be n x n either way.
+        That holds for a dense form when supp(Abar) and supp(P) are those of
+        ``self.Abar`` and ``self.P``, as from Newton step 2 on; the spaces,
+        ``nnz``, the form and the buffers stay. Returns whether it refilled;
+        if not, nothing changed. Abar and P must be n x n either way.
         """
         _square("GlOperator.refill", self.n, Abar, P)
         if self.form == "factors":
             return False
         Abar, P = canonicalize(Abar), canonicalize(P)
-        supports = _supports(Abar, P)
-        if not all(map(np.array_equal, supports, self._supports)):
+        if not (_same_support(Abar, self.Abar) and _same_support(P, self.P)):
             return False
-        # hold the arrays of this step's matrices, not a copy of them
-        self._supports = supports
-        self._take(Abar)
-        self.rhs = self.outputs.fold(P)
+        self._take(Abar, P)
         return True
 
     def _matvec(self, z):
@@ -379,10 +368,10 @@ class GlOperator(spla.LinearOperator):
         self.outputs.put(self._R, r)
         if self.form == "dense-abar":
             # GEMM reads the transpose of E R in place
-            np.matmul(self._Abar, (self._E @ self._R).T, out=self._T)
+            np.matmul(self._Abar, (self.E @ self._R).T, out=self._T)
             return 2.0 * self.inputs.gather(self._T)
-        np.copyto(self._T, (self._E @ self._R).T)
-        return 2.0 * self.inputs.gather(self._Abar @ self._T)
+        np.copyto(self._T, (self.E @ self._R).T)
+        return 2.0 * self.inputs.gather(self.Abar @ self._T)
 
 
 @dataclass(frozen=True)
@@ -405,7 +394,7 @@ def _colwise_kron(X, Y, n):
     w_exp = np.repeat(X.data, rep)
     cols = np.repeat(unknown_of_x, rep)
     # gather the full Y row for each X entry via concatenated ranges
-    idx = _ranges(Y.indptr[unknown_of_x].astype(np.int64), rep)
+    idx = concat_ranges(Y.indptr[unknown_of_x].astype(np.int64), rep)
     r_exp = Y.indices[idx].astype(np.int64)
     v_exp = Y.data[idx]
     return s_exp * n + r_exp, cols, w_exp * v_exp
@@ -459,7 +448,7 @@ def scatter_solution(op, z):
     return op.inputs.to_csr(z)
 
 
-def solve_lyap_lsq(op, cfg=CglsConfig(), x0=None):
+def solve_lyap_lsq(op, x0=None, cfg=CglsConfig()):
     """Method 1: CGLS on the GL operator ``op`` from the coordinates x0 on
     ``op.inputs``, or from zero.
 
@@ -471,7 +460,7 @@ def solve_lyap_lsq(op, cfg=CglsConfig(), x0=None):
     t0 = time.perf_counter()
     res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     report = SolveReport(
-        method="lsq", n=op.n, nnz_pattern=op.nnz_pattern, nnz_m1=op.nnz,
+        method="lsq", n=op.n, nnz_pattern=op.inputs.nnz, nnz_m1=op.nnz,
         iterations=res.iterations, final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
         extra={"residual_2norm": res.residual_norm,

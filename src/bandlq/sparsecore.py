@@ -1,4 +1,4 @@
-"""CSR sparse kernels, pattern algebra, projection, and RCM ordering.
+"""CSR sparse kernels, pattern algebra, projection, ranges and RCM ordering.
 
 All matrices are scipy.sparse CSR with float64 values. Sparsity patterns are
 CSR matrices whose stored values are all 1.0; ``binarize`` produces that
@@ -94,6 +94,12 @@ def frobenius(A):
     if A.nnz == 0:
         return 0.0
     return float(np.sqrt(np.sum(A.data * A.data)))
+
+
+def concat_ranges(starts, counts):
+    """The concatenated ranges starts[m] .. starts[m] + counts[m] - 1."""
+    first = np.cumsum(counts) - counts
+    return np.repeat(starts - first, counts) + np.arange(counts.sum())
 
 
 def bandwidth(A):

@@ -196,7 +196,14 @@ class TestConfigValidation:
         ("riccati.r_weight", 0), ("riccati.q_weight", -1),
         ("model.io_fraction", 1.5), ("model.io_fraction", 0.01),
         ("sim.x0", [1, 2, 3]), ("sim.x0[0]", ["a"]),
-        ("bench.methods[1]", ["lsq", "foo"])])
+        ("bench.methods[1]", ["lsq", "foo"]),
+        # json.load reads NaN and +-Infinity, which pass a check x <= 0
+        *((key, value) for value in (np.nan, np.inf, -np.inf)
+          for key in ("lyap.cgls_tol", "riccati.residual_tol",
+                      "riccati.Z0_scale", "sim.dt", "model.diffusivity")),
+        *(("lyap.gp", {"delta_bar": v}) for v in (np.nan, np.inf, -np.inf)),
+        ("riccati.N_max", np.inf), ("sim.x0[0]", [np.nan] * 25),
+        ("model.seed", -3), ("sim.x0_seed", -1)])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides, and a
@@ -209,6 +216,13 @@ class TestConfigValidation:
         rc = main(["genmodel", "--config", cfg])
         assert rc == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run_bad").exists()
+
+    def test_negative_seed_flag_stops_before_any_stage(self, tmp_path,
+                                                       capsys):
+        cfg = _heat_config(tmp_path, out="run_bad")
+        assert main(["genmodel", "--config", cfg, "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "run_bad").exists()
 
     def test_readme_example_loads(self):

@@ -97,16 +97,12 @@ class TestSolveLyap:
         return solve_lyap(*step1, cfg, X0=X0)
 
     def _method(self, step1, method, X0=None):
-        """Method 1 or 2 by hand on the step's operator, from zero or X0,
-        with Method 2's default first step."""
+        """Method 1 or 2 by hand on the step's operator, from zero or X0."""
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
         x0 = None if X0 is None else op.inputs.fold(X0)
-        if method == "lsq":
-            x, rep = solve_lyap_lsq(op, self.CGLS, x0=x0)
-        else:
-            x, rep = solve_lyap_gp(op, x0, dataclasses.replace(
-                self.GP, delta_bar=default_delta_bar(Abar, E)))
+        solve = solve_lyap_lsq if method == "lsq" else solve_lyap_gp
+        x, rep = solve(op, x0, self.CGLS if method == "lsq" else self.GP)
         return op.inputs.to_csr(x), rep
 
     def test_lsq_from_zero_is_method_1(self, step1):
@@ -130,13 +126,19 @@ class TestSolveLyap:
         Zref, _ = self._method(step1, method, X0)
         assert bitwise_equal(Z, Zref)
 
-    def test_gp_needs_its_first_step(self, step1):
-        # the operator carries no norms of Abar and E: solve_lyap defaults
-        # delta_bar, and the method alone asks for it
+    def test_gp_defaults_its_first_step(self, step1):
+        # without delta_bar, Method 2 takes default_delta_bar of the Abar
+        # and E its operator holds, bit for bit
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
-        with pytest.raises(ValueError, match="delta_bar"):
-            solve_lyap_gp(op, np.zeros(op.shape[1]), self.GP)
+        x0 = np.zeros(op.shape[1])
+        assert self.GP.delta_bar is None
+        x, rep = solve_lyap_gp(op, x0, self.GP)
+        xg, given = solve_lyap_gp(op, x0, dataclasses.replace(
+            self.GP, delta_bar=default_delta_bar(Abar, E)))
+        assert rep.iterations == self.GP.max_iter
+        assert x.tobytes() == xg.tobytes()
+        assert rep.extra["J_history"] == given.extra["J_history"]
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_residual_2norm_is_the_gl_residual(self, step1, method):
@@ -215,21 +217,21 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(op, x0, Abar, E, P, cfg):
-            seen.append((Abar, P, x0, op))
-            return solve(op, x0, Abar, E, P, cfg)
+        def recorded(op, x0, cfg):
+            seen.append((op.Abar, op.P, x0, op.rhs))
+            return solve(op, x0, cfg)
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         solve_riccati(prob, cfg=cfg)
         F, Abar, P = newton_start(prob, cfg)
-        (Abar1, P1, X0, op), = seen
+        (Abar1, P1, X0, rhs1), = seen
         assert X0 is None
         assert bitwise_equal(Abar1, Abar) and bitwise_equal(P1, P)
         Z0 = canonicalize(3.0 * identity(model.n))
         assert bitwise_equal(F, feedback(Z0, prob))
         pat = apriori_pattern(Abar, model.E, P, cfg.w)
         rhs = GlOperator(Abar, model.E, pat, P).rhs
-        assert op.rhs.dtype == rhs.dtype and np.array_equal(op.rhs, rhs)
+        assert rhs1.dtype == rhs.dtype and np.array_equal(rhs1, rhs)
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
         # Z_0 and each of the N new iterates get one feedback, which serves
@@ -266,8 +268,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def recorded(op, *args):
-            x, rep = solve(op, *args)
+        def recorded(op, x0, cfg):
+            x, rep = solve(op, x0, cfg)
             iterates.append(op.inputs.to_csr(x))
             return x, rep
 
@@ -292,8 +294,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def run_on(op, *args):
-            x, rep = solve(op, *args)
+        def run_on(op, x0, cfg):
+            x, rep = solve(op, x0, cfg)
             iterates.append(op.inputs.to_csr(x))
             return x, dataclasses.replace(
                 rep, iterations=max(rep.iterations, 1))
@@ -410,9 +412,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         calls = []
 
-        def grown(*args):
+        def grown(op, x0, cfg):
             calls.append(len(calls) + 1)
-            x, rep = solve(*args)
+            x, rep = solve(op, x0, cfg)
             return (x if calls[-1] == 1 else 1e3 * x), rep
 
         monkeypatch.setattr(bandlq.control, "inner_solve", grown)
@@ -440,10 +442,10 @@ class TestSolveRiccati:
             # step returns its start and reports ``its`` iterations
             solved = []
 
-            def inner(op, x0, *args):
+            def inner(op, x0, cfg):
                 if len(solved) == 2:
                     return x0, dataclasses.replace(solved[-1], iterations=its)
-                x, rep = solve(op, x0, *args)
+                x, rep = solve(op, x0, cfg)
                 solved.append(rep)
                 return (x if len(solved) == 1 else 1e3 * x), rep
             return inner
@@ -494,8 +496,8 @@ class TestSolveRiccati:
         _Z, warm, _F = solve_riccati(prob, cfg=cfg)
         solve = bandlq.control.solve_lyap_lsq
 
-        def cold_solve(op, cfg, x0=None):
-            return solve(op, cfg)
+        def cold_solve(op, x0=None, cfg=CglsConfig()):
+            return solve(op, None, cfg)
 
         monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
         _Z, cold, _F = solve_riccati(prob, cfg=cfg)

@@ -1,14 +1,12 @@
 """Method 2: SPAI, spectrum bounds, quadrature, Faber expansion, gradient
 projection."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import bandlq.lyap_gp
-import bandlq.control
+import bandlq.lyap_lsq
 from bandlq.control import NewtonConfig, metric_e, newton_start, solve_lyap
 from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             UnstableMatrixError, _collapses,
@@ -511,8 +509,8 @@ class TestSolveLyapGp:
         X0 = canonicalize(sp.csr_matrix((model.n, model.n)))
         cfg = GpConfig(max_iter=60)
         Z, rep = _gp(Abar, model.E, P, pat, X0, cfg=cfg)
-        monkeypatch.setattr(bandlq.control, "GlOperator",
-                            partial(GlOperator, _form="dense"))
+        monkeypatch.setattr(bandlq.lyap_lsq, "_FACTOR_FILL", -1.0)
+        monkeypatch.setattr(bandlq.lyap_lsq, "filled", lambda M: False)
         Zd, rep_d = _gp(Abar, model.E, P, pat, X0, cfg=cfg)
         assert rep.extra["operator_form"] == "factors"
         assert rep_d.extra["operator_form"] == "dense"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import bandlq.lyap_lsq
 from bandlq.cgls import cgls
 from bandlq.control import (NewtonConfig, metric_e, newton_start,
                             newton_step_matrices, solve_lyap)
@@ -16,7 +17,8 @@ from bandlq.oracle import dense_lyap, kron_matrix
 from bandlq.pattern import apriori_pattern
 from bandlq.sparsecore import (ShapeMismatchError, binarize, canonicalize,
                                filled, frobenius, identity)
-from conftest import full_pattern, heat_problem, random_stable_instance
+from conftest import (bitwise_equal, full_pattern, heat_problem,
+                      random_stable_instance)
 
 
 # the sparse factors, dense buffers with Abar as CSR, and with Abar dense
@@ -25,6 +27,17 @@ FORMS = ("factors", "dense", "dense-abar")
 
 def _csr(M):
     return canonicalize(sp.csr_matrix(np.asarray(M, dtype=np.float64)))
+
+
+def _in_form(form, *args):
+    """GlOperator(*args) in ``form``, picked through the operator's two
+    rules: the factors bound ``_FACTOR_FILL`` and ``filled``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bandlq.lyap_lsq, "_FACTOR_FILL",
+                   np.inf if form == "factors" else -1.0)
+        mp.setattr(bandlq.lyap_lsq, "filled",
+                   lambda M: form == "dense-abar")
+        return GlOperator(*args)
 
 
 def _lsq(Abar, E, P, pat, cfg=CglsConfig(), X0=None):
@@ -57,8 +70,7 @@ def _check_operator(Abar, E, pat, P, rs, M):
     on both sides with nothing lost in the fold, the same nnz(M1), a true
     adjoint, fold/to_csr as an isometry pair, and each space's entry count.
     The forms share their spaces and right-hand side exactly."""
-    factors, *dense = (GlOperator(Abar, E, pat, P, _form=form)
-                       for form in FORMS)
+    factors, *dense = (_in_form(form, Abar, E, pat, P) for form in FORMS)
     assert [op.form for op in (factors, *dense)] == list(FORMS)
     for op in dense:
         for name in ("map", "nnz"):
@@ -96,7 +108,7 @@ def _check_form(op, pat, P, rs, M):
                                rtol=0, atol=1e-15 * np.abs(p).max())
     assert np.linalg.norm(op.rhs) == pytest.approx(frobenius(P), rel=1e-14)
     assert op.nnz == rs.M1.nnz
-    assert op.nnz_pattern == binarize(pat).nnz
+    assert op.inputs.nnz == binarize(pat).nnz
     probe = np.random.default_rng(0)
     z = probe.standard_normal(op.shape[1])
     r = probe.standard_normal(op.shape[0])
@@ -278,8 +290,8 @@ class TestSolve:
         assert frobenius(Z2 - Z) <= 1e-14 * frobenius(Z)
         # on the operator alone, a solution's coordinates return bit for bit
         op = GlOperator(Abar, E, pat, P)
-        x, _rep = solve_lyap_lsq(op, cfg)
-        x2, rep3 = solve_lyap_lsq(op, cfg, x0=x)
+        x, _rep = solve_lyap_lsq(op, cfg=cfg)
+        x2, rep3 = solve_lyap_lsq(op, x, cfg)
         assert rep3.converged and rep3.iterations == 0
         assert np.array_equal(x2, x)
 
@@ -434,6 +446,12 @@ def _same_operator(op, ref):
             and np.array_equal(op.rmatvec(r), ref.rmatvec(r)))
 
 
+def _holds(op, Abar, E, P):
+    """op holds (Abar, E, P) bit for bit, sharing their arrays."""
+    return all(bitwise_equal(M, ref) and np.shares_memory(M.data, ref.data)
+               for M, ref in ((op.Abar, Abar), (op.E, E), (op.P, P)))
+
+
 class TestRefill:
     # FILL_DIVISOR 1 makes no Abar filled, infinity every nonempty one
     @pytest.mark.parametrize("divisor, form", [(1, "dense"),
@@ -443,11 +461,15 @@ class TestRefill:
         monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
         E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
         op = GlOperator(Abar2, E, pat, P2)
-        assert op.form == form
+        assert op.form == form and _holds(op, Abar2, E, P2)
         inputs, outputs = op.inputs, op.outputs
         assert op.refill(Abar3, P3)
         assert op.inputs is inputs and op.outputs is outputs
         assert _same_operator(op, GlOperator(Abar3, E, pat, P3))
+        # the operator holds the new equation, on the arrays of the
+        # canonical matrices it was given: GP's default first step and X3
+        # start read it
+        assert _holds(op, Abar3, E, P3)
 
     def test_support_change_rebuilds(self):
         E, pat, [(Abar1, P1), (Abar2, P2), (Abar3, P3)] = \
@@ -467,8 +489,10 @@ class TestRefill:
         assert not op.refill(Abar3, P3)
         assert _same_operator(op, GlOperator(Abar2, E, pat, P2m))
         # the factors, which are always built anew
-        factors = GlOperator(Abar2, E, pat, P2, _form="factors")
+        factors = _in_form("factors", Abar2, E, pat, P2)
         assert not factors.refill(Abar3, P3)
+        # a refused refill keeps the operator's equation
+        assert _holds(factors, Abar2, E, P2)
 
     def test_refill_checks_its_arguments(self):
         E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
