@@ -436,9 +436,9 @@ def cmd_bench(cfg, out):
                 else:
                     _Z, rep = solve_lyap(Abar, model.E, P, pat, replace(
                         cfg.newton, lyap_method=method))
-                    # Method 2's peak storage, or Method 1's storage in
-                    # the paper, the nnz of its reduced matrix M1
-                    nnz = rep.extra.get("peak_nnz", rep.nnz_m1)
+                    # Method 2's peak storage, or the storage of
+                    # Method 1's GL operator
+                    nnz = rep.extra.get("peak_nnz", rep.stored_entries)
                     iters = rep.iterations
                 wall = 1e3 * (time.perf_counter() - t0)
                 rows.append([str(n), method, w, str(nnz), str(iters),

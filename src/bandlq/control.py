@@ -113,11 +113,14 @@ class RiccatiDivergence(RuntimeError):
         self.step = step
 
 
-def _symmetrize_checked(Z, tol=1e-10):
+_SYMMETRY_TOL = 1e-10     # the largest ||Z - Z^T||_F / max(||Z||_F, 1)
+
+
+def _symmetrize_checked(Z):
     Z = canonicalize(Z)
     asym = frobenius(Z - Z.T)
     scale = max(frobenius(Z), 1.0)
-    if asym > tol * scale:
+    if asym > _SYMMETRY_TOL * scale:
         raise ValueError(f"matrix is not symmetric: ||Z - Z^T||_F = {asym:.3e}")
     return canonicalize(0.5 * (Z + Z.T))
 

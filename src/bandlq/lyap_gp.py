@@ -25,6 +25,7 @@ from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
                          project)
 
 _DENSE_EIG_LIMIT = 2000
+_INFLATION = 0.05
 # the gradient iteration stops when J fell by less than this share over
 # this many iterations
 _STAGNATION_WINDOW = 20
@@ -81,8 +82,8 @@ class GpConfig:
             raise ValueError("delta_bar must be positive")
         if not (0.0 < self.zeta < 1.0):
             raise ValueError("zeta must lie in (0, 1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (0.0 < self.sigma < 1.0):
+            raise ValueError("sigma must lie in (0, 1)")
         for name, low in (("max_iter", 0), ("q", 1), ("k1", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
@@ -176,15 +177,15 @@ def _lstsq_unit(A, at):
                      for a, bb in zip(A, b)])
 
 
-def spectrum_bounds(A1, dense_limit=_DENSE_EIG_LIMIT, inflation=0.05):
+def spectrum_bounds(A1):
     """Extreme real parts and largest |imaginary part| of eig(A1).
 
-    Uses the dense eigensolver at desk scale; above ``dense_limit`` falls
-    back to ARPACK extreme-eigenvalue estimates inflated by 5% in modulus
-    to keep the spectral ellipse enclosing.
+    Uses the dense eigensolver at desk scale; above _DENSE_EIG_LIMIT falls
+    back to ARPACK extreme-eigenvalue estimates inflated by _INFLATION in
+    modulus to keep the spectral ellipse enclosing.
     """
     n = A1.shape[0]
-    if n <= dense_limit:
+    if n <= _DENSE_EIG_LIMIT:
         lam = np.linalg.eigvals(np.asarray(sp.csr_matrix(A1).todense()))
         return SpectrumBounds(float(lam.real.min()), float(lam.real.max()),
                               float(np.abs(lam.imag).max()))
@@ -195,10 +196,10 @@ def spectrum_bounds(A1, dense_limit=_DENSE_EIG_LIMIT, inflation=0.05):
         lam_li = spla.eigs(A1, k=4, which="LI", return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(f"extreme eigenvalue estimation failed: {exc}") from exc
-    rs = float(min(lam_sr.real.min(), lam_lr.real.min())) * (1 + inflation)
+    rs = float(min(lam_sr.real.min(), lam_lr.real.min())) * (1 + _INFLATION)
     rl = float(lam_lr.real.max())
-    rl = rl * (1 - inflation) if rl < 0 else rl * (1 + inflation)
-    il = float(np.abs(lam_li.imag).max()) * (1 + inflation)
+    rl = rl * (1 - _INFLATION) if rl < 0 else rl * (1 + _INFLATION)
+    il = float(np.abs(lam_li.imag).max()) * (1 + _INFLATION)
     return SpectrumBounds(rs, rl, il)
 
 
@@ -391,7 +392,8 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
     R = P - E^T Z Abar - Abar^T Z E, on the GL operator ``op`` from the
     coordinates x0, where delta_bar defaults to default_delta_bar(op.Abar,
     op.E). Z and N are held as its coordinates, so no step projects, and R
-    as its output coordinates.
+    as its output coordinates. It has converged only when J stagnates, not
+    at ``cfg.max_iter`` or when the line search stalls.
     Returns the coordinates and a SolveReport whose ``peak_nnz``, the
     larger space's entry count, is the storage of any iterate.
     """
@@ -402,7 +404,7 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
     r = p - op @ z
     J = float(r @ r)
     J_history = [J]
-    stalled = False
+    stalled = stagnated = False
     for _ in range(cfg.max_iter):
         g = -2.0 * op.rmatvec(r)
         delta = delta_bar
@@ -421,15 +423,16 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
         if len(J_history) > _STAGNATION_WINDOW:
             ref = J_history[-_STAGNATION_WINDOW - 1]
             if ref <= 0.0 or (ref - J) / ref < _STAGNATION_RTOL:
+                stagnated = True
                 break
     residual = float(np.sqrt(J))
     report = SolveReport(
         method="gp", n=op.n, nnz_pattern=op.inputs.nnz,
-        iterations=len(J_history) - 1, final_residual=residual,
-        wall_ms=1e3 * (time.perf_counter() - t0), converged=not stalled,
+        stored_entries=op.stored_entries, iterations=len(J_history) - 1,
+        final_residual=residual, converged=stagnated,
+        wall_ms=1e3 * (time.perf_counter() - t0),
         extra={"J_history": J_history, "stalled": stalled,
                "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
-               "residual_2norm": residual, "operator_form": op.form,
-               "operator_entries": op.stored_entries},
+               "residual_2norm": residual, "operator_form": op.form},
     )
     return z, report

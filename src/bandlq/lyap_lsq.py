@@ -2,9 +2,10 @@
 
 The vectorized equation M z = p with M = Abar^T (x) E^T + E^T (x) Abar^T
 is never formed: CGLS runs on ``GlOperator``, the GL operator on
-coordinates of symmetric matrices that both methods share.
-``assemble_reduced`` builds the reduced matrix over all pattern entries
-column by column, as the reference for the tests.
+coordinates of symmetric matrices that both methods share, and a solve
+reports the operator's storage. ``assemble_reduced`` builds the reduced
+matrix M1 over all pattern entries column by column, as the reference for
+the tests.
 """
 
 from __future__ import annotations
@@ -105,20 +106,6 @@ class SymCoords:
         U = sp.coo_matrix((np.ravel(z) * self._weight, (rows, cols)),
                           shape=(self.n, self.n))
         return canonicalize(U + U.T)
-
-
-def _m1_nnz(E, Abar, Zp):
-    """nnz of the matrix M1 that ``assemble_reduced`` builds on pattern Zp.
-
-    Column (i, j) of M1 is kron(Abar[j,:], E[i,:]) + kron(E[j,:],
-    Abar[i,:]): with row nnz e of E and a of Abar and c their overlap, it
-    has e_i a_j + a_i e_j - c_i c_j entries.
-    """
-    i, j = Zp.nonzero()
-    e = np.diff(E.indptr).astype(np.int64)
-    a = np.diff(Abar.indptr).astype(np.int64)
-    c = np.diff(binarize(E).multiply(binarize(Abar)).indptr)
-    return int(np.sum(e[i] * a[j] + a[i] * e[j] - c[i] * c[j]))
 
 
 def _square(routine, n, *matrices):
@@ -224,10 +211,9 @@ class GlOperator(spla.LinearOperator):
     O, the structural support of E^T Zpat Abar plus its transpose, together
     with supp(P): every matrix the operator produces and the right-hand
     side ``rhs``, the coordinates of P's symmetric part. O is computed once,
-    from the structural patterns (``_output_support``). ``nnz`` is the
-    structural nnz of the matrix M1 that ``assemble_reduced`` builds.
+    from the structural patterns (``_output_support``).
 
-    The operator has three forms with the same spaces, ``rhs`` and ``nnz``:
+    The operator has three forms with the same spaces and ``rhs``:
 
     - ``"factors"``: the product K2 K1 of two sparse matrices whose
       structure is found once. K1 takes the coordinates to the entries of
@@ -251,9 +237,10 @@ class GlOperator(spla.LinearOperator):
     nnz(Abar) > n^2 / FILL_DIVISOR = n^2 / 16, the rule that also picks
     LAPACK over SuperLU in ``simulate_closed_loop``. The README's
     performance note has the timings both bounds rest on. ``form`` names
-    the form and ``stored_entries`` counts its stored factor entries, or
-    n^2 per dense buffer and for a dense Abar. ``refill`` gives an operator
-    in a dense form the equation of the next Newton step.
+    the form and ``stored_entries`` counts its storage, which both methods
+    report: its stored factor entries, or n^2 per dense buffer and for a
+    dense Abar. ``refill`` gives an operator in a dense form the equation
+    of the next Newton step.
     """
 
     def __init__(self, Abar, E, Zpat, P):
@@ -267,7 +254,6 @@ class GlOperator(spla.LinearOperator):
                 "GlOperator: the a priori pattern is not symmetric")
         E, Abar, P = canonicalize(E), canonicalize(Abar), canonicalize(P)
         self.E = E
-        self.nnz = _m1_nnz(E, Abar, Zp)
         self.inputs = SymCoords(Zp)
         k1_nnz = _k1_nnz(np.diff(Zp.indptr), np.diff(Abar.indptr))
         form = self.form = ("factors" if k1_nnz <= _FACTOR_FILL * n * n
@@ -332,7 +318,7 @@ class GlOperator(spla.LinearOperator):
 
         That holds for a dense form when supp(Abar) and supp(P) are those of
         ``self.Abar`` and ``self.P``, as from Newton step 2 on; the spaces,
-        ``nnz``, the form and the buffers stay. Returns whether it refilled;
+        the form and the buffers stay. Returns whether it refilled;
         if not, nothing changed. Abar and P must be n x n either way.
         """
         _square("GlOperator.refill", self.n, Abar, P)
@@ -453,18 +439,17 @@ def solve_lyap_lsq(op, x0=None, cfg=CglsConfig()):
     ``op.inputs``, or from zero.
 
     Returns the solution's coordinates on ``op.inputs`` and a SolveReport
-    whose ``extra`` holds ``residual_2norm``, CGLS's own ||p - M z||, and
-    names the operator's form and its stored entries (``operator_form``,
-    ``operator_entries``).
+    with the operator's ``stored_entries``, whose ``extra`` holds
+    ``residual_2norm``, CGLS's own ||p - M z||, and the operator's form
+    (``operator_form``).
     """
     t0 = time.perf_counter()
     res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
     report = SolveReport(
-        method="lsq", n=op.n, nnz_pattern=op.inputs.nnz, nnz_m1=op.nnz,
-        iterations=res.iterations, final_residual=res.residual,
+        method="lsq", n=op.n, nnz_pattern=op.inputs.nnz,
+        stored_entries=op.stored_entries, iterations=res.iterations,
+        final_residual=res.residual,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
-        extra={"residual_2norm": res.residual_norm,
-               "operator_form": op.form,
-               "operator_entries": op.stored_entries},
+        extra={"residual_2norm": res.residual_norm, "operator_form": op.form},
     )
     return res.x, report

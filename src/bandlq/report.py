@@ -11,7 +11,7 @@ class SolveReport:
     method: str
     n: int
     nnz_pattern: int = 0
-    nnz_m1: int = 0
+    stored_entries: int = 0           # the GL operator's storage
     iterations: int = 0
     final_residual: float = float("nan")
     e_k: float = float("nan")         # relative error vs dense oracle, if enabled
@@ -21,7 +21,7 @@ class SolveReport:
 
     # fields whose values are reproducible bit-for-bit under a fixed seed;
     # wall-clock time is reported separately so CSV artifacts stay diffable
-    DETERMINISTIC_FIELDS = ("method", "n", "nnz_pattern", "nnz_m1",
+    DETERMINISTIC_FIELDS = ("method", "n", "nnz_pattern", "stored_entries",
                             "iterations", "final_residual", "e_k", "converged")
 
     def to_row(self, fields):

@@ -12,11 +12,11 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.cli import ConfigError, main, parse_config
-from bandlq.control import NewtonConfig
+from bandlq.control import NewtonConfig, newton_start
 from bandlq.lyap_gp import FaberConfig, GpConfig
-from bandlq.lyap_lsq import CglsConfig
-from bandlq.mmio import read_matrix, write_pattern
-from conftest import nan_lyap_solve_at
+from bandlq.lyap_lsq import CglsConfig, GlOperator
+from bandlq.mmio import read_matrix, read_pattern, write_pattern
+from conftest import heat_problem, nan_lyap_solve_at
 
 
 ROOT = Path(__file__).parents[1]
@@ -181,7 +181,11 @@ class TestConfigValidation:
         ({"bench": {"methods": ["lsq", "foo", "oracle"]}},
          ("bench.methods[1]", "lyap_method")),
         ({"bench": {"methods": ["oracle"]}}, ("bench.methods[0]",)),
-        ({"bench": {"methods": [1]}}, ("bench.methods[0]",))])
+        ({"bench": {"methods": [1]}}, ("bench.methods[0]",)),
+        # the Armijo rule needs sigma in (0, 1)
+        ({"lyap": {"gp": {"sigma": 0}}}, ("lyap.gp", "sigma")),
+        ({"lyap": {"gp": {"sigma": 1.0}}}, ("lyap.gp", "sigma")),
+        ({"lyap": {"gp": {"sigma": 1.5}}}, ("lyap.gp", "sigma"))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -203,7 +207,9 @@ class TestConfigValidation:
                       "riccati.Z0_scale", "sim.dt", "model.diffusivity")),
         *(("lyap.gp", {"delta_bar": v}) for v in (np.nan, np.inf, -np.inf)),
         ("riccati.N_max", np.inf), ("sim.x0[0]", [np.nan] * 25),
-        ("model.seed", -3), ("sim.x0_seed", -1)])
+        ("model.seed", -3), ("sim.x0_seed", -1),
+        # the Armijo rule needs sigma < 1
+        ("lyap.gp", {"sigma": 1.0}), ("lyap.gp", {"sigma": 1.5})])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides, and a
@@ -324,19 +330,29 @@ class TestSolveStages:
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_report_counts_pattern_entries(self, tmp_path, method):
         # the operator has one unknown per entry on or above the diagonal,
-        # but the report counts every entry of the pattern
+        # but the report counts every entry of the pattern, and the storage
+        # of the operator it solved on. GP stops at its cap of 50 before it
+        # stagnates, which is not converged: exit 2
+        rc = {"lsq": 0, "gp": 2}[method]
         cfg = _heat_config(tmp_path, out=f"run_nnz_{method}",
                            lyap={"method": method, "cgls_tol": 1e-9,
                                  "gp": {"max_iter": 50}})
         assert main(["genmodel", "--config", cfg]) == 0
         assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
-        assert main(["solve", "--config", cfg, "--stage", "lyap"]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "lyap"]) == rc
         out = tmp_path / f"run_nnz_{method}"
         nnz = json.loads((out / "density.json").read_text())["nnz"]
         header, row = [ln.split(",") for ln in
                        (out / "lyap_report.csv").read_text().splitlines()]
+        assert header == ["method", "n", "nnz_pattern", "stored_entries",
+                          "iterations", "final_residual", "e_k", "converged"]
         assert row[header.index("method")] == method
         assert int(row[header.index("nnz_pattern")]) == nnz
+        assert row[header.index("converged")] == str(rc == 0)
+        model, prob = heat_problem((5, 5))
+        _F, Abar, P = newton_start(prob)
+        op = GlOperator(Abar, model.E, read_pattern(out / "pattern.mtx"), P)
+        assert int(row[header.index("stored_entries")]) == op.stored_entries
 
     @pytest.mark.parametrize("stage", ["lyap", "riccati"])
     def test_missing_prerequisite_exit_code(self, tmp_path, capsys, stage):
@@ -463,7 +479,8 @@ class TestBench:
         assert by[("16", "lsq")][6] == "ok"
         # GP is capped by lyap.gp.max_iter, as in solve --stage lyap
         assert 0 < int(by[("16", "gp")][4]) <= 50
-        # Method 2 peak storage below the reduced-system size at equal w
+        # Method 2's peak storage below the storage of Method 1's GL
+        # operator at equal w
         assert int(by[("16", "gp")][3]) < int(by[("16", "lsq")][3])
 
     def test_bench_gp_cap_is_the_lyap_section(self):

@@ -202,10 +202,11 @@ class TestSpectrumBounds:
         assert lam.real.max() <= b.lambda_RL + 1e-9
         assert np.abs(lam.imag).max() <= b.lambda_IL + 1e-9
 
-    def test_arpack_bounds_enclose_dense_bounds(self):
+    def test_arpack_bounds_enclose_dense_bounds(self, monkeypatch):
         A1 = _heat_a1((10, 10))
         dense = spectrum_bounds(A1)
-        arpack = spectrum_bounds(A1, dense_limit=0)
+        monkeypatch.setattr(bandlq.lyap_gp, "_DENSE_EIG_LIMIT", 0)
+        arpack = spectrum_bounds(A1)
         assert arpack.lambda_RS <= dense.lambda_RS
         assert arpack.lambda_RL >= dense.lambda_RL
         assert arpack.lambda_IL >= dense.lambda_IL
@@ -514,7 +515,7 @@ class TestSolveLyapGp:
         Zd, rep_d = _gp(Abar, model.E, P, pat, X0, cfg=cfg)
         assert rep.extra["operator_form"] == "factors"
         assert rep_d.extra["operator_form"] == "dense"
-        assert rep.extra["operator_entries"] < rep_d.extra["operator_entries"]
+        assert rep.stored_entries < rep_d.stored_entries
         assert rep.iterations == rep_d.iterations == 60
         np.testing.assert_allclose(rep.extra["J_history"],
                                    rep_d.extra["J_history"], rtol=1e-12)
@@ -563,6 +564,22 @@ class TestSolveLyapGp:
         e = metric_e(Z, sp.csr_matrix(Zex))
         print(f"gp heat 13x13 w=1 relative error: {e:.4f}")
         assert e <= 0.3
+
+    def test_converged_only_when_stagnated(self):
+        # on the scalar equation -2 Z = -2 from Z = 5, the cap and a stalled
+        # line search leave the solve unconverged, and only the stagnation
+        # rule counts as converged
+        args = (_csr([[-1.0]]), identity(1), _csr([[-2.0]]), full_pattern(1),
+                canonicalize(sp.csr_matrix(np.array([[5.0]]))))
+        _Z, capped = _gp(*args, cfg=GpConfig(max_iter=3))
+        assert capped.iterations == 3 and not capped.extra["stalled"]
+        assert not capped.converged
+        _Z, stalled = _gp(*args, cfg=GpConfig(delta_bar=1e30, max_iter=5))
+        assert stalled.iterations == 0 and stalled.extra["stalled"]
+        assert not stalled.converged
+        _Z, done = _gp(*args, cfg=GpConfig(max_iter=4000))
+        assert done.iterations < 4000 and not done.extra["stalled"]
+        assert done.converged
 
     def test_stall_flag_on_impossible_step(self):
         # a huge fixed step with tiny zeta exhausts the backtracking budget
