@@ -22,15 +22,18 @@ class CglsResult:
     normal_residual_history: list = field(default_factory=list)
 
 
-def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
+def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0):
     """Run CGLS on min ||b - M x||.
 
-    Terminates when ||M^T r|| / ||M^T b|| <= tol or after max_iter
-    iterations (default 10 * ncols). A start x0 (copied, never modified)
-    keeps this target relative to ||M^T b||, not to its own first residual.
-    A non-finite value in b or in an operator product stops it at once,
-    unconverged.
+    Terminates when ||M^T r|| <= max(tol ||M^T b||, forcing ||M^T r0||),
+    with r0 = b - M x0 the start's residual and forcing in [0, 1), or after
+    max_iter iterations (default 10 * ncols). A start x0 (copied, never
+    modified) that meets tol ||M^T b|| makes 0 iterations, any other at
+    least one. A non-finite value in b or in an operator product stops it
+    at once, unconverged.
     """
+    if not 0.0 <= forcing < 1.0:
+        raise ValueError("CGLS forcing must lie in [0, 1)")
     M = spla.aslinearoperator(M)
     b = np.asarray(b, dtype=np.float64).ravel()
     ncols = M.shape[1]
@@ -58,6 +61,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
     p = s.copy()
     gamma = float(s @ s)
     history = [np.linalg.norm(s) / norm_s0]
+    target = max(tol, forcing * history[0])
     converged = bool(history[-1] <= tol)
     it = 0
     while not converged and it < max_iter:
@@ -75,7 +79,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None):
         it += 1
         if not np.isfinite(rel):
             break
-        if rel <= tol:
+        if rel <= target:
             converged = True
             break
         p = s + (gamma_new / gamma) * p

@@ -366,7 +366,7 @@ def stage_riccati(cfg, out):
         write_matrix(os.path.join(out, "F.mtx"), F)
         converged = reports[-1].v_k <= cfg.newton.residual_tol * reports[0].v_k
     fields = ("k", "v_k", "lyap_residual", "nnz_Z", "nnz_F",
-              "lyap_iterations", "lyap_converged")
+              "lyap_iterations", "lyap_converged", "forcing")
     rows = [[fmt(getattr(r, f)) for f in fields] for r in reports]
     _write_csv(os.path.join(out, "newton_report.csv"), fields, rows)
     _write_json(os.path.join(out, "timings.json"),

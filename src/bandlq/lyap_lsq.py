@@ -29,6 +29,9 @@ from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
 class CglsConfig:
     tol: float = 1e-7
     max_iter: int = 20000
+    # not a setting: the forcing term of ``cgls`` that
+    # ``control.solve_riccati`` sets for each Newton step
+    _forcing: float = 0.0
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -438,13 +441,17 @@ def solve_lyap_lsq(op, x0=None, cfg=CglsConfig()):
     """Method 1: CGLS on the GL operator ``op`` from the coordinates x0 on
     ``op.inputs``, or from zero.
 
+    CGLS stops at ``cfg.tol`` relative to ||M^T p||, or at the Newton
+    step's forcing term relative to the start's own normal residual,
+    whichever is larger.
     Returns the solution's coordinates on ``op.inputs`` and a SolveReport
     with the operator's ``stored_entries``, whose ``extra`` holds
     ``residual_2norm``, CGLS's own ||p - M z||, and the operator's form
     (``operator_form``).
     """
     t0 = time.perf_counter()
-    res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0)
+    res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0,
+               forcing=cfg._forcing)
     report = SolveReport(
         method="lsq", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=res.iterations,

@@ -179,3 +179,37 @@ def test_operator_calls_cold_and_warm():
     warm = cgls(op, b, tol=1e-10, x0=rng.standard_normal(ref.size))
     assert warm.converged and warm.iterations >= 1
     assert len(calls) == 3 + 2 * warm.iterations
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("forcing", [0.5, 1e-2, 1e-4])
+def test_forcing_stops_at_the_first_reduction_by_it(start, forcing):
+    # ||M^T r|| <= forcing ||M^T r0|| at the first such iterate, far above
+    # tol; with forcing 0 the run is the unforced one, bit for bit
+    M, b, ref, rng = _lstsq_instance()
+    x0 = None if start == "cold" else ref + rng.standard_normal(ref.size)
+    res = cgls(M, b, tol=1e-13, x0=x0, forcing=forcing)
+    full = cgls(M, b, tol=1e-13, x0=x0)
+    h = full.normal_residual_history
+    first = next(i for i, v in enumerate(h) if v <= forcing * h[0])
+    assert first >= 1
+    assert res.converged and res.iterations == first
+    assert res.normal_residual_history == h[:first + 1]
+    unforced = cgls(M, b, tol=1e-13, x0=x0, forcing=0.0)
+    assert unforced.iterations == full.iterations
+    assert unforced.x.tobytes() == full.x.tobytes()
+
+
+@pytest.mark.parametrize("forcing", [0.0, 0.5, 0.999])
+def test_start_meeting_tol_makes_no_iteration_for_any_forcing(forcing):
+    M, b, ref, _rng = _lstsq_instance()
+    res = cgls(M, b, tol=1e-10, x0=ref, forcing=forcing)
+    assert res.converged and res.iterations == 0
+    np.testing.assert_array_equal(res.x, ref)
+
+
+@pytest.mark.parametrize("forcing", [-1e-3, 1.0, 2.0, np.nan, np.inf])
+def test_forcing_outside_0_1_is_rejected(forcing):
+    M, b, _ref, _rng = _lstsq_instance()
+    with pytest.raises(ValueError, match="forcing"):
+        cgls(M, b, forcing=forcing)

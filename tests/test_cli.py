@@ -443,8 +443,9 @@ class TestSolveStages:
             rows = list(csv.DictReader(f))
         assert list(rows[0]) == ["k", "v_k", "lyap_residual", "nnz_Z",
                                  "nnz_F", "lyap_iterations",
-                                 "lyap_converged"]
+                                 "lyap_converged", "forcing"]
         assert int(rows[0]["lyap_iterations"]) > 0
+        assert float(rows[0]["forcing"]) == 0.0
         assert all(r["lyap_converged"] == "True" for r in rows)
 
     def test_simulate_stage(self, tmp_path):

@@ -79,6 +79,28 @@ class TestFrechet:
         np.testing.assert_allclose(lhs - P.toarray(), DZ + Dprime, atol=1e-10)
 
 
+    @pytest.mark.parametrize("nodes", [(4, 2), (9, 9)])
+    def test_dense_and_sparse_p_agree(self, monkeypatch, nodes):
+        # where F is filled P comes from a dense Gram product; the sparse
+        # product gives the same support and the same values to rounding
+        model, prob = heat_problem(nodes)
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        Z, _rep = solve_lyap(Abar, model.E, P, pat)
+        runs = []
+        # no F is filled at divisor 1, and every nonzero one at infinity
+        for divisor in (1, np.inf):
+            monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR", divisor)
+            runs.append(newton_step_matrices(Z, prob))
+        (Fs, Abar_s, Ps), (Fd, Abar_d, Pd) = runs
+        assert bitwise_equal(Fs, Fd) and bitwise_equal(Abar_s, Abar_d)
+        assert np.array_equal(Ps.indptr, Pd.indptr)
+        assert np.array_equal(Ps.indices, Pd.indices)
+        assert (Pd != Pd.T).nnz == 0
+        np.testing.assert_allclose(Pd.data, Ps.data, rtol=1e-13,
+                                   atol=1e-15 * abs(Ps.data).max())
+
+
 class TestSolveLyap:
     CGLS = CglsConfig(tol=1e-9)
     GP = GpConfig(max_iter=30, q=10)
@@ -234,22 +256,28 @@ class TestSolveRiccati:
         assert rhs1.dtype == rhs.dtype and np.array_equal(rhs1, rhs)
 
     def test_feedback_computed_once_per_iterate(self, monkeypatch):
-        # Z_0 and each of the N new iterates get one feedback, which serves
-        # both the report's nnz_F and the next step's GL equation
+        # Z_0 and each of the N new iterates get one feedback product, which
+        # serves both the report's nnz_F and the next step's GL equation;
+        # the loop's own iterates skip the public feedback's symmetry check
         import bandlq.control
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
-        fb = bandlq.control.feedback
+        fb, product = bandlq.control.feedback, bandlq.control._feedback
         calls = []
 
         def counted(Z, prob):
             calls.append(Z)
-            return fb(Z, prob)
+            return product(Z, prob)
 
-        monkeypatch.setattr(bandlq.control, "feedback", counted)
+        def checked(Z, prob):
+            raise AssertionError("the loop called feedback")
+
+        monkeypatch.setattr(bandlq.control, "_feedback", counted)
+        monkeypatch.setattr(bandlq.control, "feedback", checked)
         Z, reports, F = solve_riccati(
             prob, cfg=NewtonConfig(N_max=4, residual_tol=0.0))
         assert len(reports) == 4 and len(calls) == 5
         assert calls[-1] is Z
+        monkeypatch.undo()
         # the returned F is the one the loop made for Z
         assert bitwise_equal(F, fb(Z, prob))
         assert reports[-1].nnz_F == fb(Z, prob).nnz
@@ -303,7 +331,7 @@ class TestSolveRiccati:
         monkeypatch.setattr(bandlq.control, "inner_solve", run_on)
         _Z, ran_on, F_on = solve_riccati(prob, cfg=cfg)
         k = len(reports)
-        assert k == 5 and len(ran_on) == 8
+        assert k == 7 and len(ran_on) == 8
         assert reports[-1].lyap_iterations == 0
         assert all(r.lyap_iterations > 0 for r in reports[:-1])
         assert bitwise_equal(Z, iterates[k - 1])
@@ -485,12 +513,15 @@ class TestSolveRiccati:
 
     def test_warm_start_halves_inner_iterations(self, monkeypatch):
         # steps k >= 2 start CGLS from Z_{k-1}; the cold reference drops X0.
-        # On fd-5point 6x6 the w = 1 pattern is truncated (584 of 1296
-        # entries), so v_k levels off at the truncation error, far above the
-        # inner tolerance, where both loops must agree. The cold loop never
-        # makes 0 iterations and runs all 8 steps; the warm one reaches its
-        # fixed point at step 5 and stops there
+        # The forcing term is off in both loops, so this measures the warm
+        # start alone (test_forcing_saves_iterations_at_the_readme_size
+        # measures the forcing term). On fd-5point 6x6 the w = 1 pattern is
+        # truncated (584 of 1296 entries), so v_k levels off at the
+        # truncation error, far above the inner tolerance, where both loops
+        # must agree. The cold loop never makes 0 iterations and runs all 8
+        # steps; the warm one reaches its fixed point at step 5 and stops
         import bandlq.control
+        monkeypatch.setattr(bandlq.control, "_FORCING_MAX", 0.0)
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
         _Z, warm, _F = solve_riccati(prob, cfg=cfg)
@@ -514,6 +545,51 @@ class TestSolveRiccati:
         assert first == first_cold
         for a, b in zip(warm, cold):
             assert a.v_k == pytest.approx(b.v_k, rel=1e-5)
+
+    @pytest.mark.parametrize("method", ["lsq", "gp"])
+    def test_forcing_term_per_step(self, monkeypatch, method):
+        # Method 1 runs step 1 unforced and step k with min(0.1, v_{k-1}/v_1);
+        # Method 2 has no residual target
+        import bandlq.control
+        _model, prob = heat_problem((6, 6), discretization="fd-5point")
+        solve = bandlq.control.inner_solve
+        seen = []
+
+        def recorded(op, x0, cfg):
+            seen.append(cfg.cgls._forcing)
+            return solve(op, x0, cfg)
+
+        monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
+        cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,
+                           gp=GpConfig(max_iter=30, q=10),
+                           faber=FaberConfig(p=10))
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg)
+        assert len(reports) >= 3
+        assert [r.forcing for r in reports] == seen
+        v = [r.v_k for r in reports]
+        if method == "gp":
+            assert seen == [0.0] * len(reports)
+            return
+        assert seen == [0.0] + [min(0.1, vk / v[0]) for vk in v[:-1]]
+        assert seen[1] == 0.1 and 0.0 < seen[-1] < 0.1
+
+    def test_forcing_saves_iterations_at_the_readme_size(self, monkeypatch):
+        # on the README example the forced loop ends at the v_k of the
+        # unforced one, for at most 70 % of its CGLS iterations
+        import bandlq.control
+        _model, prob = heat_problem((13, 13))
+        cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=1,
+                           cgls=CglsConfig(tol=1e-7))
+        Z, forced, F = solve_riccati(prob, cfg=cfg)
+        monkeypatch.setattr(bandlq.control, "_FORCING_MAX", 0.0)
+        Zu, unforced, Fu = solve_riccati(prob, cfg=cfg)
+        assert all(r.forcing == 0.0 for r in unforced)
+        assert any(r.forcing > 0.0 for r in forced)
+        assert all(r.lyap_converged for r in forced + unforced)
+        assert forced[-1].v_k == pytest.approx(unforced[-1].v_k, rel=1e-4)
+        its = sum(r.lyap_iterations for r in forced)
+        assert its <= 0.7 * sum(r.lyap_iterations for r in unforced)
+        assert Z.nnz == Zu.nnz and F.nnz == Fu.nnz
 
     def test_feedback_sparsity_fraction_w0(self):
         # actuator-row selection of a banded Z keeps the feedback sparse
