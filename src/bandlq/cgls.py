@@ -22,14 +22,15 @@ class CglsResult:
     normal_residual_history: list = field(default_factory=list)
 
 
-def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0):
+def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0, r0=None):
     """Run CGLS on min ||b - M x||.
 
     Terminates when ||M^T r|| <= max(tol ||M^T b||, forcing ||M^T r0||),
     with r0 = b - M x0 the start's residual and forcing in [0, 1), or after
     max_iter iterations (default 10 * ncols). A start x0 (copied, never
     modified) that meets tol ||M^T b|| makes 0 iterations, any other at
-    least one. A non-finite value in b or in an operator product stops it
+    least one. A given r0 = b - M x0 (copied, read only with x0) saves an
+    apply. A non-finite value in b or in an operator product stops it
     at once, unconverged.
     """
     if not 0.0 <= forcing < 1.0:
@@ -47,7 +48,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0):
     if x0 is None:
         r, s = b.copy(), s0
     else:
-        r = b - M @ x
+        r = b - M @ x if r0 is None else np.array(r0, dtype=np.float64)
         s = Mt @ r
     if not np.isfinite(norm_s0):
         return CglsResult(x=x, converged=False, iterations=0,

@@ -9,7 +9,7 @@ solved approximately on a frozen a priori pattern by Method 1 or 2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,16 +172,7 @@ def newton_step_matrices(Z_prev, prob):
     C = prob.ctqc().tocoo()
     G[C.row, C.col] += C.data
     np.negative(G, out=G)
-    # G's nonzeros, read row by row, are P's canonical CSR. At step 3 this
-    # took 3.6 / 14 ms and a traced peak of 7 / 24 MB at 29^2 / 45^2, where
-    # canonicalize(G), through COO with int64 indices, took 16 / 60 ms and
-    # 16 / 53 MB, more than one more n x n array
-    nonzero = G != 0
-    indptr = np.zeros(G.shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    cols = np.broadcast_to(np.arange(G.shape[1], dtype=np.int32), G.shape)
-    P = sp.csr_matrix((G[nonzero], cols[nonzero], indptr), shape=G.shape)
-    return F, Abar, canonicalize(P)
+    return F, Abar, canonicalize(G)
 
 
 def newton_start(prob, cfg=NewtonConfig()):
@@ -190,18 +181,19 @@ def newton_start(prob, cfg=NewtonConfig()):
     return newton_step_matrices(Z0, prob)
 
 
-def inner_solve(op, x0, cfg=NewtonConfig()):
+def inner_solve(op, x0, cfg=NewtonConfig(), forcing=0.0, r0=None):
     """Method ``cfg.lyap_method`` on the GL operator ``op`` from the
     coordinates x0, or else LSQ from zero and GP from the X3 initial guess
-    of the operator's equation. Returns the solution's coordinates and a
-    SolveReport whose ``extra["residual_2norm"]`` is ||p - M z||."""
+    of the operator's equation, LSQ with the term ``forcing`` and r0, if
+    given with x0, as x0's residual p - M x0. Returns the solution's
+    coordinates and a SolveReport whose ``final_residual`` is ||p - M z||."""
     if cfg.lyap_method == "lsq":
-        return solve_lyap_lsq(op, x0, cfg.cgls)
+        return solve_lyap_lsq(op, x0, cfg.cgls, forcing, r0)
     if x0 is None:
         X3, _info = initial_guess(op.Abar, op.E, op.P, cfg=cfg.gp,
                                   fcfg=cfg.faber)
-        x0 = op.inputs.fold(X3)
-    return solve_lyap_gp(op, x0, cfg.gp)
+        x0, r0 = op.inputs.fold(X3), None
+    return solve_lyap_gp(op, x0, cfg.gp, r0)
 
 
 def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
@@ -229,16 +221,16 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     priori pattern of the first step's GL equation, by ``inner_solve`` on
     one ``GlOperator`` per step, refilled where it can be, from the last
     step's coordinates; Z_k is scattered from them for F and the return.
-    v_k = ||D[Z_k]||_F is step k+1's GL residual at Z_k, read off its
-    operator, whose output coordinates are orthonormal. Method 1 runs
-    step 1 with no forcing term and step k >= 2 with the forcing term
-    min(_FORCING_MAX, v_{k-1} / v_1): CGLS stops at ``cfg.cgls.tol`` or
-    once its normal residual has fallen by that factor from its start.
-    The loop ends when v_k <= ``cfg.residual_tol`` v_1, after
-    ``cfg.N_max`` steps, or at a fixed point: a warm-started step whose
-    inner solve makes 0 iterations, as it does only from a start that
-    meets ``cfg.cgls.tol``, returns that start, which every later step
-    would repeat. Raises
+    v_k = ||D[Z_k]||_F is the norm of step k+1's GL residual at Z_k, its
+    warm start's residual, read off its operator, whose output coordinates
+    are orthonormal, and handed to it. Method 1 runs step 1 with no forcing
+    term and step k >= 2 with the forcing term min(_FORCING_MAX,
+    v_{k-1} / v_1): CGLS stops at ``cfg.cgls.tol`` or once its normal
+    residual has fallen by that factor from its start. The loop ends when
+    v_k <= ``cfg.residual_tol`` v_1, after ``cfg.N_max`` steps, or at a
+    fixed point: a warm-started step whose inner solve makes 0 iterations,
+    as it does only from a start that meets ``cfg.cgls.tol``, returns that
+    start, which every later step would repeat. Raises
     ``RiccatiDivergence`` with the reports so far when v_k is not finite or
     stays above 10 v_1 for 3 consecutive steps within ``cfg.N_max``, the
     repeats of a fixed point included.
@@ -250,7 +242,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     if pattern is None:
         pattern = apriori_pattern(Abar, E, P, cfg.w)
     op = GlOperator(Abar, E, pattern, P)
-    x = None
+    x = r = None
     reports = []
     v1 = None
     growth_streak = 0
@@ -259,16 +251,16 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
         warm = x is not None
         forcing = (min(_FORCING_MAX, v_k / v1)
                    if k > 1 and cfg.lyap_method == "lsq" else 0.0)
-        x, lrep = inner_solve(op, x, replace(
-            cfg, cgls=replace(cfg.cgls, _forcing=forcing)))
+        x, lrep = inner_solve(op, x, cfg, forcing, r)
         Z = lyap_lsq.scatter_solution(op, x)
         F, Abar, P = newton_step_matrices(Z, prob)
         if not op.refill(Abar, P):
             op = None   # release this step's operator before the next is built
             op = GlOperator(Abar, E, pattern, P)
-        v_k = float(np.linalg.norm(op.rhs - op @ x))
+        r = op.rhs - op @ x
+        v_k = float(np.linalg.norm(r))
         reports.append(NewtonIterationReport(
-            k=k, v_k=v_k, lyap_residual=lrep.extra["residual_2norm"],
+            k=k, v_k=v_k, lyap_residual=lrep.final_residual,
             nnz_Z=Z.nnz, nnz_F=F.nnz, lyap_iterations=lrep.iterations,
             lyap_converged=lrep.converged, forcing=forcing,
             wall_ms=1e3 * (time.perf_counter() - t0)))

@@ -78,7 +78,7 @@ class GpConfig:
     k1: int = 3                      # SPAI pattern order
 
     def __post_init__(self):
-        if self.delta_bar is not None and self.delta_bar <= 0:
+        if self.delta_bar is not None and not self.delta_bar > 0:
             raise ValueError("delta_bar must be positive")
         if not (0.0 < self.zeta < 1.0):
             raise ValueError("zeta must lie in (0, 1)")
@@ -384,7 +384,7 @@ def default_delta_bar(Abar, E):
                   * frobenius(canonicalize(Abar)) ** 2)
 
 
-def solve_lyap_gp(op, x0, cfg=GpConfig()):
+def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta^i N^i) with the Armijo step
@@ -392,16 +392,16 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
     R = P - E^T Z Abar - Abar^T Z E, on the GL operator ``op`` from the
     coordinates x0, where delta_bar defaults to default_delta_bar(op.Abar,
     op.E). Z and N are held as its coordinates, so no step projects, and R
-    as its output coordinates. It has converged only when J stagnates, not
-    at ``cfg.max_iter`` or when the line search stalls.
-    Returns the coordinates and a SolveReport whose ``peak_nnz``, the
-    larger space's entry count, is the storage of any iterate.
+    as its output coordinates, R from r0 if given. It has converged only
+    when J stagnates, not at ``cfg.max_iter`` or when the line search
+    stalls. Returns the coordinates and a SolveReport whose ``peak_nnz``,
+    the larger space's entry count, is the storage of any iterate.
     """
     t0 = time.perf_counter()
     delta_bar = (default_delta_bar(op.Abar, op.E) if cfg.delta_bar is None
                  else cfg.delta_bar)
     p, z = op.rhs, x0
-    r = p - op @ z
+    r = p - op @ z if r0 is None else r0
     J = float(r @ r)
     J_history = [J]
     stalled = stagnated = False
@@ -425,14 +425,13 @@ def solve_lyap_gp(op, x0, cfg=GpConfig()):
             if ref <= 0.0 or (ref - J) / ref < _STAGNATION_RTOL:
                 stagnated = True
                 break
-    residual = float(np.sqrt(J))
     report = SolveReport(
         method="gp", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=len(J_history) - 1,
-        final_residual=residual, converged=stagnated,
+        final_residual=float(np.sqrt(J)), converged=stagnated,
         wall_ms=1e3 * (time.perf_counter() - t0),
         extra={"J_history": J_history, "stalled": stalled,
                "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
-               "residual_2norm": residual, "operator_form": op.form},
+               "operator_form": op.form},
     )
     return z, report

@@ -29,12 +29,9 @@ from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
 class CglsConfig:
     tol: float = 1e-7
     max_iter: int = 20000
-    # not a setting: the forcing term of ``cgls`` that
-    # ``control.solve_riccati`` sets for each Newton step
-    _forcing: float = 0.0
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("CGLS tolerance must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
@@ -437,26 +434,25 @@ def scatter_solution(op, z):
     return op.inputs.to_csr(z)
 
 
-def solve_lyap_lsq(op, x0=None, cfg=CglsConfig()):
+def solve_lyap_lsq(op, x0=None, cfg=CglsConfig(), forcing=0.0, r0=None):
     """Method 1: CGLS on the GL operator ``op`` from the coordinates x0 on
     ``op.inputs``, or from zero.
 
     CGLS stops at ``cfg.tol`` relative to ||M^T p||, or at the Newton
-    step's forcing term relative to the start's own normal residual,
-    whichever is larger.
+    step's ``forcing`` term relative to the start's own normal residual,
+    whichever is larger; r0, if given, is the start's residual p - M x0.
     Returns the solution's coordinates on ``op.inputs`` and a SolveReport
-    with the operator's ``stored_entries``, whose ``extra`` holds
-    ``residual_2norm``, CGLS's own ||p - M z||, and the operator's form
-    (``operator_form``).
+    with the operator's ``stored_entries``, CGLS's own ||p - M z|| as
+    ``final_residual`` and the operator's form as ``extra["operator_form"]``.
     """
     t0 = time.perf_counter()
     res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0,
-               forcing=cfg._forcing)
+               forcing=forcing, r0=r0)
     report = SolveReport(
         method="lsq", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=res.iterations,
-        final_residual=res.residual,
+        final_residual=res.residual_norm,
         wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
-        extra={"residual_2norm": res.residual_norm, "operator_form": op.form},
+        extra={"operator_form": op.form},
     )
     return res.x, report

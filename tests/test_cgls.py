@@ -181,6 +181,31 @@ def test_operator_calls_cold_and_warm():
     assert len(calls) == 3 + 2 * warm.iterations
 
 
+@pytest.mark.parametrize("forcing", [0.0, 1e-2])
+def test_given_r0_saves_the_start_apply(forcing):
+    # r0 = b - M x0 from the caller gives the run without it bit for bit,
+    # one apply fewer, and the caller's r0 is left alone
+    M, b, ref, rng = _lstsq_instance()
+    op, calls = _counting(M.toarray())
+    x0 = ref + rng.standard_normal(ref.size)
+    r0 = b - op @ x0
+    before = r0.copy()
+    calls.clear()
+    own = cgls(op, b, tol=1e-12, x0=x0, forcing=forcing)
+    assert len(calls) == 3 + 2 * own.iterations
+    calls.clear()
+    given = cgls(op, b, tol=1e-12, x0=x0, forcing=forcing, r0=r0)
+    assert len(calls) == 2 + 2 * given.iterations
+    assert given.iterations == own.iterations >= 1
+    assert given.x.tobytes() == own.x.tobytes()
+    assert given.normal_residual_history == own.normal_residual_history
+    assert given.residual_norm == own.residual_norm
+    assert r0.tobytes() == before.tobytes()
+    # without x0, r0 is not read
+    cold = cgls(op, b, tol=1e-12, r0=np.full(b.size, np.nan))
+    assert cold.converged and np.isfinite(cold.x).all()
+
+
 @pytest.mark.parametrize("start", ["cold", "warm"])
 @pytest.mark.parametrize("forcing", [0.5, 1e-2, 1e-4])
 def test_forcing_stops_at_the_first_reduction_by_it(start, forcing):

@@ -163,12 +163,14 @@ class TestSolveLyap:
         assert rep.extra["J_history"] == given.extra["J_history"]
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
-    def test_residual_2norm_is_the_gl_residual(self, step1, method):
+    def test_final_residual_is_the_gl_residual(self, step1, method):
+        # both methods report ||p - M z||, not a normal-equation residual
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, method)
         op = GlOperator(Abar, E, pat, P)
         r = op.rhs - op @ op.inputs.fold(Z)
-        assert rep.extra["residual_2norm"] == pytest.approx(
+        assert "residual_2norm" not in rep.extra
+        assert rep.final_residual == pytest.approx(
             np.linalg.norm(r), rel=1e-12)
 
     def test_unknown_method_rejected(self, step1):
@@ -239,9 +241,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(op, x0, cfg):
+        def recorded(op, x0, cfg, *args):
             seen.append((op.Abar, op.P, x0, op.rhs))
-            return solve(op, x0, cfg)
+            return solve(op, x0, cfg, *args)
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         solve_riccati(prob, cfg=cfg)
@@ -296,8 +298,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def recorded(op, x0, cfg):
-            x, rep = solve(op, x0, cfg)
+        def recorded(op, x0, cfg, *args):
+            x, rep = solve(op, x0, cfg, *args)
             iterates.append(op.inputs.to_csr(x))
             return x, rep
 
@@ -322,8 +324,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def run_on(op, x0, cfg):
-            x, rep = solve(op, x0, cfg)
+        def run_on(op, x0, cfg, *args):
+            x, rep = solve(op, x0, cfg, *args)
             iterates.append(op.inputs.to_csr(x))
             return x, dataclasses.replace(
                 rep, iterations=max(rep.iterations, 1))
@@ -440,9 +442,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         calls = []
 
-        def grown(op, x0, cfg):
+        def grown(op, x0, cfg, *args):
             calls.append(len(calls) + 1)
-            x, rep = solve(op, x0, cfg)
+            x, rep = solve(op, x0, cfg, *args)
             return (x if calls[-1] == 1 else 1e3 * x), rep
 
         monkeypatch.setattr(bandlq.control, "inner_solve", grown)
@@ -470,10 +472,10 @@ class TestSolveRiccati:
             # step returns its start and reports ``its`` iterations
             solved = []
 
-            def inner(op, x0, cfg):
+            def inner(op, x0, cfg, *args):
                 if len(solved) == 2:
                     return x0, dataclasses.replace(solved[-1], iterations=its)
-                x, rep = solve(op, x0, cfg)
+                x, rep = solve(op, x0, cfg, *args)
                 solved.append(rep)
                 return (x if len(solved) == 1 else 1e3 * x), rep
             return inner
@@ -527,8 +529,8 @@ class TestSolveRiccati:
         _Z, warm, _F = solve_riccati(prob, cfg=cfg)
         solve = bandlq.control.solve_lyap_lsq
 
-        def cold_solve(op, x0=None, cfg=CglsConfig()):
-            return solve(op, None, cfg)
+        def cold_solve(op, x0=None, cfg=CglsConfig(), forcing=0.0, r0=None):
+            return solve(op, None, cfg, forcing)
 
         monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
         _Z, cold, _F = solve_riccati(prob, cfg=cfg)
@@ -546,6 +548,47 @@ class TestSolveRiccati:
         for a, b in zip(warm, cold):
             assert a.v_k == pytest.approx(b.v_k, rel=1e-5)
 
+    def test_warm_solves_reuse_the_residual_of_v_k(self, monkeypatch):
+        # v_k's residual at x_k is the warm start's residual of step k+1:
+        # a warm CGLS solve makes one apply per iteration and 2 + it
+        # adjoints, a cold one 1 + it adjoints, and the loop one apply per
+        # step for v_k
+        import bandlq.control
+        _model, prob = heat_problem((9, 9))
+        matvec, rmatvec = GlOperator._matvec, GlOperator._rmatvec
+        applies, adjoints, solves = [], [], []
+
+        def counted(calls, f):
+            def call(self, z):
+                calls.append(z)
+                return f(self, z)
+            return call
+
+        solve = bandlq.control.solve_lyap_lsq
+
+        def recorded(op, x0, *args):
+            start = len(applies), len(adjoints)
+            x, rep = solve(op, x0, *args)
+            solves.append((x0 is None, rep.iterations,
+                           len(applies) - start[0], len(adjoints) - start[1]))
+            return x, rep
+
+        monkeypatch.setattr(GlOperator, "_matvec", counted(applies, matvec))
+        monkeypatch.setattr(GlOperator, "_rmatvec",
+                            counted(adjoints, rmatvec))
+        monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", recorded)
+        _Z, reports, _F = solve_riccati(prob, cfg=NewtonConfig(
+            N_max=12, residual_tol=1e-9))
+        assert len(solves) == len(reports) >= 4
+        assert [cold for cold, *_ in solves] == [True] + [False] * (
+            len(solves) - 1)
+        for cold, its, n_apply, n_adjoint in solves:
+            assert n_apply == its
+            assert n_adjoint == (1 if cold else 2) + its
+        total = sum(its for _cold, its, *_ in solves)
+        assert len(applies) == total + len(reports)
+        assert len(adjoints) == total + 2 * len(reports) - 1
+
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_forcing_term_per_step(self, monkeypatch, method):
         # Method 1 runs step 1 unforced and step k with min(0.1, v_{k-1}/v_1);
@@ -555,9 +598,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(op, x0, cfg):
-            seen.append(cfg.cgls._forcing)
-            return solve(op, x0, cfg)
+        def recorded(op, x0, cfg, forcing, r0):
+            seen.append(forcing)
+            return solve(op, x0, cfg, forcing, r0)
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,

@@ -13,7 +13,7 @@ from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
                             _faber_constants, _spai_one_sided,
                             default_delta_bar, faber_basis,
                             faber_coefficients, faber_expm, initial_guess,
-                            quadrature_nodes, spai,
+                            quadrature_nodes, solve_lyap_gp, spai,
                             spectrum_bounds, transformed_problem)
 from bandlq.lyap_lsq import GlOperator
 from bandlq.pattern import apriori_pattern, inverse_pattern
@@ -580,6 +580,39 @@ class TestSolveLyapGp:
         _Z, done = _gp(*args, cfg=GpConfig(max_iter=4000))
         assert done.iterations < 4000 and not done.extra["stalled"]
         assert done.converged
+
+    def test_given_r0_saves_the_start_apply(self, monkeypatch, rng):
+        # r0 = p - M x0 from the caller gives the run without it bit for
+        # bit, one apply fewer, and the caller's r0 is left alone
+        model, prob = heat_problem((6, 6))
+        _F, Abar, P = newton_start(prob)
+        pat = apriori_pattern(Abar, model.E, P, w=1)
+        op = GlOperator(Abar, model.E, pat, P)
+        x0 = 1e-3 * rng.standard_normal(op.shape[1])
+        r0 = op.rhs - op @ x0
+        before = r0.copy()
+        matvec, applies = GlOperator._matvec, []
+
+        def counted(self, z):
+            applies.append(z)
+            return matvec(self, z)
+
+        monkeypatch.setattr(GlOperator, "_matvec", counted)
+        cfg = GpConfig(max_iter=30)
+        z, rep = solve_lyap_gp(op, x0, cfg)
+        own = len(applies)
+        zr, given = solve_lyap_gp(op, x0, cfg, r0)
+        assert len(applies) - own == own - 1
+        assert given.iterations == rep.iterations == 30
+        assert zr.tobytes() == z.tobytes()
+        assert given.extra["J_history"] == rep.extra["J_history"]
+        assert given.final_residual == rep.final_residual
+        assert r0.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("delta_bar", [0.0, -1.0, np.nan])
+    def test_config_rejects_a_first_step_not_above_0(self, delta_bar):
+        with pytest.raises(ValueError, match="delta_bar must be positive"):
+            GpConfig(delta_bar=delta_bar)
 
     def test_stall_flag_on_impossible_step(self):
         # a huge fixed step with tiny zeta exhausts the backtracking budget

@@ -293,6 +293,11 @@ class TestSolve:
         assert rep3.converged and rep3.iterations == 0
         assert np.array_equal(x2, x)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_config_rejects_a_tolerance_not_above_0(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            CglsConfig(tol=tol)
+
     def test_x0_none_is_the_cold_start(self, rng):
         n = 12
         Abar, E, P = random_stable_instance(n, rng)

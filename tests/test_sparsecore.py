@@ -10,6 +10,25 @@ from bandlq.sparsecore import (Permutation, bandwidth, binarize, canonicalize,
 from conftest import random_banded
 
 
+class TestCanonicalize:
+    @pytest.mark.parametrize("shape", [(5, 5), (13, 13), (29, 29), (7, 4)])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    def test_dense_array_matches_the_coo_route(self, rng, shape, density):
+        # an ndarray and an np.matrix read row by row give the CSR of their
+        # COO form bit for bit: -0.0 is dropped as a zero, NaN is kept
+        X = rng.standard_normal(shape) * (rng.random(shape) < density)
+        X[1] = 0.0
+        X[2, 3], X[3, 1] = -0.0, np.nan
+        ref = canonicalize(sp.coo_matrix(X))
+        for A in (X, X.view(np.matrix)):
+            C = canonicalize(A)
+            assert type(C) is type(ref) and C.shape == ref.shape
+            for a, b in ((C.indptr, ref.indptr), (C.indices, ref.indices),
+                         (C.data, ref.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert C.has_canonical_format
+
+
 class TestProject:
     def test_full_pattern_is_identity(self, rng):
         Q = canonicalize(sp.csr_matrix(random_banded(4, 3, rng)))
