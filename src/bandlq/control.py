@@ -40,9 +40,9 @@ class LqProblem:
         object.__setattr__(self, "R", R)
         if Q.size != self.model.r or R.size != self.model.m:
             raise ValueError("Q/R diagonal lengths must match C rows / B cols")
-        if np.any(R <= 0):
+        if not np.all(R > 0):
             raise ValueError("R must be positive definite")
-        if np.any(Q < 0):
+        if not np.all(Q >= 0):
             raise ValueError("Q must be positive semidefinite")
         C, B = self.model.C, self.model.B
         object.__setattr__(self, "_ctqc",
@@ -319,7 +319,7 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     at fe-bilinear 45^2 Newton step 2, where F is 14 % dense and so filled,
     the product took 793 us with F dense against 302 us with F as CSR.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if steps < 1 or max_rows < 1:
         raise ValueError("steps and max_rows must be >= 1")

@@ -11,7 +11,6 @@ Faber/Chebyshev polynomials of one basis shared by all quadrature nodes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,61 +110,41 @@ def _spai_one_sided(E, pat):
 
     Column j's problem reads E's columns on the support of pat[:, j], on
     the rows those columns touch: column j of supp(E) supp(pat). The
-    problems are solved a group of equal shape at a time, by one stacked QR
-    (``_lstsq_unit``).
+    problems are solved a group of equal shape at a time: the group's
+    blocks E[I, J], for its rows I and supports J, come from one CSR
+    lookup, and one stacked QR (``_lstsq_unit``) solves them for e_j on I.
     """
     n = E.shape[0]
-    Ecsc = E.tocsc()
     patc = pat.tocsc()
     rows = (binarize(E) @ patc).tocsc()
     rows.sort_indices()
-    # each row of each problem: its column j, and a key ordered as the
-    # rows are
-    row_col = np.repeat(np.arange(n), np.diff(rows.indptr))
-    keys = row_col.astype(np.int64) * n + rows.indices
-    # the row where j's right-hand side e_j is 1, or -1 where j has none
-    on_diag = rows.indices == row_col
-    at = np.full(n, -1)
-    at[row_col[on_diag]] = (np.arange(rows.nnz)
-                            - rows.indptr[row_col])[on_diag]
-    # every entry of E in a column of every support: its column j of X,
-    # its place c in j's support and r in j's rows
-    counts = np.diff(Ecsc.indptr)[patc.indices]
-    entry = np.repeat(np.arange(patc.nnz), counts)
-    k = concat_ranges(Ecsc.indptr[patc.indices], counts)
-    j = np.repeat(np.arange(n), np.diff(patc.indptr))[entry]
-    c = entry - patc.indptr[j]
-    r = np.searchsorted(keys, j * n + Ecsc.indices[k]) - rows.indptr[j]
     shape = np.column_stack([np.diff(rows.indptr), np.diff(patc.indptr)])
     shapes, group = np.unique(shape, axis=0, return_inverse=True)
     data = np.zeros(patc.nnz)
     for g, (m, width) in enumerate(shapes):
-        if width == 0:
-            continue
+        if m == 0 or width == 0:
+            continue        # no rows or no unknowns: x = 0
         cols = np.flatnonzero(group == g)
-        slot = np.empty(n, dtype=np.int64)
-        slot[cols] = np.arange(cols.size)
-        mine = group[j] == g
-        A = np.zeros((cols.size, m, width))
-        A[slot[j[mine]], r[mine], c[mine]] = Ecsc.data[k[mine]]
-        x = _lstsq_unit(A, at[cols])
-        data[concat_ranges(patc.indptr[cols], np.full(cols.size, width))] = \
-            x.ravel()
+        I = rows.indices[concat_ranges(rows.indptr[cols],
+                                       np.full(cols.size, m))].reshape(-1, m)
+        at = concat_ranges(patc.indptr[cols], np.full(cols.size, width))
+        J = patc.indices[at].reshape(-1, width)
+        A = E[np.repeat(I, width, axis=1).ravel(), np.tile(J, m).ravel()]
+        data[at] = _lstsq_unit(np.asarray(A).reshape(-1, m, width),
+                               I == cols[:, None]).ravel()
     X = sp.csc_matrix((data, patc.indices, patc.indptr), shape=(n, n))
     return canonicalize(X)
 
 
-def _lstsq_unit(A, at):
-    """The least-squares solutions x[g] of A[g] x = e_{at[g]}, where e_{-1}
-    is 0, for a stack A of equal-shaped matrices.
+def _lstsq_unit(A, b):
+    """The least-squares solutions x[g] of A[g] x = b[g] for a stack A of
+    equal-shaped matrices.
 
-    One stacked QR gives x = R^{-1} Q^T e when every A[g] has full column
+    One stacked QR gives x = R^{-1} Q^T b when every A[g] has full column
     rank; otherwise each problem goes to ``np.linalg.lstsq``, whose
     minimum-norm solution the rank-deficient ones need.
     """
-    count, m, width = A.shape
-    b = np.zeros((count, m))
-    b[at >= 0, at[at >= 0]] = 1.0
+    m, width = A.shape[1:]
     if m >= width:
         Q, R = np.linalg.qr(A)
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
@@ -301,17 +280,11 @@ def faber_basis(A1, bounds, cfg=FaberConfig()):
         pw *= scale
         terms.append((2.0 * pw, T_cur))
     S = binarize(sum(binarize(T) for _w, T in terms))
-    keys = _linear_keys(S)
-    V = np.zeros((len(terms), S.nnz))
+    rows, cols = S.nonzero()
+    V = np.empty((len(terms), S.nnz))
     for l, (w, T) in enumerate(terms):
-        V[l, np.searchsorted(keys, _linear_keys(T))] = w * T.data
+        V[l] = w * T[rows, cols]
     return S, V
-
-
-def _linear_keys(A):
-    """Row-major linear indices of the entries of a canonical CSR matrix."""
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    return rows * A.shape[1] + A.indices
 
 
 def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), basis=None):
@@ -361,10 +334,10 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
     n = A1.shape[0]
     P1t = P1.T.toarray()
     X3 = np.zeros((n, n))
-    basis = None            # built at the first node that does not collapse
+    # t_j grows with j, so some node needs the basis iff the last one does
+    basis = (None if _collapses(bounds.scaled(nodes[-1][0]))
+             else faber_basis(A1, bounds, fcfg))
     for t_j, omega_j in nodes:
-        if basis is None and not _collapses(bounds.scaled(t_j)):
-            basis = faber_basis(A1, bounds, fcfg)
         K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
         term = K @ (K @ P1t).T          # K (K P1^T)^T = K P1 K^T
         term *= psi * omega_j
@@ -397,7 +370,6 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
     stalls. Returns the coordinates and a SolveReport whose ``peak_nnz``,
     the larger space's entry count, is the storage of any iterate.
     """
-    t0 = time.perf_counter()
     delta_bar = (default_delta_bar(op.Abar, op.E) if cfg.delta_bar is None
                  else cfg.delta_bar)
     p, z = op.rhs, x0
@@ -429,7 +401,6 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
         method="gp", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=len(J_history) - 1,
         final_residual=float(np.sqrt(J)), converged=stagnated,
-        wall_ms=1e3 * (time.perf_counter() - t0),
         extra={"J_history": J_history, "stalled": stalled,
                "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
                "operator_form": op.form},

@@ -10,7 +10,6 @@ the tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ from .cgls import cgls
 from .report import SolveReport
 from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
                          concat_ranges, filled)
-
-# vec(X) is column-major throughout: entry (r, s) lives at index s*n + r.
 
 
 @dataclass(frozen=True)
@@ -390,8 +387,10 @@ def assemble_reduced(Abar, E, P, Zpat):
     """Reduced system (M1, p1) for the unknowns inside Zpat.
 
     The unknown z at pattern position (i, j) contributes the coefficient
-    E[i, r] * Abar[j, s] + Abar[i, r] * E[j, s] to the equation at (r, s);
-    memory stays proportional to nnz(M1).
+    E[i, r] * Abar[j, s] + Abar[i, r] * E[j, s] to the equation at (r, s),
+    whose global index is s*n + r: vec(X) is column-major here, unlike the
+    row-major flat indices of ``SymCoords``. Memory stays proportional to
+    nnz(M1).
     """
     n = Abar.shape[0]
     _square("assemble_reduced", n, Abar, E, P, Zpat)
@@ -445,14 +444,12 @@ def solve_lyap_lsq(op, x0=None, cfg=CglsConfig(), forcing=0.0, r0=None):
     with the operator's ``stored_entries``, CGLS's own ||p - M z|| as
     ``final_residual`` and the operator's form as ``extra["operator_form"]``.
     """
-    t0 = time.perf_counter()
     res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0,
                forcing=forcing, r0=r0)
     report = SolveReport(
         method="lsq", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=res.iterations,
-        final_residual=res.residual_norm,
-        wall_ms=1e3 * (time.perf_counter() - t0), converged=res.converged,
+        final_residual=res.residual_norm, converged=res.converged,
         extra={"operator_form": op.form},
     )
     return res.x, report

@@ -33,7 +33,7 @@ class GridSpec:
             raise ValueError("nodes/lengths must match dimension")
         if any(nx < 2 for nx in self.nodes):
             raise ValueError("need at least 2 interior nodes per axis")
-        if any(L <= 0 for L in self.lengths) or self.diffusivity <= 0:
+        if not (all(L > 0 for L in self.lengths) and self.diffusivity > 0):
             raise ValueError("lengths and diffusivity must be positive")
         if self.discretization not in DISCRETIZATIONS:
             raise ValueError(f"unsupported discretization {self.discretization!r}")

@@ -15,7 +15,7 @@ class SolveReport:
     iterations: int = 0
     final_residual: float = float("nan")
     e_k: float = float("nan")         # relative error vs dense oracle, if enabled
-    wall_ms: float = 0.0
+    wall_ms: float = 0.0              # the call, set by control.solve_lyap
     converged: bool = True
     extra: dict = field(default_factory=dict)
 

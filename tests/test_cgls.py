@@ -109,6 +109,16 @@ def _lstsq_instance():
     return M, b, ref, rng
 
 
+def test_rhs_orthogonal_to_the_range_returns_zero():
+    # M^T b = 0: x = 0 is the least-squares solution, with ||b|| left over
+    M = canonicalize(sp.csr_matrix(np.array([[1.0], [0.0]])))
+    res = cgls(M, np.array([0.0, 3.0]), tol=1e-12)
+    assert res.converged and res.iterations == 0
+    np.testing.assert_array_equal(res.x, [0.0])
+    assert res.residual == 0.0 and res.residual_norm == 3.0
+    assert res.normal_residual_history == [0.0]
+
+
 def test_x0_at_solution_returns_at_once():
     M, b, ref, _rng = _lstsq_instance()
     res = cgls(M, b, tol=1e-10, x0=ref)

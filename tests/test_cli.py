@@ -461,6 +461,29 @@ class TestSolveStages:
         assert lines[0] == "step,time,state_norm,inst_cost"
         assert len(lines) > 10
 
+    def test_simulate_from_a_listed_x0(self, tmp_path):
+        # the scalar closed loop is linear, so x0 = [2] doubles every state
+        # norm of x0 = "ones" and quadruples the cost, exactly
+        cfg = _scalar_config(tmp_path)
+        raw = json.loads(Path(cfg).read_text())
+        raw["sim"]["x0"] = [2.0]
+        listed = _write_config(tmp_path, "listed.json", raw)
+        out = tmp_path / "run_scalar"
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "riccati"]) == 0
+        runs = []
+        for c in (cfg, listed):
+            assert main(["solve", "--config", c, "--stage", "simulate"]) == 0
+            with open(out / "trajectory.csv") as f:
+                norms = [float(r["state_norm"]) for r in csv.DictReader(f)]
+            cost = json.loads((out / "cost.json").read_text())["cost"]
+            runs.append((np.array(norms), cost))
+        (ones, cost1), (twos, cost2) = runs
+        assert ones.size > 10
+        np.testing.assert_array_equal(twos, 2.0 * ones)
+        assert cost2 == 4.0 * cost1 > 0
+
 
 class TestBench:
     def test_bench_rows_and_oracle_cap(self, tmp_path):
@@ -483,6 +506,32 @@ class TestBench:
         # Method 2's peak storage below the storage of Method 1's GL
         # operator at equal w
         assert int(by[("16", "gp")][3]) < int(by[("16", "lsq")][3])
+
+    def test_bench_records_failures_and_keeps_going(self, tmp_path,
+                                                    monkeypatch):
+        # a 1 x 1 grid fails at the model build and a failing method gets
+        # its own row; the next size and the next method still run
+        import bandlq.cli
+        solve_lyap = bandlq.cli.solve_lyap
+
+        def failing_gp(Abar, E, P, pat, cfg):
+            if cfg.lyap_method == "gp":
+                raise RuntimeError("gp failed")
+            return solve_lyap(Abar, E, P, pat, cfg)
+
+        monkeypatch.setattr(bandlq.cli, "solve_lyap", failing_gp)
+        cfg = _heat_config(tmp_path, out="run_bench_fail",
+                           bench={"sizes": [[1, 1], [4, 4]],
+                                  "methods": ["gp", "lsq"]},
+                           oracle={"enabled": False})
+        assert main(["bench", "--config", cfg]) == 0
+        with open(tmp_path / "run_bench_fail" / "bench.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert rows[0] == ["1", "setup", "1", "0", "0", "0",
+                           "error: need at least 2 interior nodes per axis"]
+        assert rows[1] == ["16", "gp", "1", "0", "0", "0", "error: gp failed"]
+        assert rows[2][:3] == ["16", "lsq", "1"] and rows[2][6] == "ok"
+        assert len(rows) == 3
 
     def test_bench_gp_cap_is_the_lyap_section(self):
         # bench runs what solve --stage lyap runs, with lyap.gp.max_iter

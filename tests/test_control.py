@@ -701,6 +701,15 @@ class TestSimulateClosedLoop:
                 simulate_closed_loop(prob, F, np.ones(9), dt=dt, steps=steps,
                                      max_rows=max_rows)
 
+    def test_nan_dt_rejected(self):
+        # at 4^2 with F = 0, Abar = A is filled, so the steps would take the
+        # LAPACK path, which returns NaN norms and cost without an error
+        model, prob = heat_problem((4, 4))
+        F = canonicalize(sp.csr_matrix((model.m, model.n)))
+        assert filled(model.A)
+        with pytest.raises(ValueError, match="dt"):
+            simulate_closed_loop(prob, F, np.ones(16), dt=np.nan, steps=10)
+
     @pytest.mark.parametrize("steps, max_rows", [
         (2000, 1000), (10, 3), (5, 3), (7, 2), (10, 1), (1, 1), (3, 10)])
     def test_at_most_max_rows(self, steps, max_rows):
@@ -841,6 +850,14 @@ class TestLqProblemValidation:
         model, _prob = heat_problem((3, 3))
         with pytest.raises(ValueError):
             LqProblem(model, Q=-np.ones(model.r), R=np.ones(model.m))
+
+    @pytest.mark.parametrize("weight", ["Q", "R"])
+    def test_nan_weight_rejected(self, weight):
+        model, _prob = heat_problem((3, 3))
+        Q, R = np.ones(model.r), np.ones(model.m)
+        (Q if weight == "Q" else R)[0] = np.nan
+        with pytest.raises(ValueError, match=weight):
+            LqProblem(model, Q=Q, R=R)
 
     def test_wrong_lengths_rejected(self):
         model, _prob = heat_problem((3, 3))

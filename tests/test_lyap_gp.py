@@ -142,7 +142,7 @@ class TestSpai:
         np.testing.assert_allclose(X.toarray(), Ref, atol=1e-10)
 
     @pytest.mark.parametrize("case", ["mass30-k1", "mass30-k2", "mass30-k3",
-                                      "fe7x7", "empty-column"])
+                                      "fe7x7", "empty-column", "zero-row"])
     def test_one_sided_matches_slicing_reference(self, case):
         if case.startswith("mass30"):
             E = _fe_mass(30)
@@ -150,12 +150,23 @@ class TestSpai:
         elif case == "fe7x7":
             E = canonicalize(heat_problem((7, 7))[0].E)
             pat = inverse_pattern(E, 2)
+        elif case == "zero-row":
+            # E's row and column 5 are empty, so column 5's problem, on
+            # the support {5}, has no rows
+            E = _fe_mass(12).tolil()
+            E[5, :] = 0.0
+            E[:, 5] = 0.0
+            E = canonicalize(E)
+            pat = inverse_pattern(E, 1)
         else:
             E = _fe_mass(12)
             pat = inverse_pattern(E, 1).tolil()
             pat[:, 5] = 0.0
         pat = binarize(pat)
         assert case != "empty-column" or pat.getcol(5).nnz == 0
+        assert case != "zero-row" or (
+            pat.getcol(5).nonzero()[0].tolist() == [5]
+            and (binarize(E) @ pat).getcol(5).nnz == 0)
         forms = []
         for Es, ps in ((E, pat), (E.T.tocsr(), pat.T.tocsr())):
             forms.append(_spai_one_sided(Es, ps))
@@ -172,6 +183,10 @@ class TestSpai:
             # and spai returns the column form
             assert bitwise_equal(forms[1], forms[0])
             assert bitwise_equal(spai(E, pat)[0], forms[0])
+        if case == "zero-row":
+            # column 5 solves to 0, and e_5 stays in the residual
+            assert forms[0].getcol(5).nnz == 0
+            assert spai(E, pat)[1] > 1.0
 
     def test_rank_deficient_subproblem_no_failure(self):
         E = _csr([[1.0, 1.0], [1.0, 1.0]])     # singular
@@ -413,7 +428,7 @@ class TestInitialGuess:
         assert errs[1] < errs[0]
 
     @pytest.mark.parametrize("case", ["heat-q5", "heat-q40", "scalar",
-                                      "diagonal"])
+                                      "diagonal", "narrow"])
     def test_dense_accumulation_matches_sparse_reference(self, case):
         fcfg = FaberConfig()
         if case.startswith("heat"):
@@ -423,10 +438,19 @@ class TestInitialGuess:
         elif case == "scalar":          # every node collapses
             Abar, E, P = _csr([[-1.0]]), identity(1), _csr([[-2.0]])
             cfg, fcfg = GpConfig(q=40), FaberConfig(p=20)
-        else:
+        elif case == "diagonal":
             Abar, E, P = _csr(np.diag([-1.0, -2.0])), identity(2), \
                 _csr(-np.eye(2))
             cfg = GpConfig(q=40)
+        else:                           # the first nodes collapse, the last not
+            Abar, E, P = _csr(np.diag(-1.0 - 1e-12 * np.arange(3) / 2)), \
+                identity(3), _csr(-np.eye(3))
+            cfg = GpConfig(q=40)
+            A1, _P1, _res = transformed_problem(Abar, E, P, cfg.k1)
+            bounds = spectrum_bounds(A1)
+            collapsed = [_collapses(bounds.scaled(t_j)) for t_j, _w
+                         in quadrature_nodes(cfg.q, bounds)[1]]
+            assert collapsed[0] and not collapsed[-1]
         X3, info = initial_guess(Abar, E, P, cfg=cfg, fcfg=fcfg)
         ref = _sparse_x3(Abar, E, P, cfg, fcfg)
         assert X3.nnz == ref.nnz

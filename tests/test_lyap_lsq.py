@@ -200,6 +200,11 @@ class TestAssembleReduced:
             assemble_reduced(identity(2), identity(2), identity(2),
                              binarize(sp.csr_matrix((2, 2))))
 
+    def test_operator_rejects_an_empty_pattern(self):
+        with pytest.raises(ValueError, match="GlOperator: empty"):
+            GlOperator(identity(2), identity(2), sp.csr_matrix((2, 2)),
+                       identity(2))
+
     @pytest.mark.parametrize("operand", ["Abar", "E", "P", "Zpat"])
     @pytest.mark.parametrize("build", [assemble_reduced, GlOperator],
                              ids=["assemble_reduced", "GlOperator"])

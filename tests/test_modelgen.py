@@ -71,6 +71,13 @@ class TestBuildHeatModel:
             GridSpec(dimension=1, nodes=(5,), lengths=(1.0,),
                      diffusivity=1.0, discretization="fe-quadratic")
 
+    @pytest.mark.parametrize("lengths, diffusivity", [
+        ((1.0,), np.nan), ((np.nan,), 1.0)])
+    def test_nan_grid_rejected(self, lengths, diffusivity):
+        with pytest.raises(ValueError, match="positive"):
+            GridSpec(dimension=1, nodes=(5,), lengths=lengths,
+                     diffusivity=diffusivity, discretization="fd-5point")
+
     def test_fe_dimension_checks(self):
         for disc, dim, nodes in (("fe-linear-1d", 2, (3, 3)),
                                  ("fe-bilinear-2d", 1, (3,))):
