@@ -97,9 +97,9 @@ def _typed(path, name, value, default):
 
     A bool default takes a JSON bool; an int one an integral number (4.0
     gives 4); a float one any finite number (not NaN or +-Infinity, which
-    json.load reads), stored as float, and a None one also null; any other
-    default a value of its type. A pair (config, field) takes the field's
-    kind, and the config checks the value's range alone.
+    json.load reads), stored as float; any other default a value of its
+    type. A pair (config, field) takes the field's kind, and the config
+    checks the value's range alone.
     """
     if isinstance(default, tuple):
         value = _typed(path, name, value, getattr(*default))
@@ -110,9 +110,9 @@ def _typed(path, name, value, default):
         kind, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, int):
         kind, ok = "an integer", number and value % 1 == 0
-    elif default is None or isinstance(default, float):
-        kind, ok = "a finite number", value is default or (
-            number and abs(value) <= sys.float_info.max)
+    elif isinstance(default, float):
+        kind = "a finite number"
+        ok = number and abs(value) <= sys.float_info.max
     else:
         kind = {str: "a string", list: "a list", dict: "an object"}[
             type(default)]

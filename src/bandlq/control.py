@@ -71,10 +71,12 @@ class NewtonConfig:
     faber: FaberConfig = FaberConfig()
 
     def __post_init__(self):
-        if self.N_max < 1:
-            raise ValueError("N_max must be >= 1")
-        if self.w < 0:
-            raise ValueError("w must be >= 0")
+        for name, low in (("N_max", 1), ("w", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not self.residual_tol >= 0:
+            raise ValueError("residual_tol must be >= 0")
         if self.lyap_method not in ("lsq", "gp"):
             raise ValueError("lyap_method must be 'lsq' or 'gp', "
                              f"got {self.lyap_method!r}")

@@ -30,8 +30,8 @@ class CglsConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("CGLS tolerance must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if not isinstance(self.max_iter, int) or self.max_iter < 0:
+            raise ValueError("max_iter must be an integer >= 0")
 
 
 # GlOperator runs on its two sparse factors when nnz(K1) <= _FACTOR_FILL n^2

@@ -7,22 +7,17 @@ The pattern is built from the recursion
             + Abar (E^T G_i Abar + Abar^T G_i E) E^T,   i = 1..w
 
 and the result is the support of I + G_1 + ... + G_{w+1}. All inputs are
-replaced by their elementwise absolute values and each G_i is binarized
-before the next step, so accidental numeric cancellation, overflow, or
-underflow cannot delete structurally present entries.
+replaced by their 0/1 patterns and each G_i is binarized before the next
+step, so accidental numeric cancellation, overflow, or underflow cannot
+delete structurally present entries.
 """
 
 from __future__ import annotations
 
 import scipy.sparse as sp
 
-from .sparsecore import ShapeMismatchError, binarize, canonicalize, identity, pattern_power_sum
-
-
-def _abs(A):
-    B = canonicalize(A).copy()
-    B.data = abs(B.data)
-    return B
+from .sparsecore import (ShapeMismatchError, binarize, identity,
+                         pattern_power_sum)
 
 
 def apriori_pattern(Abar, E, P, w=1):
@@ -37,7 +32,7 @@ def apriori_pattern(Abar, E, P, w=1):
     for M in (Abar, E, P):
         if M.shape != (n, n):
             raise ShapeMismatchError("apriori_pattern", (n, n), M.shape)
-    A, Em, Pm = _abs(Abar), _abs(E), _abs(P)
+    A, Em, Pm = binarize(Abar), binarize(E), binarize(P)
 
     G = binarize(A @ Pm @ Em.T + Em @ Pm @ A.T)
     acc = binarize(identity(n) + G)

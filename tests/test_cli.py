@@ -182,10 +182,13 @@ class TestConfigValidation:
          ("bench.methods[1]", "lyap_method")),
         ({"bench": {"methods": ["oracle"]}}, ("bench.methods[0]",)),
         ({"bench": {"methods": [1]}}, ("bench.methods[0]",)),
-        # the Armijo rule needs sigma in (0, 1)
-        ({"lyap": {"gp": {"sigma": 0}}}, ("lyap.gp", "sigma")),
-        ({"lyap": {"gp": {"sigma": 1.0}}}, ("lyap.gp", "sigma")),
-        ({"lyap": {"gp": {"sigma": 1.5}}}, ("lyap.gp", "sigma"))])
+        # Method 2 takes its step without a line search, whose settings
+        # are unknown keys now
+        ({"lyap": {"gp": {"delta_bar": 1e-3}}},
+         ("lyap.gp", "unknown", "delta_bar")),
+        ({"lyap": {"gp": {"zeta": 0.5}}}, ("lyap.gp", "unknown", "zeta")),
+        ({"lyap": {"gp": {"sigma": 1e-4}}}, ("lyap.gp", "unknown", "sigma")),
+        ({"riccati": {"residual_tol": -1.0}}, ("riccati.residual_tol",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -205,11 +208,14 @@ class TestConfigValidation:
         *((key, value) for value in (np.nan, np.inf, -np.inf)
           for key in ("lyap.cgls_tol", "riccati.residual_tol",
                       "riccati.Z0_scale", "sim.dt", "model.diffusivity")),
-        *(("lyap.gp", {"delta_bar": v}) for v in (np.nan, np.inf, -np.inf)),
+        # settings of the line search Method 2 no longer has
+        *(("lyap.gp", {key: v}) for key, v in (
+            ("delta_bar", 1e-3), ("zeta", 0.5), ("sigma", 1e-4))),
         ("riccati.N_max", np.inf), ("sim.x0[0]", [np.nan] * 25),
         ("model.seed", -3), ("sim.x0_seed", -1),
-        # the Armijo rule needs sigma < 1
-        ("lyap.gp", {"sigma": 1.0}), ("lyap.gp", {"sigma": 1.5})])
+        # the quadrature needs q >= 1, and the DFT W > 4 p
+        ("lyap.gp", {"q": 0}), ("lyap.gp", {"W": 120}),
+        ("riccati.residual_tol", -1)])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides, and a

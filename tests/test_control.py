@@ -8,6 +8,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import bandlq.lyap_gp
+
 from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             feedback, metric_e, newton_start,
                             newton_step_matrices, riccati_residual,
@@ -148,19 +150,27 @@ class TestSolveLyap:
         Zref, _ = self._method(step1, method, X0)
         assert bitwise_equal(Z, Zref)
 
-    def test_gp_defaults_its_first_step(self, step1):
-        # without delta_bar, Method 2 takes default_delta_bar of the Abar
-        # and E its operator holds, bit for bit
+    def test_gp_defaults_its_first_step(self, step1, monkeypatch):
+        # Method 2 steps by default_delta_bar of the Abar and E its
+        # operator holds: its first iterate is x0 - delta g, bit for bit
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
         x0 = np.zeros(op.shape[1])
-        assert self.GP.delta_bar is None
-        x, rep = solve_lyap_gp(op, x0, self.GP)
-        xg, given = solve_lyap_gp(op, x0, dataclasses.replace(
-            self.GP, delta_bar=default_delta_bar(Abar, E)))
-        assert rep.iterations == self.GP.max_iter
-        assert x.tobytes() == xg.tobytes()
-        assert rep.extra["J_history"] == given.extra["J_history"]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return default_delta_bar(*args)
+
+        monkeypatch.setattr(bandlq.lyap_gp, "default_delta_bar", spy)
+        x, rep = solve_lyap_gp(op, x0, dataclasses.replace(self.GP,
+                                                           max_iter=1))
+        assert len(calls) == 1
+        assert calls[0][0] is op.Abar and calls[0][1] is op.E
+        g = -2.0 * op.rmatvec(op.rhs - op @ x0)
+        step = x0 - default_delta_bar(op.Abar, op.E) * g
+        assert rep.iterations == 1
+        assert x.tobytes() == step.tobytes()
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_final_residual_is_the_gl_residual(self, step1, method):
@@ -869,6 +879,18 @@ def test_newton_config_needs_a_step():
     with pytest.raises(ValueError, match="N_max"):
         NewtonConfig(N_max=0)
     assert NewtonConfig(N_max=1).N_max == 1
+
+
+@pytest.mark.parametrize("key, value", [("N_max", np.nan), ("N_max", 2.5),
+                                        ("w", np.nan), ("w", 1.0),
+                                        ("residual_tol", np.nan),
+                                        ("residual_tol", -1.0)])
+def test_newton_config_rejects_values_out_of_range(key, value):
+    # a NaN tolerance or a negative one could never be met, and a count
+    # that is not an integer fails only later, inside the loop
+    with pytest.raises(ValueError, match=key):
+        NewtonConfig(**{key: value})
+    assert NewtonConfig(residual_tol=0.0).residual_tol == 0.0
 
 
 def test_newton_config_rejects_an_unknown_method():

@@ -1,9 +1,12 @@
 """Method 2: SPAI, spectrum bounds, quadrature, Faber expansion, gradient
 projection."""
 
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import bandlq.lyap_gp
 import bandlq.lyap_lsq
@@ -232,6 +235,18 @@ class TestSpectrumBounds:
         with pytest.raises(ValueError):
             SpectrumBounds(-2.0, -1.0, -0.5)
 
+    @pytest.mark.parametrize("bounds", [(-2.0, np.nan, 0.0),
+                                        (np.nan, -1.0, 0.0),
+                                        (-2.0, -1.0, np.nan)])
+    def test_nan_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            SpectrumBounds(*bounds)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+    def test_scale_not_above_0_rejected(self, t):
+        with pytest.raises(ValueError, match="time scale"):
+            SpectrumBounds(-2.0, -1.0, 0.0).scaled(t)
+
 
 class TestQuadratureNodes:
     def test_psi_formula(self):
@@ -268,6 +283,13 @@ class TestQuadratureNodes:
     def test_unstable_matrix_rejected(self):
         with pytest.raises(UnstableMatrixError):
             quadrature_nodes(5, SpectrumBounds(-1.0, 0.5, 0.0))
+
+    def test_nan_real_part_rejected(self):
+        # SpectrumBounds holds no NaN, so the bounds here are a stand-in
+        bounds = types.SimpleNamespace(lambda_RS=-2.0, lambda_RL=np.nan,
+                                       lambda_IL=0.0)
+        with pytest.raises(UnstableMatrixError):
+            quadrature_nodes(5, bounds)
 
 
 class TestFaberCoefficients:
@@ -312,6 +334,18 @@ class TestFaberCoefficients:
                 pw *= scale
                 acc += a[l] * 2.0 * pw * t_cur
             assert acc == pytest.approx(np.exp(x), abs=1e-6)
+
+    def test_nan_c2_rejected(self):
+        with pytest.raises(ValueError, match="c2"):
+            faber_coefficients(np.nan, 1.0, 0.0)
+
+    @pytest.mark.parametrize("key, value", [("W", np.nan), ("W", 2048.0),
+                                            ("p", np.nan), ("p", 2.5),
+                                            ("k2", np.nan), ("k2", -1)])
+    def test_config_rejects_a_count_not_a_nonnegative_integer(self, key,
+                                                              value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            FaberConfig(**{key: value})
 
 
 class TestFaberExpm:
@@ -574,36 +608,95 @@ class TestSolveLyapGp:
                 fd = (J_of(Ep) - J_of(Em)) / (2.0 * h)
                 assert abs(fd - Nd[i, j]) <= 1e-5 * scale
 
-    def test_heat_model_w1_with_x3_start(self):
+    def test_heat_model_w1_with_x3_start(self, monkeypatch):
         # the pattern-constrained solve from the quadrature start reaches
-        # a moderate relative error within the fixed iteration budget
+        # a moderate relative error within the fixed iteration budget, at
+        # 32 times the default step (still far below the bound 1/2 on
+        # delta ||M||_2^2)
         model, prob = heat_problem((13, 13))
         _F, Abar, P = newton_start(prob)
         Zex = dense_lyap(Abar, model.E, P, max_n=2000)
         pat = apriori_pattern(Abar, model.E, P, w=1)
         X0, _info = initial_guess(Abar, model.E, P)
-        db = 32.0 * default_delta_bar(Abar, model.E)
+        monkeypatch.setattr(bandlq.lyap_gp, "default_delta_bar",
+                            lambda A, E: 32.0 * default_delta_bar(A, E))
         Z, rep = _gp(Abar, model.E, P, pat, project(X0, pat),
-                     cfg=GpConfig(delta_bar=db, max_iter=4000))
+                     cfg=GpConfig(max_iter=4000))
         e = metric_e(Z, sp.csr_matrix(Zex))
         print(f"gp heat 13x13 w=1 relative error: {e:.4f}")
+        assert not rep.extra["stalled"]
         assert e <= 0.3
 
-    def test_converged_only_when_stagnated(self):
-        # on the scalar equation -2 Z = -2 from Z = 5, the cap and a stalled
-        # line search leave the solve unconverged, and only the stagnation
-        # rule counts as converged
+    def test_converged_only_when_stagnated(self, monkeypatch):
+        # on the scalar equation -2 Z = -2 from Z = 5, the cap and a stall
+        # leave the solve unconverged, and only the stagnation rule counts
+        # as converged
         args = (_csr([[-1.0]]), identity(1), _csr([[-2.0]]), full_pattern(1),
                 canonicalize(sp.csr_matrix(np.array([[5.0]]))))
         _Z, capped = _gp(*args, cfg=GpConfig(max_iter=3))
         assert capped.iterations == 3 and not capped.extra["stalled"]
         assert not capped.converged
-        _Z, stalled = _gp(*args, cfg=GpConfig(delta_bar=1e30, max_iter=5))
-        assert stalled.iterations == 0 and stalled.extra["stalled"]
-        assert not stalled.converged
         _Z, done = _gp(*args, cfg=GpConfig(max_iter=4000))
         assert done.iterations < 4000 and not done.extra["stalled"]
         assert done.converged
+        # a step far too long raises J, which stalls the solve at once
+        monkeypatch.setattr(bandlq.lyap_gp, "default_delta_bar",
+                            lambda A, E: 1e30)
+        Z, stalled = _gp(*args, cfg=GpConfig(max_iter=5))
+        assert stalled.iterations == 0 and stalled.extra["stalled"]
+        assert not stalled.converged
+        assert Z.toarray()[0, 0] == 5.0
+
+    def test_non_finite_step_stalls_after_one_apply(self, monkeypatch):
+        # a NaN start makes J non-finite: the first step's one apply stalls
+        # the solve, where a backtracking search would try 61 steps
+        model, prob = heat_problem((6, 6))
+        _F, Abar, P = newton_start(prob)
+        op = GlOperator(Abar, model.E, apriori_pattern(Abar, model.E, P),
+                        P)
+        calls = {"_matvec": 0, "_rmatvec": 0}
+        for name in calls:
+            def counted(self, z, _call=getattr(GlOperator, name),
+                        _name=name):
+                calls[_name] += 1
+                return _call(self, z)
+            monkeypatch.setattr(GlOperator, name, counted)
+        x0 = np.full(op.shape[1], np.nan)
+        _z, rep = solve_lyap_gp(op, x0, GpConfig(max_iter=50))
+        assert calls == {"_matvec": 2, "_rmatvec": 1}
+        assert rep.extra["stalled"] and not rep.converged
+        assert rep.iterations == 0
+
+    @pytest.mark.parametrize("form", ["factors", "dense", "dense-abar"])
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "random-2",
+                                      "fe-6", "fe-13"])
+    def test_default_step_is_below_the_armijo_bound(self, monkeypatch,
+                                                    form, case):
+        # ||M||_2 <= 2 ||E||_F ||Abar||_F, so delta_bar ||M||_2^2 <= 1/2:
+        # every step at delta_bar lowers J by at least delta_bar ||g||^2 / 2
+        if case.startswith("random"):
+            rng = np.random.default_rng(int(case[-1]))
+            n = 10
+            Abar = _csr(random_banded(n, 2, rng) - 5.0 * np.eye(n))
+            E = _csr(random_banded(n, 1, rng) + 4.0 * np.eye(n))
+            P0 = random_banded(n, 2, rng)
+            P = _csr(P0 + P0.T)
+        else:
+            side = int(case[3:])
+            model, prob = heat_problem((side, side))
+            _F, Abar, P = newton_start(prob)
+            E = model.E
+        pat = apriori_pattern(Abar, E, P, w=1)
+        # the factor bound picks the factors; FILL_DIVISOR infinity makes
+        # Abar filled, 1 leaves it sparse
+        monkeypatch.setattr(bandlq.lyap_lsq, "_FACTOR_FILL",
+                            np.inf if form == "factors" else -1.0)
+        monkeypatch.setattr("bandlq.sparsecore.FILL_DIVISOR",
+                            np.inf if form == "dense-abar" else 1)
+        op = GlOperator(Abar, E, pat, P)
+        assert op.form == form
+        norm = spla.svds(op, k=1, return_singular_vectors=False)[0]
+        assert default_delta_bar(op.Abar, op.E) * norm ** 2 <= 0.5
 
     def test_given_r0_saves_the_start_apply(self, monkeypatch, rng):
         # r0 = p - M x0 from the caller gives the run without it bit for
@@ -632,18 +725,3 @@ class TestSolveLyapGp:
         assert given.extra["J_history"] == rep.extra["J_history"]
         assert given.final_residual == rep.final_residual
         assert r0.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("delta_bar", [0.0, -1.0, np.nan])
-    def test_config_rejects_a_first_step_not_above_0(self, delta_bar):
-        with pytest.raises(ValueError, match="delta_bar must be positive"):
-            GpConfig(delta_bar=delta_bar)
-
-    def test_stall_flag_on_impossible_step(self):
-        # a huge fixed step with tiny zeta exhausts the backtracking budget
-        Z0 = canonicalize(sp.csr_matrix(np.array([[5.0]])))
-        _Z, rep = _gp(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
-                      full_pattern(1), Z0,
-                      cfg=GpConfig(delta_bar=1e30, zeta=0.999999,
-                                   max_iter=5))
-        assert rep.extra["stalled"] and not rep.converged
-        assert rep.iterations == 0

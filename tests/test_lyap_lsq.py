@@ -303,6 +303,13 @@ class TestSolve:
         with pytest.raises(ValueError, match="tolerance must be positive"):
             CglsConfig(tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [np.nan, 2.5, -1])
+    def test_config_rejects_a_count_not_a_nonnegative_integer(self,
+                                                              max_iter):
+        # NaN used to run 0 iterations without a word
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            CglsConfig(max_iter=max_iter)
+
     def test_x0_none_is_the_cold_start(self, rng):
         n = 12
         Abar, E, P = random_stable_instance(n, rng)

@@ -56,6 +56,16 @@ class TestAprioriPattern:
         ref = ((acc + acc.T) > 0)
         np.testing.assert_array_equal(pat.toarray() > 0, ref)
 
+    def test_tiny_entries_keep_their_structure(self):
+        # products of 1e-170 underflow to 0 in floating point; the pattern
+        # multiplies 0/1 matrices, so the w = 1 pattern of this bidiagonal
+        # Abar keeps its bandwidth 3: all of the 4 x 4 matrix
+        n = 4
+        A = canonicalize(sp.csr_matrix(-np.eye(n) + 1e-170 * np.eye(n, k=1)))
+        P = _diag(np.full(n, 1e-170))
+        pat = apriori_pattern(A, identity(n), P, w=1)
+        assert pat.nnz == n * n
+
     def test_monotone_in_w(self, rng):
         n = 10
         A = _tridiag_random(n, rng)
