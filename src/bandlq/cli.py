@@ -27,7 +27,7 @@ from . import __version__, mmio
 from .control import (LqProblem, NewtonConfig, RiccatiDivergence, metric_e,
                       newton_start, simulate_closed_loop, solve_lyap,
                       solve_riccati)
-from .lyap_gp import FaberConfig, GpConfig
+from .lyap_gp import GpConfig
 from .lyap_lsq import CglsConfig
 # not called here; kept because perfbench/probes.py wraps them by name here
 from .control import feedback, newton_step_matrices  # noqa: F401
@@ -68,8 +68,7 @@ _SECTIONS = {
     "lyap": {"method": (NewtonConfig, "lyap_method"),
              "cgls_tol": (CglsConfig, "tol"),
              "cgls_max_iter": (CglsConfig, "max_iter"),
-             "gp": {f.name: f.default for cls in (GpConfig, FaberConfig)
-                    for f in fields(cls)}},
+             "gp": {f.name: f.default for f in fields(GpConfig)}},
     "riccati": {**{key: (NewtonConfig, key)
                    for key in ("Z0_scale", "N_max", "residual_tol")},
                 "q_weight": 1.0, "r_weight": 1.0},
@@ -171,11 +170,9 @@ def parse_config(raw, source="<config>"):
             if isinstance(d, tuple):
                 owned[d[0]][d[1]] = sec[name][key]
     gp = _read(sec["lyap"]["gp"], path, "lyap.gp", _SECTIONS["lyap"]["gp"])
-    faber = {f.name: gp.pop(f.name) for f in fields(FaberConfig)}
     newton = NewtonConfig(
         cgls=CglsConfig(**owned[CglsConfig]),
         gp=_checked(f"{path}lyap.gp", GpConfig, **gp),
-        faber=_checked(f"{path}lyap.gp", FaberConfig, **faber),
         **owned[NewtonConfig])
     # each size is a grid's node count per axis, or one count for a 1-D grid
     sec["bench"]["sizes"] = [
@@ -198,6 +195,7 @@ def parse_config(raw, source="<config>"):
             (sec["sim"]["steps"] < 1, "sim.steps", "an integer >= 1"),
             (sec["sim"]["max_rows"] < 1, "sim.max_rows", "an integer >= 1"),
             (sec["sim"]["x0_seed"] < 0, "sim.x0_seed", "an integer >= 0"),
+            (orc["max_n"] < 1, "oracle.max_n", "an integer >= 1"),
             (model.get("seed", 0) < 0, "model.seed", "an integer >= 0"),
             (ric["q_weight"] < 0, "riccati.q_weight", "a number >= 0"),
             (ric["r_weight"] <= 0, "riccati.r_weight", "a positive number"),

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from . import lyap_lsq
-from .lyap_gp import FaberConfig, GpConfig, initial_guess, solve_lyap_gp
+from .lyap_gp import GpConfig, initial_guess, solve_lyap_gp
 from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import apriori_pattern
@@ -68,9 +68,10 @@ class NewtonConfig:
     w: int = 1                        # order of the a priori pattern
     cgls: CglsConfig = CglsConfig()   # Method 1
     gp: GpConfig = GpConfig()         # Method 2 and its X3 initial guess
-    faber: FaberConfig = FaberConfig()
 
     def __post_init__(self):
+        if not np.isfinite(self.Z0_scale):
+            raise ValueError("Z0_scale must be a finite number")
         for name, low in (("N_max", 1), ("w", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
@@ -192,8 +193,7 @@ def inner_solve(op, x0, cfg=NewtonConfig(), forcing=0.0, r0=None):
     if cfg.lyap_method == "lsq":
         return solve_lyap_lsq(op, x0, cfg.cgls, forcing, r0)
     if x0 is None:
-        X3, _info = initial_guess(op.Abar, op.E, op.P, cfg=cfg.gp,
-                                  fcfg=cfg.faber)
+        X3, _info = initial_guess(op.Abar, op.E, op.P, cfg=cfg.gp)
         x0, r0 = op.inputs.fold(X3), None
     return solve_lyap_gp(op, x0, cfg.gp, r0)
 

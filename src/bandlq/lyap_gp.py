@@ -29,6 +29,8 @@ _INFLATION = 0.05
 # this many iterations
 _STAGNATION_WINDOW = 20
 _STAGNATION_RTOL = 1e-12
+# DFT length of the Faber coefficients; 4p < W keeps aliasing negligible
+_FABER_W = 2048
 
 
 class UnstableMatrixError(RuntimeError):
@@ -55,31 +57,22 @@ class SpectrumBounds:
 
 
 @dataclass(frozen=True)
-class FaberConfig:
-    p: int = 30          # truncation order of the expansion
-    W: int = 2048        # DFT length for the coefficients
-    k2: int = 1          # sparsification pattern order for the recurrence
-
-    def __post_init__(self):
-        for name in ("p", "W", "k2"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0")
-        if self.W <= 4 * self.p:
-            raise ValueError("W must exceed 4p to keep aliasing negligible")
-
-
-@dataclass(frozen=True)
 class GpConfig:
     max_iter: int = 4000
     q: int = 40                      # quadrature half-width
     k1: int = 3                      # SPAI pattern order
+    p: int = 30                      # truncation order of the Faber series
+    k2: int = 1                      # sparsification pattern order for it
 
     def __post_init__(self):
-        for name, low in (("max_iter", 0), ("q", 1), ("k1", 0)):
+        for name, low in (("max_iter", 0), ("q", 1), ("k1", 0), ("p", 0),
+                          ("k2", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
+        if not 4 * self.p < _FABER_W:
+            raise ValueError(f"p must be <= {(_FABER_W - 1) // 4}, so that "
+                             f"4p < the DFT length {_FABER_W}")
 
 
 def spai(E, pat):
@@ -196,7 +189,7 @@ def quadrature_nodes(q, bounds):
     return psi, list(zip(psi * t, omega))
 
 
-def faber_coefficients(c2, c3, c4, W=2048, p=30):
+def faber_coefficients(c2, c3, c4, W=_FABER_W, p=30):
     """First p+1 Faber coefficients of exp on the elliptic spectral region.
 
     Samples g_k = exp(s_k) on the Bernstein ellipse boundary
@@ -235,7 +228,7 @@ def _collapses(sb):
         and sb.lambda_IL <= 1e-14
 
 
-def faber_basis(A1, bounds, cfg=FaberConfig()):
+def faber_basis(A1, bounds, cfg=GpConfig()):
     """Weighted, projected Chebyshev matrices of A1 on their union pattern.
 
     Runs the three-term recurrence in the shifted variable
@@ -280,7 +273,7 @@ def faber_basis(A1, bounds, cfg=FaberConfig()):
     return S, V
 
 
-def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), basis=None):
+def faber_expm(A1, t_scaled, bounds, cfg=GpConfig(), basis=None):
     """Sparse banded approximation of exp(t_scaled * A1).
 
     Sums the Faber coefficients of the scaled spectrum bounds over the
@@ -294,7 +287,7 @@ def faber_expm(A1, t_scaled, bounds, cfg=FaberConfig(), basis=None):
         return canonicalize(np.exp(c4) * identity(n))
     S, V = basis if basis is not None else faber_basis(A1, bounds, cfg)
     K = S.copy()
-    K.data = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p) @ V
+    K.data = faber_coefficients(c2, c3, c4, p=cfg.p) @ V
     return canonicalize(K)
 
 
@@ -312,7 +305,7 @@ def transformed_problem(Abar, E, P, k1):
     return A1, P1, residual
 
 
-def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
+def initial_guess(Abar, E, P, cfg=GpConfig()):
     """Quadrature-of-exponentials initial guess for the gradient iteration.
 
     X3 = -sum_j psi omega_j K~_j P1 K~_j^T over the sinh-quadrature nodes,
@@ -329,9 +322,9 @@ def initial_guess(Abar, E, P, cfg=GpConfig(), fcfg=FaberConfig()):
     X3 = np.zeros((n, n))
     # t_j grows with j, so some node needs the basis iff the last one does
     basis = (None if _collapses(bounds.scaled(nodes[-1][0]))
-             else faber_basis(A1, bounds, fcfg))
+             else faber_basis(A1, bounds, cfg))
     for t_j, omega_j in nodes:
-        K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
+        K = faber_expm(A1, t_j, bounds, cfg, basis=basis)
         term = K @ (K @ P1t).T          # K (K P1^T)^T = K P1 K^T
         term *= psi * omega_j
         X3 -= term

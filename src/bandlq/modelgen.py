@@ -27,10 +27,12 @@ class GridSpec:
     discretization: str
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+        if not isinstance(self.dimension, int) or self.dimension not in (1, 2):
+            raise ValueError("dimension must be the integer 1 or 2")
         if len(self.nodes) != self.dimension or len(self.lengths) != self.dimension:
             raise ValueError("nodes/lengths must match dimension")
+        if not all(isinstance(nx, int) for nx in self.nodes):
+            raise ValueError("node counts must be integers")
         if any(nx < 2 for nx in self.nodes):
             raise ValueError("need at least 2 interior nodes per axis")
         if not (all(L > 0 for L in self.lengths) and self.diffusivity > 0):

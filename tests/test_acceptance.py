@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from bandlq.cli import main
 from bandlq.control import (NewtonConfig, metric_e, newton_start,
                             simulate_closed_loop, solve_lyap, solve_riccati)
-from bandlq.lyap_gp import (FaberConfig, GpConfig, faber_expm, initial_guess,
-                            spai, spectrum_bounds, transformed_problem)
+from bandlq.lyap_gp import (GpConfig, faber_expm, initial_guess, spai,
+                            spectrum_bounds, transformed_problem)
 from bandlq.lyap_lsq import CglsConfig, assemble_reduced
 from bandlq.oracle import (dense_expm, dense_lyap, dense_riccati, kron_matrix,
                            pencil_eigs)
@@ -181,7 +181,7 @@ def test_criterion_08_faber_and_quadrature_convergence():
     rn = np.linalg.norm(ref)
     p_errs = []
     for p in (5, 10, 20, 30):
-        K = faber_expm(A1, t, b, FaberConfig(p=p, k2=4))
+        K = faber_expm(A1, t, b, GpConfig(p=p, k2=4))
         p_errs.append(np.linalg.norm(K.toarray() - ref) / rn)
     faber_ok = all(lo <= hi * (1.0 + 1e-8)
                    for hi, lo in zip(p_errs, p_errs[1:]))

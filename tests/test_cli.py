@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from bandlq.cli import ConfigError, main, parse_config
 from bandlq.control import NewtonConfig, newton_start
-from bandlq.lyap_gp import FaberConfig, GpConfig
+from bandlq.lyap_gp import GpConfig
 from bandlq.lyap_lsq import CglsConfig, GlOperator
 from bandlq.mmio import read_matrix, read_pattern, write_pattern
 from conftest import heat_problem, nan_lyap_solve_at
@@ -92,7 +92,6 @@ class TestConfigValidation:
         assert cfg.newton == NewtonConfig()
         assert cfg.newton.cgls == CglsConfig()
         assert cfg.newton.gp == GpConfig()
-        assert cfg.newton.faber == FaberConfig()
         # the plain sections take their literal defaults, and a scalar
         # model's absent keys stay absent
         assert cfg.sim == {"dt": 1e-3, "steps": 2000, "x0": "random",
@@ -107,12 +106,12 @@ class TestConfigValidation:
             "output_dir": "x", "model": {"kind": "scalar"},
             "pattern": {"w": 3},
             "lyap": {"method": "gp", "cgls_tol": 1e-5, "cgls_max_iter": 9,
-                     "gp": {"max_iter": 7, "p": 10, "W": 64, "k2": 2}},
+                     "gp": {"max_iter": 7, "p": 10, "k2": 2}},
             "riccati": {"Z0_scale": 2, "N_max": 4.0, "residual_tol": 1}})
         assert cfg.newton == NewtonConfig(
             Z0_scale=2.0, N_max=4, w=3, residual_tol=1.0, lyap_method="gp",
-            cgls=CglsConfig(tol=1e-5, max_iter=9), gp=GpConfig(max_iter=7),
-            faber=FaberConfig(p=10, W=64, k2=2))
+            cgls=CglsConfig(tol=1e-5, max_iter=9),
+            gp=GpConfig(max_iter=7, p=10, k2=2))
         assert type(cfg.newton.N_max) is int
         assert type(cfg.newton.Z0_scale) is float
 
@@ -188,7 +187,12 @@ class TestConfigValidation:
          ("lyap.gp", "unknown", "delta_bar")),
         ({"lyap": {"gp": {"zeta": 0.5}}}, ("lyap.gp", "unknown", "zeta")),
         ({"lyap": {"gp": {"sigma": 1e-4}}}, ("lyap.gp", "unknown", "sigma")),
-        ({"riccati": {"residual_tol": -1.0}}, ("riccati.residual_tol",))])
+        ({"riccati": {"residual_tol": -1.0}}, ("riccati.residual_tol",)),
+        # the Faber DFT length is a constant, not a setting
+        ({"lyap": {"gp": {"W": 2048}}}, ("lyap.gp", "unknown", "W")),
+        ({"lyap": {"gp": {"p": 512}}}, ("lyap.gp", "p must be <= 511")),
+        ({"oracle": {"max_n": 0}}, ("oracle.max_n",)),
+        ({"oracle": {"max_n": -5}}, ("oracle.max_n",))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -213,9 +217,11 @@ class TestConfigValidation:
             ("delta_bar", 1e-3), ("zeta", 0.5), ("sigma", 1e-4))),
         ("riccati.N_max", np.inf), ("sim.x0[0]", [np.nan] * 25),
         ("model.seed", -3), ("sim.x0_seed", -1),
-        # the quadrature needs q >= 1, and the DFT W > 4 p
-        ("lyap.gp", {"q": 0}), ("lyap.gp", {"W": 120}),
-        ("riccati.residual_tol", -1)])
+        # the quadrature needs q >= 1, and the Faber DFT 4 p < 2048
+        ("lyap.gp", {"q": 0}), ("lyap.gp", {"p": 512}),
+        ("riccati.residual_tol", -1),
+        # the Faber DFT length is a constant, not a setting
+        ("lyap.gp", {"W": 2048}), ("oracle.max_n", 0)])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides, and a

@@ -14,8 +14,8 @@ from bandlq.control import (LqProblem, NewtonConfig, RiccatiDivergence,
                             feedback, metric_e, newton_start,
                             newton_step_matrices, riccati_residual,
                             simulate_closed_loop, solve_lyap, solve_riccati)
-from bandlq.lyap_gp import (FaberConfig, GpConfig, default_delta_bar,
-                            initial_guess, solve_lyap_gp)
+from bandlq.lyap_gp import (GpConfig, default_delta_bar, initial_guess,
+                            solve_lyap_gp)
 from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.modelgen import DescriptorModel
 from bandlq.oracle import dense_riccati, pencil_eigs
@@ -105,8 +105,7 @@ class TestFrechet:
 
 class TestSolveLyap:
     CGLS = CglsConfig(tol=1e-9)
-    GP = GpConfig(max_iter=30, q=10)
-    FABER = FaberConfig(p=10)
+    GP = GpConfig(max_iter=30, q=10, p=10)
 
     @pytest.fixture(scope="class")
     def step1(self):
@@ -116,8 +115,7 @@ class TestSolveLyap:
         return Abar, model.E, P, pat
 
     def _solve(self, step1, method, X0=None):
-        cfg = NewtonConfig(lyap_method=method, cgls=self.CGLS, gp=self.GP,
-                           faber=self.FABER)
+        cfg = NewtonConfig(lyap_method=method, cgls=self.CGLS, gp=self.GP)
         return solve_lyap(*step1, cfg, X0=X0)
 
     def _method(self, step1, method, X0=None):
@@ -138,7 +136,7 @@ class TestSolveLyap:
     def test_gp_from_x3_is_method_2(self, step1):
         Abar, E, P, pat = step1
         Z, rep = self._solve(step1, "gp")
-        X3, _info = initial_guess(Abar, E, P, cfg=self.GP, fcfg=self.FABER)
+        X3, _info = initial_guess(Abar, E, P, cfg=self.GP)
         Zref, ref = self._method(step1, "gp", X3)
         assert bitwise_equal(Z, Zref)
         assert rep.extra["J_history"] == ref.extra["J_history"]
@@ -315,8 +313,7 @@ class TestSolveRiccati:
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,
-                           gp=GpConfig(max_iter=30, q=10),
-                           faber=FaberConfig(p=10))
+                           gp=GpConfig(max_iter=30, q=10, p=10))
         _Z, reports, _F = solve_riccati(prob, cfg=cfg)
         assert len(iterates) == len(reports) >= 2
         v1 = reports[0].v_k
@@ -390,8 +387,7 @@ class TestSolveRiccati:
         monkeypatch.setattr(GlOperator, "refill", counted_refill)
         monkeypatch.setattr(bandlq.control, "riccati_residual", forbidden)
         cfg = NewtonConfig(N_max=4, residual_tol=0.0, lyap_method=method,
-                           gp=GpConfig(max_iter=30, q=10),
-                           faber=FaberConfig(p=10))
+                           gp=GpConfig(max_iter=30, q=10, p=10))
         _Z, reports, _F = solve_riccati(prob, cfg=cfg)
         assert len(reports) == 4 and len(built) + sum(refilled) == 5
 
@@ -614,8 +610,7 @@ class TestSolveRiccati:
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,
-                           gp=GpConfig(max_iter=30, q=10),
-                           faber=FaberConfig(p=10))
+                           gp=GpConfig(max_iter=30, q=10, p=10))
         _Z, reports, _F = solve_riccati(prob, cfg=cfg)
         assert len(reports) >= 3
         assert [r.forcing for r in reports] == seen
@@ -891,6 +886,14 @@ def test_newton_config_rejects_values_out_of_range(key, value):
     with pytest.raises(ValueError, match=key):
         NewtonConfig(**{key: value})
     assert NewtonConfig(residual_tol=0.0).residual_tol == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_newton_config_rejects_a_non_finite_z0_scale(value):
+    # step 1 would solve from Z0 = NaN I, stop at once and let the loop go
+    # on from Z = 0
+    with pytest.raises(ValueError, match="Z0_scale"):
+        NewtonConfig(Z0_scale=value)
 
 
 def test_newton_config_rejects_an_unknown_method():

@@ -11,9 +11,8 @@ import scipy.sparse.linalg as spla
 import bandlq.lyap_gp
 import bandlq.lyap_lsq
 from bandlq.control import NewtonConfig, metric_e, newton_start, solve_lyap
-from bandlq.lyap_gp import (FaberConfig, GpConfig, SpectrumBounds,
-                            UnstableMatrixError, _collapses,
-                            _faber_constants, _spai_one_sided,
+from bandlq.lyap_gp import (GpConfig, SpectrumBounds, UnstableMatrixError,
+                            _collapses, _faber_constants, _spai_one_sided,
                             default_delta_bar, faber_basis,
                             faber_coefficients, faber_expm, initial_guess,
                             quadrature_nodes, solve_lyap_gp, spai,
@@ -56,7 +55,7 @@ def _per_node_faber(A1, t, bounds, cfg):
     _c1, c2, c3, c4 = _faber_constants(bounds.scaled(t))
     A2 = canonicalize((t * A1 - c4 * identity(n)) / np.sqrt(c3))
     pat = pattern_power_sum(binarize(A2), cfg.k2) if cfg.k2 < n else None
-    a = faber_coefficients(c2, c3, c4, W=cfg.W, p=cfg.p)
+    a = faber_coefficients(c2, c3, c4, p=cfg.p)
     scale = np.sqrt(c3) / (2.0 * c2)
     K = a[0] * identity(n)
     T_prev, T_cur = identity(n), A2
@@ -73,7 +72,7 @@ def _per_node_faber(A1, t, bounds, cfg):
     return K
 
 
-def _sparse_x3(Abar, E, P, cfg, fcfg=FaberConfig()):
+def _sparse_x3(Abar, E, P, cfg):
     """Reference: X3 accumulated as canonical CSR, one triple product per
     node."""
     A1, P1, _res = transformed_problem(Abar, E, P, cfg.k1)
@@ -84,8 +83,8 @@ def _sparse_x3(Abar, E, P, cfg, fcfg=FaberConfig()):
     basis = None
     for t_j, omega_j in nodes:
         if basis is None and not _collapses(bounds.scaled(t_j)):
-            basis = faber_basis(A1, bounds, fcfg)
-        K = faber_expm(A1, t_j, bounds, fcfg, basis=basis)
+            basis = faber_basis(A1, bounds, cfg)
+        K = faber_expm(A1, t_j, bounds, cfg, basis=basis)
         X3 = canonicalize(X3 - psi * omega_j * (K @ P1 @ K.T))
     return canonicalize(0.5 * (X3 + X3.T))
 
@@ -339,20 +338,25 @@ class TestFaberCoefficients:
         with pytest.raises(ValueError, match="c2"):
             faber_coefficients(np.nan, 1.0, 0.0)
 
-    @pytest.mark.parametrize("key, value", [("W", np.nan), ("W", 2048.0),
-                                            ("p", np.nan), ("p", 2.5),
+    @pytest.mark.parametrize("key, value", [("p", np.nan), ("p", 2.5),
                                             ("k2", np.nan), ("k2", -1)])
     def test_config_rejects_a_count_not_a_nonnegative_integer(self, key,
                                                               value):
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
-            FaberConfig(**{key: value})
+            GpConfig(**{key: value})
+
+    def test_config_bounds_p_by_the_dft_length(self):
+        # the coefficients' DFT of length 2048 needs 4p < 2048
+        with pytest.raises(ValueError, match="p must be <= 511"):
+            GpConfig(p=512)
+        assert GpConfig(p=511).p == 511
 
 
 class TestFaberExpm:
     def test_diagonal_exponential(self):
         A1 = _csr(np.diag([-1.0, -2.0]))
         b = spectrum_bounds(A1)
-        K = faber_expm(A1, 1.0, b, FaberConfig(p=20, k2=2))
+        K = faber_expm(A1, 1.0, b, GpConfig(p=20, k2=2))
         np.testing.assert_allclose(K.toarray(),
                                    np.diag([np.exp(-1.0), np.exp(-2.0)]),
                                    atol=1e-8)
@@ -382,7 +386,7 @@ class TestFaberExpm:
         # k2 = 100 >= n runs the recurrence without projection
         A1 = _heat_a1((8, 8))
         b = spectrum_bounds(A1)
-        cfg = FaberConfig(p=p, k2=k2)
+        cfg = GpConfig(p=p, k2=k2)
         basis = faber_basis(A1, b, cfg)
         _psi, nodes = quadrature_nodes(40, b)
         for t, _w in nodes[::20]:
@@ -401,7 +405,7 @@ class TestFaberExpm:
         rn = np.linalg.norm(ref)
         errs = []
         for p in (5, 10, 20, 30):
-            K = faber_expm(A1, t, b, FaberConfig(p=p, k2=4))
+            K = faber_expm(A1, t, b, GpConfig(p=p, k2=4))
             errs.append(np.linalg.norm(K.toarray() - ref) / rn)
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi * (1.0 + 1e-8)      # sparsification may plateau
@@ -412,7 +416,7 @@ class TestFaberExpm:
         A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=2)
         b = spectrum_bounds(A1)
         from bandlq.sparsecore import pattern_power_sum
-        cfg = FaberConfig(p=15, k2=1)
+        cfg = GpConfig(p=15, k2=1)
         K = faber_expm(A1, 0.05, b, cfg)
         A2pat = pattern_power_sum(binarize(A1), 1)
         assert K.nnz <= A2pat.nnz
@@ -421,7 +425,7 @@ class TestFaberExpm:
 class TestInitialGuess:
     def test_scalar_integral(self):
         X3, info = initial_guess(_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
-                                 cfg=GpConfig(q=40), fcfg=FaberConfig(p=20))
+                                 cfg=GpConfig(q=40, p=20))
         assert abs(X3.toarray()[0, 0] - 1.0) < 0.05
 
     def test_decoupled_diagonal(self):
@@ -464,14 +468,13 @@ class TestInitialGuess:
     @pytest.mark.parametrize("case", ["heat-q5", "heat-q40", "scalar",
                                       "diagonal", "narrow"])
     def test_dense_accumulation_matches_sparse_reference(self, case):
-        fcfg = FaberConfig()
         if case.startswith("heat"):
             model, prob = heat_problem((10, 10))
             _F, Abar, P = newton_start(prob)
             E, cfg = model.E, GpConfig(q=int(case[6:]))
         elif case == "scalar":          # every node collapses
             Abar, E, P = _csr([[-1.0]]), identity(1), _csr([[-2.0]])
-            cfg, fcfg = GpConfig(q=40), FaberConfig(p=20)
+            cfg = GpConfig(q=40, p=20)
         elif case == "diagonal":
             Abar, E, P = _csr(np.diag([-1.0, -2.0])), identity(2), \
                 _csr(-np.eye(2))
@@ -485,8 +488,8 @@ class TestInitialGuess:
             collapsed = [_collapses(bounds.scaled(t_j)) for t_j, _w
                          in quadrature_nodes(cfg.q, bounds)[1]]
             assert collapsed[0] and not collapsed[-1]
-        X3, info = initial_guess(Abar, E, P, cfg=cfg, fcfg=fcfg)
-        ref = _sparse_x3(Abar, E, P, cfg, fcfg)
+        X3, info = initial_guess(Abar, E, P, cfg=cfg)
+        ref = _sparse_x3(Abar, E, P, cfg)
         assert X3.nnz == ref.nnz
         assert info["fill"] == ref.nnz / float(ref.shape[0] ** 2)
         assert frobenius(X3 - ref) <= 1e-13 * frobenius(ref)

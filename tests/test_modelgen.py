@@ -71,6 +71,15 @@ class TestBuildHeatModel:
             GridSpec(dimension=1, nodes=(5,), lengths=(1.0,),
                      diffusivity=1.0, discretization="fe-quadratic")
 
+    @pytest.mark.parametrize("dimension, nodes, message", [
+        (2, (2.5, 3), "integers"), (2, (np.nan, 3), "integers"),
+        (2.0, (3, 3), "dimension")])
+    def test_non_integer_grid_rejected(self, dimension, nodes, message):
+        # a float count would reach build_model as a slice bound
+        with pytest.raises(ValueError, match=message):
+            GridSpec(dimension=dimension, nodes=nodes, lengths=(1.0, 1.0),
+                     diffusivity=1.0, discretization="fd-5point")
+
     @pytest.mark.parametrize("lengths, diffusivity", [
         ((1.0,), np.nan), ((np.nan,), 1.0)])
     def test_nan_grid_rejected(self, lengths, diffusivity):
