@@ -35,7 +35,7 @@ from .lyap_gp import initial_guess, solve_lyap_gp  # noqa: F401
 from .lyap_lsq import solve_lyap_lsq  # noqa: F401
 from .mmio import read_matrix, write_matrix, write_pattern
 from .modelgen import DescriptorModel, GridSpec, build_model
-from .oracle import dense_lyap
+from .oracle import DEFAULT_CAP, dense_lyap
 from .pattern import apriori_pattern, pattern_density
 from .report import SolveReport, fmt
 from .sparsecore import Permutation, bandwidth, canonicalize
@@ -74,7 +74,7 @@ _SECTIONS = {
                 "q_weight": 1.0, "r_weight": 1.0},
     "sim": {"dt": 1e-3, "steps": 2000, "x0": "random", "x0_seed": 0,
             "max_rows": 1000},
-    "oracle": {"enabled": True, "max_n": 400},
+    "oracle": {"enabled": True, "max_n": DEFAULT_CAP},
     "bench": {"sizes": [], "methods": ["lsq"]},
 }
 # A heat model must give the first four keys, whose values here only give
@@ -298,15 +298,8 @@ def _input(out, name, producer):
 
 def _load_bundle(out):
     _input(out, "model.json", "genmodel")
-    mats = {name: read_matrix(os.path.join(out, f"{name}.mtx"))
-            for name in ("E", "A", "B", "C")}
-    forward = np.loadtxt(os.path.join(out, "perm.txt"),
-                         dtype=np.int64, ndmin=1)
-    inverse = np.empty_like(forward)
-    inverse[forward] = np.arange(forward.size)
-    return DescriptorModel(E=mats["E"], A=mats["A"], B=mats["B"], C=mats["C"],
-                           permutation=Permutation(forward=forward,
-                                                   inverse=inverse))
+    return DescriptorModel(**{m: read_matrix(os.path.join(out, f"{m}.mtx"))
+                              for m in "EABC"})
 
 
 def _problem(cfg, model):
@@ -314,27 +307,30 @@ def _problem(cfg, model):
                      R=np.full(model.m, cfg.r_weight))
 
 
-def _read_pattern(out):
+def _read_pattern(out, n):
     # looked up in mmio at call time, where perfbench/probes.py wraps it
-    return mmio.read_pattern(_input(out, "pattern.mtx", "--stage pattern"))
+    pat = mmio.read_pattern(_input(out, "pattern.mtx", "--stage pattern"))
+    if pat.shape != (n, n):
+        raise DependencyError(f"{out}: pattern.mtx is {pat.shape}, not the "
+                              f"model's {(n, n)}; run --stage pattern again")
+    return pat
 
 
-def stage_pattern(cfg, out):
-    model = _load_bundle(out)
-    _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
-    pat = apriori_pattern(Abar, model.E, P, cfg.newton.w)
+def stage_pattern(cfg, out, prob):
+    _F, Abar, P = newton_start(prob, cfg.newton)
+    pat = apriori_pattern(Abar, prob.model.E, P, cfg.newton.w)
     write_pattern(os.path.join(out, "pattern.mtx"), pat)
     _write_json(os.path.join(out, "density.json"), {
-        "w": cfg.newton.w, "n": model.n, "nnz": int(pat.nnz),
+        "w": cfg.newton.w, "n": prob.model.n, "nnz": int(pat.nnz),
         "density": pattern_density(pat),
     })
     return 0
 
 
-def stage_lyap(cfg, out):
-    model = _load_bundle(out)
-    pat = _read_pattern(out)
-    _F, Abar, P = newton_start(_problem(cfg, model), cfg.newton)
+def stage_lyap(cfg, out, prob):
+    model = prob.model
+    pat = _read_pattern(out, model.n)
+    _F, Abar, P = newton_start(prob, cfg.newton)
     Z, rep = solve_lyap(Abar, model.E, P, pat, cfg.newton)
     if cfg.oracle_enabled and model.n <= cfg.oracle_max_n:
         Zex = dense_lyap(Abar, model.E, P, max_n=cfg.oracle_max_n)
@@ -348,15 +344,10 @@ def stage_lyap(cfg, out):
     return 0 if rep.converged else 2
 
 
-def stage_riccati(cfg, out):
-    model = _load_bundle(out)
-    pat = _read_pattern(out)
-    # a failed solve must not leave an earlier run's result behind
-    for name in ("Zricc.mtx", "F.mtx"):
-        Path(out, name).unlink(missing_ok=True)
+def stage_riccati(cfg, out, prob):
+    pat = _read_pattern(out, prob.model.n)
     try:
-        Z, reports, F = solve_riccati(_problem(cfg, model), cfg=cfg.newton,
-                                      pattern=pat)
+        Z, reports, F = solve_riccati(prob, cfg=cfg.newton, pattern=pat)
     except RiccatiDivergence as exc:
         reports, converged = exc.reports, False
     else:
@@ -372,15 +363,14 @@ def stage_riccati(cfg, out):
     return 0 if converged else 2
 
 
-def stage_simulate(cfg, out):
-    model = _load_bundle(out)
+def stage_simulate(cfg, out, prob):
     F = read_matrix(_input(out, "F.mtx", "--stage riccati"))
-    prob = _problem(cfg, model)
+    n = prob.model.n
     x0_spec = cfg.sim["x0"]
     if x0_spec == "random":
-        x0 = np.random.default_rng(cfg.sim["x0_seed"]).standard_normal(model.n)
+        x0 = np.random.default_rng(cfg.sim["x0_seed"]).standard_normal(n)
     elif x0_spec == "ones":
-        x0 = np.ones(model.n)
+        x0 = np.ones(n)
     else:
         x0 = np.asarray(x0_spec, dtype=np.float64)
     traj = simulate_closed_loop(prob, F, x0, cfg.sim["dt"], cfg.sim["steps"],
@@ -394,12 +384,21 @@ def stage_simulate(cfg, out):
     return 0
 
 
-_STAGES = {"pattern": stage_pattern, "lyap": stage_lyap,
-           "riccati": stage_riccati, "simulate": stage_simulate}
+_STAGES = {  # each solve stage and the artifacts it writes
+    "pattern": (stage_pattern, ("pattern.mtx", "density.json")),
+    "lyap": (stage_lyap, ("Zhat.mtx", "lyap_report.csv", "timings.json")),
+    "riccati": (stage_riccati, ("Zricc.mtx", "F.mtx", "newton_report.csv",
+                                "timings.json")),
+    "simulate": (stage_simulate, ("trajectory.csv", "cost.json"))}
 
 
 def cmd_solve(cfg, out, stage):
-    rc = _STAGES[stage](cfg, out)
+    """Run ``stage`` on the bundle in ``out``. Its outputs are deleted
+    first, so that a failed run leaves no earlier result behind."""
+    run, outputs = _STAGES[stage]
+    for name in outputs:
+        Path(out, name).unlink(missing_ok=True)
+    rc = run(cfg, out, _problem(cfg, _load_bundle(out)))
     _write_manifest(out, cfg, f"solve --stage {stage}")
     return rc
 

@@ -21,8 +21,8 @@ from .lyap_gp import GpConfig, initial_guess, solve_lyap_gp
 from .lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from .modelgen import DescriptorModel
 from .pattern import apriori_pattern
-from .sparsecore import (ShapeMismatchError, canonicalize, filled, frobenius,
-                         identity)
+from .sparsecore import (ShapeMismatchError, canonicalize, check_square,
+                         filled, frobenius, identity)
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def _symmetrize_checked(Z):
 def riccati_residual(Z, prob):
     """D[Z] = C^T Q C + E^T Z A + A^T Z E - E^T Z B R^{-1} B^T Z E."""
     E, A = prob.model.E, prob.model.A
-    if Z.shape != A.shape:
-        raise ShapeMismatchError("riccati_residual", Z.shape, A.shape)
+    check_square("riccati_residual", A.shape[0], Z)
     Z = _symmetrize_checked(Z)
     S = canonicalize(E.T @ Z @ A)
     K = canonicalize(E.T @ Z @ prob.model.B)      # n x m

@@ -19,9 +19,8 @@ import scipy.sparse.linalg as spla
 
 from .pattern import inverse_pattern
 from .report import SolveReport
-from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         concat_ranges, frobenius, identity, pattern_power_sum,
-                         project)
+from .sparsecore import (binarize, canonicalize, check_square, concat_ranges,
+                         frobenius, identity, pattern_power_sum, project)
 
 _DENSE_EIG_LIMIT = 2000
 _INFLATION = 0.05
@@ -84,8 +83,7 @@ def spai(E, pat):
     min ||I - X E||_F is its transpose with the same residual.
     """
     n = E.shape[0]
-    if E.shape != (n, n) or pat.shape != (n, n):
-        raise ShapeMismatchError("spai", E.shape, pat.shape)
+    check_square("spai", n, E, pat)
     Ec = canonicalize(E)
     X = _spai_one_sided(Ec, binarize(pat))
     return X, frobenius(identity(n) - Ec @ X)

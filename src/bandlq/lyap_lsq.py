@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 
 from .cgls import cgls
 from .report import SolveReport
-from .sparsecore import (ShapeMismatchError, binarize, canonicalize,
-                         concat_ranges, filled)
+from .sparsecore import (binarize, canonicalize, check_square, concat_ranges,
+                         filled)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class SymCoords:
 
     def fold(self, X):
         """Coordinates of the symmetric part of the sparse n x n X."""
-        _square("fold", self.n, X)
+        check_square("fold", self.n, X)
         X = canonicalize(X)
         rows, cols = self.map.T
         return np.asarray((X + X.T)[rows, cols]).ravel() * self._weight
@@ -103,14 +103,6 @@ class SymCoords:
         U = sp.coo_matrix((np.ravel(z) * self._weight, (rows, cols)),
                           shape=(self.n, self.n))
         return canonicalize(U + U.T)
-
-
-def _square(routine, n, *matrices):
-    """Raise ShapeMismatchError naming ``routine`` unless each matrix is
-    n x n."""
-    for M in matrices:
-        if M.shape != (n, n):
-            raise ShapeMismatchError(routine, (n, n), M.shape)
 
 
 def _same_support(A, B):
@@ -242,7 +234,7 @@ class GlOperator(spla.LinearOperator):
 
     def __init__(self, Abar, E, Zpat, P):
         n = self.n = Abar.shape[0]
-        _square("GlOperator", n, Abar, E, Zpat, P)
+        check_square("GlOperator", n, Abar, E, Zpat, P)
         Zp = binarize(Zpat)
         if Zp.nnz == 0:
             raise ValueError("GlOperator: empty a priori pattern")
@@ -318,7 +310,7 @@ class GlOperator(spla.LinearOperator):
         the form and the buffers stay. Returns whether it refilled;
         if not, nothing changed. Abar and P must be n x n either way.
         """
-        _square("GlOperator.refill", self.n, Abar, P)
+        check_square("GlOperator.refill", self.n, Abar, P)
         if self.form == "factors":
             return False
         Abar, P = canonicalize(Abar), canonicalize(P)
@@ -393,7 +385,7 @@ def assemble_reduced(Abar, E, P, Zpat):
     nnz(M1).
     """
     n = Abar.shape[0]
-    _square("assemble_reduced", n, Abar, E, P, Zpat)
+    check_square("assemble_reduced", n, Abar, E, P, Zpat)
     Zp = binarize(Zpat)
     if Zp.nnz == 0:
         raise ValueError("assemble_reduced: empty a priori pattern")

@@ -51,7 +51,8 @@ class DescriptorModel:
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
-    permutation: Permutation
+    # both None for a model read from a bundle
+    permutation: Permutation | None = None
     grid: GridSpec | None = None
 
     @property

@@ -37,8 +37,7 @@ def dense_lyap(Abar, E, P, max_n=DEFAULT_CAP):
     if n > max_n:
         raise ValueError(f"dense_lyap: n={n} exceeds oracle cap {max_n}")
     if n <= _KRON_LIMIT:
-        M = np.kron(A.T, Em.T) + np.kron(Em.T, A.T)
-        z = np.linalg.solve(M, Pm.flatten(order="F"))
+        z = np.linalg.solve(kron_matrix(A, Em), Pm.flatten(order="F"))
         Z = z.reshape((n, n), order="F")
     else:
         G = np.linalg.solve(Em, A)          # E^{-1} Abar

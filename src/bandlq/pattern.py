@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import scipy.sparse as sp
 
-from .sparsecore import (ShapeMismatchError, binarize, identity,
-                         pattern_power_sum)
+from .sparsecore import binarize, check_square, identity, pattern_power_sum
 
 
 def apriori_pattern(Abar, E, P, w=1):
@@ -29,9 +28,7 @@ def apriori_pattern(Abar, E, P, w=1):
     if w < 0:
         raise ValueError("pattern order w must be >= 0")
     n = Abar.shape[0]
-    for M in (Abar, E, P):
-        if M.shape != (n, n):
-            raise ShapeMismatchError("apriori_pattern", (n, n), M.shape)
+    check_square("apriori_pattern", n, Abar, E, P)
     A, Em, Pm = binarize(Abar), binarize(E), binarize(P)
 
     G = binarize(A @ Pm @ Em.T + Em @ Pm @ A.T)

@@ -26,6 +26,14 @@ class ShapeMismatchError(ValueError):
         self.shapes = (shape_a, shape_b)
 
 
+def check_square(routine, n, *matrices):
+    """Raise ShapeMismatchError naming ``routine`` unless each matrix is
+    n x n."""
+    for M in matrices:
+        if M.shape != (n, n):
+            raise ShapeMismatchError(routine, (n, n), M.shape)
+
+
 def canonicalize(A):
     """Return A as canonical CSR: sorted indices, duplicates summed, exact zeros dropped.
 
@@ -76,8 +84,7 @@ def pattern_power_sum(A, k):
     Each intermediate power is re-binarized so no numeric cancellation or
     overflow can delete structurally present entries.
     """
-    if A.shape[0] != A.shape[1]:
-        raise ShapeMismatchError("pattern_power_sum", A.shape, A.shape)
+    check_square("pattern_power_sum", A.shape[0], A)
     if k < 0:
         raise ValueError("pattern_power_sum: k must be >= 0")
     n = A.shape[0]
@@ -165,8 +172,7 @@ def rcm_order(A):
     The pattern is symmetrized (A union A^T) and ordered by scipy's
     ``reverse_cuthill_mckee``, which handles each connected component.
     """
-    if A.shape[0] != A.shape[1]:
-        raise ShapeMismatchError("rcm_order", A.shape, A.shape)
+    check_square("rcm_order", A.shape[0], A)
     if A.shape[0] == 0:                 # scipy rejects a 0 x 0 graph
         return Permutation.identity(0)
     g = binarize(binarize(A) + binarize(A).T)

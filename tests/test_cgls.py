@@ -101,6 +101,26 @@ def test_nan_from_operator_stops_at_once():
     assert res.iterations == 0
 
 
+def test_nan_normal_residual_stops_after_that_iteration():
+    # the adjoint turns NaN on its second call, the first inside the loop:
+    # CGLS stops after that iteration, unconverged
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((30, 10))
+    calls = []
+
+    def rmatvec(r):
+        calls.append(1)
+        s = M.T @ r
+        return s if len(calls) == 1 else np.full_like(s, np.nan)
+
+    op = spla.LinearOperator(M.shape, matvec=lambda x: M @ x,
+                             rmatvec=rmatvec, dtype=np.float64)
+    res = cgls(op, rng.standard_normal(30), tol=1e-12)
+    assert not res.converged
+    assert res.iterations == 1 and len(calls) == 2
+    assert np.isnan(res.residual)
+
+
 def _lstsq_instance():
     rng = np.random.default_rng(4)
     M = canonicalize(sp.csr_matrix(rng.standard_normal((30, 10))))

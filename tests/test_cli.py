@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.cli import ConfigError, main, parse_config
+from bandlq.cli import _STAGES, ConfigError, main, parse_config
 from bandlq.control import NewtonConfig, newton_start
 from bandlq.lyap_gp import GpConfig
 from bandlq.lyap_lsq import CglsConfig, GlOperator
@@ -192,7 +192,8 @@ class TestConfigValidation:
         ({"lyap": {"gp": {"W": 2048}}}, ("lyap.gp", "unknown", "W")),
         ({"lyap": {"gp": {"p": 512}}}, ("lyap.gp", "p must be <= 511")),
         ({"oracle": {"max_n": 0}}, ("oracle.max_n",)),
-        ({"oracle": {"max_n": -5}}, ("oracle.max_n",))])
+        ({"oracle": {"max_n": -5}}, ("oracle.max_n",)),
+        ({"model": {"kind": "wave"}}, ("model.kind", "'heat' or 'scalar'"))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -261,6 +262,12 @@ class TestConfigValidation:
         monkeypatch.setitem(sys.modules, spec.name, workloads)
         spec.loader.exec_module(workloads)
         assert _readme_config() == workloads.README_CONFIG
+
+    def test_unreadable_config_path(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["genmodel", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: cannot read config: ")
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -433,6 +440,60 @@ class TestSolveStages:
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--stage", "simulate"]) == 1
         assert "--stage riccati" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, outputs", [
+        ("pattern", ("pattern.mtx", "density.json")),
+        ("lyap", ("Zhat.mtx", "lyap_report.csv", "timings.json")),
+        ("riccati", ("Zricc.mtx", "F.mtx", "newton_report.csv",
+                     "timings.json")),
+        ("simulate", ("trajectory.csv", "cost.json"))])
+    def test_failed_rerun_deletes_the_stage_outputs(self, tmp_path, capsys,
+                                                    stage, outputs):
+        # every solve stage deletes its outputs before it reads the bundle,
+        # so a rerun that fails on a corrupt E.mtx leaves none behind
+        cfg = _heat_config(tmp_path, out="run_stale")
+        out = tmp_path / "run_stale"
+        assert main(["genmodel", "--config", cfg]) == 0
+        for s in ("pattern", "lyap", "riccati", "simulate"):
+            assert main(["solve", "--config", cfg, "--stage", s]) == 0
+        assert all((out / name).exists() for name in outputs)
+        (out / "E.mtx").write_text("not a matrix\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg, "--stage", stage]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {out / 'E.mtx'}: ")
+        assert err.endswith("Missing banner.\n")
+        assert not any((out / name).exists() for name in outputs)
+
+    @pytest.mark.parametrize("stage", ["lyap", "riccati"])
+    def test_pattern_of_another_model_is_named(self, tmp_path, capsys, stage):
+        # a pattern.mtx of the 5^2 model does not fit the 6^2 model that
+        # replaced it, and the error says which stage to rerun
+        cfg = _heat_config(tmp_path, out="run_resized")
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        cfg = _heat_config(tmp_path, out="run_resized", nodes=(6, 6))
+        assert main(["genmodel", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg, "--stage", stage]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'run_resized'}: pattern.mtx is (25, 25), "
+            "not the model's (36, 36); run --stage pattern again\n")
+
+    def test_readme_lists_each_stage_outputs(self):
+        # the README's artifact paragraph names, under each solve stage,
+        # the outputs that the stage deletes before it runs
+        readme = (ROOT / "README.md").read_text()
+        start = readme.index("Artifacts written per stage:")
+        end = readme.index("(bench)", start) + len("(bench)")
+        text = readme[start:end]
+        listed = {}
+        for item in text.partition(":")[2].split(";"):
+            files, stage = re.fullmatch(r"(.*)\((\w+)\)", item.strip(),
+                                        re.S).groups()
+            listed[stage] = set(re.findall(r"`([^`]+)`", files))
+        for stage, (_run, outputs) in _STAGES.items():
+            assert listed[stage] == set(outputs), stage
 
     def test_zero_newton_steps_rejected(self, tmp_path, capsys):
         cfg = _heat_config(tmp_path, out="run_n0")

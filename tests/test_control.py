@@ -20,8 +20,8 @@ from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.modelgen import DescriptorModel
 from bandlq.oracle import dense_riccati, pencil_eigs
 from bandlq.pattern import apriori_pattern
-from bandlq.sparsecore import (Permutation, canonicalize, filled, frobenius,
-                               identity)
+from bandlq.sparsecore import (Permutation, ShapeMismatchError, canonicalize,
+                               filled, frobenius, identity)
 from conftest import (bitwise_equal, full_pattern, heat_problem,
                       nan_lyap_solve_at, random_banded, scalar_problem)
 
@@ -55,6 +55,13 @@ class TestRiccatiResidual:
         bad = _csr(np.triu(np.ones((9, 9))))
         with pytest.raises(ValueError):
             riccati_residual(bad, prob2)
+
+    def test_wrong_size_rejected(self):
+        # the message names the model's (n, n) and the shape received
+        _model, prob = heat_problem((3, 3))
+        with pytest.raises(ShapeMismatchError, match=r"riccati_residual: "
+                           r"incompatible shapes \(9, 9\) and \(4, 4\)"):
+            riccati_residual(identity(4), prob)
 
 
 class TestFrechet:
@@ -669,6 +676,11 @@ class TestFeedbackAndMetric:
     def test_metric_zero_reference_rejected(self):
         with pytest.raises(ZeroDivisionError):
             metric_e(identity(3), canonicalize(sp.csr_matrix((3, 3))))
+
+    def test_metric_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError, match=r"metric_e: "
+                           r"incompatible shapes \(3, 3\) and \(4, 4\)"):
+            metric_e(identity(3), identity(4))
 
 
 class TestSimulateClosedLoop:

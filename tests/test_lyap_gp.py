@@ -19,8 +19,8 @@ from bandlq.lyap_gp import (GpConfig, SpectrumBounds, UnstableMatrixError,
                             spectrum_bounds, transformed_problem)
 from bandlq.lyap_lsq import GlOperator
 from bandlq.pattern import apriori_pattern, inverse_pattern
-from bandlq.sparsecore import (binarize, canonicalize, frobenius, identity,
-                               pattern_power_sum, project)
+from bandlq.sparsecore import (ShapeMismatchError, binarize, canonicalize,
+                               frobenius, identity, pattern_power_sum, project)
 from bandlq.oracle import dense_expm, dense_lyap
 from conftest import (bitwise_equal, full_pattern, heat_problem,
                       random_banded)
@@ -111,6 +111,12 @@ class TestSpai:
         X, res = spai(identity(5), full_pattern(5))
         np.testing.assert_allclose(X.toarray(), np.eye(5), atol=1e-12)
         assert res <= 1e-12
+
+    def test_non_square_pattern_rejected(self):
+        # the message names the (n, n) of E and the shape received
+        with pytest.raises(ShapeMismatchError, match=r"spai: incompatible "
+                           r"shapes \(3, 3\) and \(3, 4\)"):
+            spai(identity(3), _csr(np.ones((3, 4))))
 
     def test_diagonal(self):
         E = _csr(np.diag([2.0, 4.0]))
@@ -290,6 +296,10 @@ class TestQuadratureNodes:
         with pytest.raises(UnstableMatrixError):
             quadrature_nodes(5, bounds)
 
+    def test_no_node_rejected(self):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            quadrature_nodes(0, SpectrumBounds(-2.0, -1.0, 0.0))
+
 
 class TestFaberCoefficients:
     def test_degenerate_ellipse_matches_chebyshev(self):
@@ -360,6 +370,13 @@ class TestFaberExpm:
         np.testing.assert_allclose(K.toarray(),
                                    np.diag([np.exp(-1.0), np.exp(-2.0)]),
                                    atol=1e-8)
+
+    def test_flat_ellipse_rejected(self):
+        # an imaginary extent this large against the real one gives c3 < 0
+        bounds = SpectrumBounds(-2.0, -1.0, 5.0)
+        assert _faber_constants(bounds)[2] <= 0
+        with pytest.raises(ValueError, match="invalid spectral ellipse"):
+            faber_basis(-1.5 * identity(3), bounds)
 
     def test_symmetric_constants_identity(self):
         b = SpectrumBounds(-7.0, -0.25, 0.0)

@@ -189,6 +189,11 @@ class TestPlaceIo:
         with pytest.raises(ValueError):
             place_io(10, 1.5, seed=0)
 
+    def test_fraction_placing_no_node_rejected(self):
+        # floor(0.05 * 10) = 0 actuators
+        with pytest.raises(ValueError, match="at least 1"):
+            place_io(10, 0.05, seed=0)
+
 
 class TestPermuteModel:
     def test_banded_model_not_worsened(self):

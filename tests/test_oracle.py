@@ -52,7 +52,6 @@ class TestDenseLyap:
         with pytest.raises(ValueError):
             dense_lyap(Abar, E, P, max_n=10)
 
-
 class TestDenseRiccati:
     def test_scalar_root(self):
         _model, prob = scalar_problem()
@@ -67,6 +66,17 @@ class TestDenseRiccati:
             model.C.toarray(), prob.Q, prob.R))
         ref = np.linalg.norm(prob.ctqc().toarray())
         assert res <= 1e-10 * max(ref, 1.0)
+
+    def test_cap_enforced(self):
+        _model, prob = heat_problem((4, 4))
+        with pytest.raises(ValueError, match="exceeds oracle cap 10"):
+            dense_riccati(prob, max_n=10)
+
+    def test_no_convergence_reported(self):
+        # one Newton step from Z0 = 10 I is far from the 1e-11 tolerance
+        _model, prob = heat_problem((3, 3))
+        with pytest.raises(RuntimeError, match="no convergence in 1 "):
+            dense_riccati(prob, max_iter=1)
 
     def test_positive_semidefinite(self):
         model, prob = heat_problem((4, 4))
@@ -110,6 +120,17 @@ class TestDenseExpm:
         assert np.linalg.norm(lhs - rhs) \
             <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError, match="exceeds oracle cap 2"):
+            dense_expm(np.zeros((3, 3)), max_n=2)
+
+    def test_overflow_rejected(self):
+        # exp(1000) overflows; the overflow warning itself is silenced so
+        # that the check after it runs
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match="non-finite"):
+            dense_expm(np.array([[1000.0]]))
+
 
 class TestPencilEigs:
     def test_identity_pencil(self):
@@ -128,6 +149,10 @@ class TestPencilEigs:
         lam = pencil_eigs(model.A.toarray() - model.B.toarray() @ F,
                           model.E.toarray())
         assert lam.real.max() < 0
+
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError, match="exceeds oracle cap 2"):
+            pencil_eigs(np.eye(3), np.eye(3), max_n=2)
 
     def test_singular_e_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):

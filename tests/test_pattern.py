@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from bandlq.pattern import apriori_pattern, inverse_pattern, pattern_density
-from bandlq.sparsecore import bandwidth, canonicalize, identity
+from bandlq.sparsecore import (ShapeMismatchError, bandwidth, canonicalize,
+                               identity)
 from conftest import heat_problem, random_banded
 
 
@@ -20,6 +21,13 @@ def _tridiag_random(n, rng):
 
 
 class TestAprioriPattern:
+    def test_non_square_rejected(self):
+        # the message names the (n, n) of Abar and the shape received
+        wide = canonicalize(sp.csr_matrix(np.ones((3, 4))))
+        with pytest.raises(ShapeMismatchError, match=r"apriori_pattern: "
+                           r"incompatible shapes \(3, 3\) and \(3, 4\)"):
+            apriori_pattern(identity(3), wide, identity(3))
+
     def test_diagonal_inputs_stay_diagonal(self, rng):
         n = 6
         A = _diag(-1.0 - rng.random(n))

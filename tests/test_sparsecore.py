@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bandlq.sparsecore import (Permutation, bandwidth, binarize, canonicalize,
-                               frobenius, identity, pattern_power_sum, project,
-                               rcm_order)
+from bandlq.sparsecore import (Permutation, ShapeMismatchError, bandwidth,
+                               binarize, canonicalize, frobenius, identity,
+                               pattern_power_sum, project, rcm_order)
 from conftest import random_banded
+
+# a 3 x 4 matrix; a routine that takes square matrices names the (3, 3)
+# it expected and the shape it received
+WIDE = canonicalize(sp.csr_matrix(np.ones((3, 4))))
+WIDE_MESSAGE = r"incompatible shapes \(3, 3\) and \(3, 4\)"
 
 
 class TestCanonicalize:
@@ -54,6 +59,11 @@ class TestProject:
         out = binarize(project(Q, X))
         assert (out - X).max() <= 0
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"project: .* \(3, 4\) and \(4, 4\)"):
+            project(WIDE, identity(4))
+
 
 class TestPatternPowerSum:
     def test_k0_identity(self, rng):
@@ -85,6 +95,15 @@ class TestPatternPowerSum:
             small = pattern_power_sum(A, k)
             large = pattern_power_sum(A, k + 1)
             assert (small - large.multiply(small)).nnz == 0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeMismatchError,
+                           match="pattern_power_sum: " + WIDE_MESSAGE):
+            pattern_power_sum(WIDE, 1)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            pattern_power_sum(identity(3), -1)
 
 
 class TestRcmOrder:
@@ -148,10 +167,18 @@ class TestRcmOrder:
         np.testing.assert_array_equal(perm.forward, np.arange(n))
         np.testing.assert_array_equal(perm.inverse, np.arange(n))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeMismatchError,
+                           match="rcm_order: " + WIDE_MESSAGE):
+            rcm_order(WIDE)
+
 
 class TestNorms:
     def test_frobenius_identity(self):
         assert frobenius(identity(4)) == pytest.approx(2.0)
+
+    def test_bandwidth_of_an_empty_matrix(self):
+        assert bandwidth(sp.csr_matrix((5, 5))) == 0
 
 
 class TestPermutation:
