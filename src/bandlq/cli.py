@@ -262,7 +262,11 @@ def _build_model(cfg, grid):
 
 
 def cmd_genmodel(cfg, out):
-    """Write the model bundle E/A/B/C.mtx, perm.txt, model.json."""
+    """Write the model bundle E/A/B/C.mtx, perm.txt, model.json. Every
+    stage output in ``out`` belongs to the model it replaces and is
+    deleted first."""
+    for name in (name for _run, names in _STAGES.values() for name in names):
+        Path(out, name).unlink(missing_ok=True)
     model = _build_model(cfg, cfg.grid)
     write_matrix(os.path.join(out, "E.mtx"), model.E)
     write_matrix(os.path.join(out, "A.mtx"), model.A)

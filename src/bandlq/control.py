@@ -325,6 +325,9 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     if steps < 1 or max_rows < 1:
         raise ValueError("steps and max_rows must be >= 1")
     model = prob.model
+    if F.shape != (model.m, model.n):
+        raise ShapeMismatchError("simulate_closed_loop", (model.m, model.n),
+                                 F.shape)
     Abar = canonicalize(model.A - model.B @ F)
     S = canonicalize(model.E - dt * Abar)
     singular = f"singular step matrix at dt={dt}"

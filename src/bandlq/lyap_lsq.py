@@ -91,11 +91,12 @@ class SymCoords:
 
     def put(self, out, z):
         """Write the matrix with coordinates z into the dense n x n out,
-        which must be zero off the support."""
+        which must be zero off the support, and return out."""
         v = np.ravel(z) * self._value
         flat = out.ravel()
         flat[self._upper] = v
         flat[self._lower] = v
+        return out
 
     def to_csr(self, z):
         """The matrix with coordinates z, as canonical CSR."""
@@ -215,7 +216,8 @@ class GlOperator(spla.LinearOperator):
       sparse matrix-vector products, the adjoint the same two through
       scipy's transpose views, and no n x n array is allocated.
     - ``"dense"``: each apply and adjoint runs two sparse-times-dense
-      products on three dense n x n buffers that the operator keeps.
+      products on three dense n x n buffers that the operator keeps,
+      beside the pattern's n x n mask.
     - ``"dense-abar"``: the dense form with Abar held as a C-contiguous
       n x n array, when Abar is ``filled``: its product is a BLAS GEMM.
 
@@ -227,9 +229,13 @@ class GlOperator(spla.LinearOperator):
     LAPACK over SuperLU in ``simulate_closed_loop``. The README's
     performance note has the timings both bounds rest on. ``form`` names
     the form and ``stored_entries`` counts its storage, which both methods
-    report: its stored factor entries, or n^2 per dense buffer and for a
-    dense Abar. ``refill`` gives an operator in a dense form the equation
-    of the next Newton step.
+    report: its stored factor entries, or n^2 per dense buffer, for the
+    mask and for a dense Abar. ``refill`` gives an operator in a dense form
+    the equation of the next Newton step.
+
+    ``lift``, ``apply``, ``adjoint`` and ``lower`` run it in its working
+    layout, where an iterate can stay for a whole solve: the coordinates
+    for the factors, else the symmetric n x n arrays, of the same norm.
     """
 
     def __init__(self, Abar, E, Zpat, P):
@@ -288,7 +294,9 @@ class GlOperator(spla.LinearOperator):
             self._Z = np.zeros((n, n))
             self._R = np.zeros((n, n))
             self._T = np.empty((n, n))
-            self.stored_entries = (4 if form == "dense-abar" else 3) * n * n
+            self._mask = np.zeros((n, n), dtype=bool)
+            self.inputs.put(self._mask, np.ones(self.inputs.size))
+            self.stored_entries = (5 if form == "dense-abar" else 4) * n * n
         self._take(Abar, P)
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
@@ -319,34 +327,63 @@ class GlOperator(spla.LinearOperator):
         self._take(Abar, P)
         return True
 
+    def lift(self, v, space):
+        """The coordinates v on ``space`` in the working layout."""
+        if self.form == "factors":
+            return v
+        return space.put(np.zeros((self.n, self.n)), v)
+
+    def lower(self, X, space):
+        """The coordinates on ``space`` of X in the working layout."""
+        return X if self.form == "factors" else space.gather(X)
+
+    def apply(self, Z):
+        """S + S^T, S = E^T Z Abar, in the working layout."""
+        if self.form == "factors":
+            return self._K2 @ (self._K1 @ Z)
+        S = self._half(Z)
+        return S + S.T
+
+    def adjoint(self, R):
+        """mask (H + H^T), H = Abar R E^T, in the working layout."""
+        if self.form == "factors":
+            return self._K1T @ (self._K2T @ R)
+        H = self._half_adjoint(R)
+        G = H + H.T
+        return np.multiply(G, self._mask, out=G)
+
+    def _half(self, Z):
+        # S = E^T T. A dense Abar gives T = Z Abar by GEMM; a CSR one as
+        # (Abar^T Z)^T, Z being symmetric, where Abar^T Z is dropped before
+        # the second product allocates, so the allocator can reuse its
+        # memory instead of faulting in fresh pages
+        if self.form == "dense-abar":
+            np.matmul(Z, self._Abar, out=self._T)
+        else:
+            np.copyto(self._T, (self._AbarT @ Z).T)
+        return self._ET @ self._T
+
+    def _half_adjoint(self, R):
+        # for symmetric R, H^T = E R Abar^T is the adjoint's other half;
+        # GEMM reads the transpose of E R in place
+        if self.form == "dense-abar":
+            return np.matmul(self._Abar, (self.E @ R).T, out=self._T)
+        np.copyto(self._T, (self.E @ R).T)
+        return self.Abar @ self._T
+
+    # the coordinates of S + S^T are 2 w (S[i, j] + S[j, i]): 2 gather(S),
+    # bit for bit, without forming S + S^T; so for H + H^T on the pattern
     def _matvec(self, z):
         if self.form == "factors":
-            return self._K2 @ (self._K1 @ z)
-        # L = S + S^T has the coordinates 2 w (S[i, j] + S[j, i]), with
-        # S = E^T T and T = Z Abar. A dense Abar gives T by GEMM; a CSR one
-        # as (Abar^T Z)^T, Z being symmetric, where Abar^T Z is dropped
-        # before the second product allocates, so the allocator can reuse
-        # its memory instead of faulting in fresh pages
-        self.inputs.put(self._Z, z)
-        if self.form == "dense-abar":
-            np.matmul(self._Z, self._Abar, out=self._T)
-        else:
-            np.copyto(self._T, (self._AbarT @ self._Z).T)
-        return 2.0 * self.outputs.gather(self._ET @ self._T)
+            return self.apply(z)
+        return 2.0 * self.outputs.gather(
+            self._half(self.inputs.put(self._Z, z)))
 
     def _rmatvec(self, r):
         if self.form == "factors":
-            return self._K1T @ (self._K2T @ r)
-        # the adjoint of the coordinates of L is the symmetric R with
-        # coordinates r; H = E (R + R^T) Abar^T enters the coordinates only
-        # through H + H^T, so its transpose Abar (2 R) E^T serves as well
-        self.outputs.put(self._R, r)
-        if self.form == "dense-abar":
-            # GEMM reads the transpose of E R in place
-            np.matmul(self._Abar, (self.E @ self._R).T, out=self._T)
-            return 2.0 * self.inputs.gather(self._T)
-        np.copyto(self._T, (self.E @ self._R).T)
-        return 2.0 * self.inputs.gather(self.Abar @ self._T)
+            return self.adjoint(r)
+        return 2.0 * self.inputs.gather(
+            self._half_adjoint(self.outputs.put(self._R, r)))
 
 
 @dataclass(frozen=True)

@@ -467,18 +467,42 @@ class TestSolveStages:
 
     @pytest.mark.parametrize("stage", ["lyap", "riccati"])
     def test_pattern_of_another_model_is_named(self, tmp_path, capsys, stage):
-        # a pattern.mtx of the 5^2 model does not fit the 6^2 model that
-        # replaced it, and the error says which stage to rerun
+        # a pattern.mtx of the 5^2 model, put back beside the 6^2 model
+        # that replaced it, does not fit, and the error says which stage to
+        # rerun
         cfg = _heat_config(tmp_path, out="run_resized")
         assert main(["genmodel", "--config", cfg]) == 0
         assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        pattern = tmp_path / "run_resized" / "pattern.mtx"
+        old = pattern.read_bytes()
         cfg = _heat_config(tmp_path, out="run_resized", nodes=(6, 6))
         assert main(["genmodel", "--config", cfg]) == 0
+        pattern.write_bytes(old)
         capsys.readouterr()
         assert main(["solve", "--config", cfg, "--stage", stage]) == 1
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'run_resized'}: pattern.mtx is (25, 25), "
             "not the model's (36, 36); run --stage pattern again\n")
+
+    def test_new_model_deletes_the_old_models_outputs(self, tmp_path,
+                                                      capsys):
+        # genmodel 6^2 over a finished 5^2 run leaves no output of the 5^2
+        # model, so simulate names the missing F.mtx and its stage instead
+        # of multiplying the 5^2 feedback into the 6^2 model
+        cfg = _heat_config(tmp_path, out="run_regen")
+        out = tmp_path / "run_regen"
+        assert main(["genmodel", "--config", cfg]) == 0
+        for s in ("pattern", "lyap", "riccati", "simulate"):
+            assert main(["solve", "--config", cfg, "--stage", s]) == 0
+        cfg = _heat_config(tmp_path, out="run_regen", nodes=(6, 6))
+        assert main(["genmodel", "--config", cfg]) == 0
+        stale = [name for _run, outputs in _STAGES.values()
+                 for name in outputs if (out / name).exists()]
+        assert stale == []
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg, "--stage", "simulate"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: F.mtx not found; run --stage riccati first\n")
 
     def test_readme_lists_each_stage_outputs(self):
         # the README's artifact paragraph names, under each solve stage,

@@ -158,6 +158,7 @@ class TestSolveLyap:
     def test_gp_defaults_its_first_step(self, step1, monkeypatch):
         # Method 2 steps by default_delta_bar of the Abar and E its
         # operator holds: its first iterate is x0 - delta g, bit for bit
+        # as the operator's working layout computes it
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
         x0 = np.zeros(op.shape[1])
@@ -172,10 +173,15 @@ class TestSolveLyap:
                                                            max_iter=1))
         assert len(calls) == 1
         assert calls[0][0] is op.Abar and calls[0][1] is op.E
-        g = -2.0 * op.rmatvec(op.rhs - op @ x0)
-        step = x0 - default_delta_bar(op.Abar, op.E) * g
+        delta = default_delta_bar(op.Abar, op.E)
+        R = op.lift(op.rhs - op @ x0, op.outputs)
+        step = op.lower(op.lift(x0, op.inputs) + 2.0 * delta * op.adjoint(R),
+                        op.inputs)
         assert rep.iterations == 1
         assert x.tobytes() == step.tobytes()
+        g = -2.0 * op.rmatvec(op.rhs - op @ x0)
+        np.testing.assert_allclose(x, x0 - delta * g, rtol=1e-14,
+                                   atol=1e-14 * np.abs(x).max())
 
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_final_residual_is_the_gl_residual(self, step1, method):
@@ -708,6 +714,18 @@ class TestSimulateClosedLoop:
             c_open = simulate_closed_loop(prob, F0, x0, dt=1e-3,
                                           steps=5000).cost
             assert c_lq <= c_open * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 1), (0, -1)])
+    def test_feedback_of_another_shape_rejected(self, shape):
+        # an F that is not m x n, such as one of another model, is named
+        # as the shape error it is
+        model, prob = heat_problem((5, 5))
+        F = canonicalize(sp.csr_matrix((model.m + shape[0],
+                                        model.n + shape[1])))
+        with pytest.raises(ShapeMismatchError,
+                           match="^simulate_closed_loop: incompatible"):
+            simulate_closed_loop(prob, F, np.ones(model.n), dt=1e-3,
+                                 steps=10)
 
     def test_invalid_dt(self):
         model, prob = heat_problem((3, 3))

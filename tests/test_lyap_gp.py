@@ -89,6 +89,33 @@ def _sparse_x3(Abar, E, P, cfg):
     return canonicalize(0.5 * (X3 + X3.T))
 
 
+def _gp_coords(op, x0, cfg):
+    """Reference: the gradient iteration on coordinates, one coordinate
+    apply and adjoint of ``op`` per step. Returns z, J_history, stalled and
+    whether J stagnated."""
+    delta = bandlq.lyap_gp.default_delta_bar(op.Abar, op.E)
+    p, z = op.rhs, x0
+    r = p - op @ z
+    J = float(r @ r)
+    J_history = [J]
+    window = bandlq.lyap_gp._STAGNATION_WINDOW
+    rtol = bandlq.lyap_gp._STAGNATION_RTOL
+    for _ in range(cfg.max_iter):
+        g = -2.0 * op.rmatvec(r)
+        z_try = z - delta * g
+        r_try = p - op @ z_try
+        J_try = float(r_try @ r_try)
+        if not J_try <= J:
+            return z, J_history, True, False
+        z, r, J = z_try, r_try, J_try
+        J_history.append(J)
+        if len(J_history) > window:
+            ref = J_history[-window - 1]
+            if ref <= 0.0 or (ref - J) / ref < rtol:
+                return z, J_history, False, True
+    return z, J_history, False, False
+
+
 def _spai_slicing(E, pat):
     """Reference: per-column least-squares blocks cut by scipy slicing."""
     n = E.shape[0]
@@ -514,7 +541,8 @@ class TestInitialGuess:
     @pytest.mark.parametrize("q", [1, 5])
     def test_probed_functions_called_through_module(self, monkeypatch, q):
         # perfbench times X3 by wrapping these module-level names; inlining
-        # one of them would leave its span empty
+        # one of them would leave its span empty. X3 sums over the basis
+        # terms, not the nodes, so faber_expm runs once whatever q is
         import bandlq.lyap_gp as lyap_gp
         calls = {}
         for name in ("spai", "spectrum_bounds", "faber_expm"):
@@ -525,8 +553,7 @@ class TestInitialGuess:
         model, prob = heat_problem((4, 4))
         _F, Abar, P = newton_start(prob)
         initial_guess(Abar, model.E, P, cfg=GpConfig(q=q))
-        assert calls == {"spai": 1, "spectrum_bounds": 1,
-                         "faber_expm": 2 * q + 1}
+        assert calls == {"spai": 1, "spectrum_bounds": 1, "faber_expm": 1}
 
     def test_unstable_input_rejected(self):
         with pytest.raises(UnstableMatrixError):
@@ -668,13 +695,16 @@ class TestSolveLyapGp:
         assert Z.toarray()[0, 0] == 5.0
 
     def test_non_finite_step_stalls_after_one_apply(self, monkeypatch):
-        # a NaN start makes J non-finite: the first step's one apply stalls
-        # the solve, where a backtracking search would try 61 steps
+        # a NaN start makes J non-finite: after the start's apply in
+        # coordinates, the first step's one adjoint and one apply in the
+        # working layout stall the solve, where a backtracking search would
+        # try 61 steps
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_start(prob)
         op = GlOperator(Abar, model.E, apriori_pattern(Abar, model.E, P),
                         P)
-        calls = {"_matvec": 0, "_rmatvec": 0}
+        assert op.form == "dense-abar"
+        calls = {"_matvec": 0, "_rmatvec": 0, "apply": 0, "adjoint": 0}
         for name in calls:
             def counted(self, z, _call=getattr(GlOperator, name),
                         _name=name):
@@ -683,9 +713,52 @@ class TestSolveLyapGp:
             monkeypatch.setattr(GlOperator, name, counted)
         x0 = np.full(op.shape[1], np.nan)
         _z, rep = solve_lyap_gp(op, x0, GpConfig(max_iter=50))
-        assert calls == {"_matvec": 2, "_rmatvec": 1}
+        assert calls == {"_matvec": 1, "_rmatvec": 0, "apply": 1,
+                         "adjoint": 1}
         assert rep.extra["stalled"] and not rep.converged
         assert rep.iterations == 0
+
+    @pytest.mark.parametrize("form", ["factors", "dense", "dense-abar"])
+    @pytest.mark.parametrize("case", ["cap", "stagnation", "stall", "heat"])
+    def test_layout_loop_matches_coordinate_reference(self, monkeypatch,
+                                                      form, case):
+        # the loop in the working layout takes the reference's steps to
+        # rounding, and stops where and as it does: at the cap, on
+        # stagnation and on a stall (the cases of
+        # test_converged_only_when_stagnated), and on fe 6^2 from a
+        # random start
+        if case == "heat":
+            model, prob = heat_problem((6, 6))
+            _F, Abar, P = newton_start(prob)
+            E, pat = model.E, apriori_pattern(Abar, model.E, P, w=1)
+            X0, max_iter = None, 60
+        else:
+            Abar, E, P, pat = (_csr([[-1.0]]), identity(1), _csr([[-2.0]]),
+                               full_pattern(1))
+            X0 = canonicalize(sp.csr_matrix(np.array([[5.0]])))
+            max_iter = {"cap": 3, "stagnation": 4000, "stall": 5}[case]
+        if case == "stall":
+            monkeypatch.setattr(bandlq.lyap_gp, "default_delta_bar",
+                                lambda A, E: 1e30)
+        monkeypatch.setattr(bandlq.lyap_lsq, "_FACTOR_FILL",
+                            np.inf if form == "factors" else -1.0)
+        monkeypatch.setattr(bandlq.lyap_lsq, "filled",
+                            lambda M: form == "dense-abar")
+        op = GlOperator(Abar, E, pat, P)
+        assert op.form == form
+        x0 = (1e-3 * np.random.default_rng(2).standard_normal(op.shape[1])
+              if X0 is None else op.inputs.fold(X0))
+        cfg = GpConfig(max_iter=max_iter)
+        z, rep = solve_lyap_gp(op, x0, cfg)
+        z_ref, J_ref, stalled, stagnated = _gp_coords(op, x0, cfg)
+        np.testing.assert_allclose(rep.extra["J_history"], J_ref, rtol=1e-12)
+        assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+        assert (rep.extra["stalled"], rep.converged) == (stalled, stagnated)
+        assert rep.final_residual == pytest.approx(np.sqrt(J_ref[-1]),
+                                                   rel=1e-12)
+        expected = {"cap": (False, False), "stagnation": (False, True),
+                    "stall": (True, False), "heat": (False, False)}[case]
+        assert (stalled, stagnated) == expected
 
     @pytest.mark.parametrize("form", ["factors", "dense", "dense-abar"])
     @pytest.mark.parametrize("case", ["random-0", "random-1", "random-2",

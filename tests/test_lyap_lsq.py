@@ -364,12 +364,13 @@ class TestOperatorForm:
         assert not filled(Abar)
         Z, rep = _lsq(Abar, model.E, P, pat)
         assert rep.extra["operator_form"] == "dense"
-        assert rep.stored_entries == 3 * n ** 2
+        # three dense buffers and the pattern's mask
+        assert rep.stored_entries == 4 * n ** 2
         _F, Abar2, P2 = newton_step_matrices(Z, prob)
         assert filled(Abar2)
         op = GlOperator(Abar2, model.E, pat, P2)
         assert op.form == "dense-abar"
-        assert op.stored_entries == 4 * n ** 2
+        assert op.stored_entries == 5 * n ** 2
         assert isinstance(op._Abar, np.ndarray)
         assert op._Abar.flags.c_contiguous and not hasattr(op, "_AbarT")
         model, prob = heat_problem((29, 29))
@@ -433,6 +434,37 @@ class TestOperatorForm:
         # per table entry
         support = 12 * (op._K1.shape[0] + op.outputs.nnz)
         assert peak - kept < 1.5 * support + 16 * _TABLE_ENTRIES
+
+
+class TestWorkingLayout:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_layout_products_match_coordinates(self, form):
+        # between lift and lower, apply and adjoint are the coordinate
+        # products, on Newton step 2 and again after the refill to step 3
+        # (a new operator for the factors, which do not refill); the
+        # layout keeps coordinate norms, and the adjoint lies on the pattern
+        E, pat, [_s1, (Abar2, P2), (Abar3, P3)] = _newton_steps_1_to_3()
+        op = _in_form(form, Abar2, E, pat, P2)
+        rng = np.random.default_rng(5)
+        for step in (2, 3):
+            if step == 3:
+                assert op.refill(Abar3, P3) == (form != "factors")
+                if form == "factors":
+                    op = _in_form(form, Abar3, E, pat, P3)
+            z = rng.standard_normal(op.shape[1])
+            r = rng.standard_normal(op.shape[0])
+            Z, R = op.lift(z, op.inputs), op.lift(r, op.outputs)
+            assert np.linalg.norm(Z) == pytest.approx(np.linalg.norm(z),
+                                                      rel=1e-14)
+            for got, ref in (
+                    (op.lower(op.apply(Z), op.outputs), op @ z),
+                    (op.lower(op.adjoint(R), op.inputs), op.rmatvec(r))):
+                assert (np.linalg.norm(got - ref)
+                        <= 1e-13 * np.linalg.norm(ref))
+            G = op.adjoint(R)
+            np.testing.assert_allclose(
+                op.lift(op.lower(G, op.inputs), op.inputs), G, rtol=0,
+                atol=1e-13 * np.abs(G).max())
 
 
 def _newton_steps_1_to_3(nodes=(9, 9)):
