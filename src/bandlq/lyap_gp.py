@@ -6,9 +6,8 @@ line search would never shorten. It starts from a quadrature of matrix
 exponentials: a sparse approximate inverse of E turns the GL equation into
 a non-generalized one, a sinh-based quadrature discretizes its integral
 representation, and each matrix exponential is expanded in sparsified
-Faber/Chebyshev polynomials of one basis shared by all quadrature nodes,
-so the quadrature sums over the basis terms, not the nodes. The iteration
-keeps its iterate in the GL operator's working layout.
+Faber/Chebyshev polynomials of one basis shared by all quadrature nodes.
+The iteration keeps its iterate in the GL operator's working layout.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ import scipy.sparse.linalg as spla
 from .pattern import inverse_pattern
 from .report import SolveReport
 from .sparsecore import (binarize, canonicalize, check_square, concat_ranges,
-                         frobenius, identity, pattern_power_sum, project)
+                         filled, frobenius, identity, pattern_power_sum,
+                         project)
 
 _DENSE_EIG_LIMIT = 2000
 _INFLATION = 0.05
@@ -280,24 +280,15 @@ def faber_expm(A1, t_scaled, bounds, cfg=GpConfig(), basis=None):
     projected Chebyshev basis of A1 (``faber_basis(A1, bounds, cfg)``,
     built here unless the caller passes it as ``basis``).
     """
-    a = _node_coefficients(bounds, t_scaled, cfg.p)
-    if _collapses(bounds.scaled(t_scaled)):
-        return canonicalize(a[0] * identity(A1.shape[0]))
-    S, V = basis if basis is not None else faber_basis(A1, bounds, cfg)
-    K = S.copy()
-    K.data = a @ V
-    return canonicalize(K)
-
-
-def _node_coefficients(bounds, t, p):
-    """The coefficients of exp(t A1) on T_0..T_p: the Faber coefficients
-    of the scaled bounds, or exp(c4) e_0 where the scaled spectrum collapses
-    to the point c4, as T_0 = I."""
-    sb = bounds.scaled(t)
+    n = A1.shape[0]
+    sb = bounds.scaled(t_scaled)
     _c1, c2, c3, c4 = _faber_constants(sb)
     if _collapses(sb):
-        return np.exp(c4) * (np.arange(p + 1) == 0)
-    return faber_coefficients(c2, c3, c4, p=p)
+        return canonicalize(np.exp(c4) * identity(n))
+    S, V = basis if basis is not None else faber_basis(A1, bounds, cfg)
+    K = S.copy()
+    K.data = faber_coefficients(c2, c3, c4, p=cfg.p) @ V
+    return canonicalize(K)
 
 
 def transformed_problem(Abar, E, P, k1):
@@ -317,36 +308,29 @@ def transformed_problem(Abar, E, P, k1):
 def initial_guess(Abar, E, P, cfg=GpConfig()):
     """Quadrature-of-exponentials initial guess for the gradient iteration.
 
-    X3 = -sum_j psi omega_j K_j P1 K_j^T over the sinh-quadrature nodes,
-    K_j = sum_l a_jl T_l the sparsified Faber approximation of exp(t~_j A1)
-    on the basis T_l of ``faber_basis``, a_j = exp(c4) e_0 where the scaled
-    spectrum collapses (T_0 = I, alone if every node collapses). With
-    C = A^T diag(psi omega) A for A = (a_jl), X3 = -sum_l T_l P1 K~_l^T,
-    K~_l = sum_m C_lm T_m: p + 1 terms, each two CSR x dense products into
-    one dense n x n accumulator, returned symmetrized as canonical CSR.
+    X3 = -sum_j psi omega_j K~_j P1 K~_j^T over the sinh-quadrature nodes,
+    with each K~_j a sparsified Faber approximation of exp(t~_j A1). All
+    nodes share one Faber basis of A1; only the coefficients vary. X3 is
+    accumulated in one dense n x n array, each term as two products, by
+    BLAS GEMM where K~_j is ``filled``, and returned symmetrized as
+    canonical CSR.
     """
     A1, P1, spai_residual = transformed_problem(Abar, E, P, cfg.k1)
     bounds = spectrum_bounds(A1)
     psi, nodes = quadrature_nodes(cfg.q, bounds)
     n = A1.shape[0]
-    # t_j grows with j, so some node needs the basis iff the last one does
-    if _collapses(bounds.scaled(nodes[-1][0])):
-        S, V = identity(n), np.ones((1, n))
-    else:
-        S, V = faber_basis(A1, bounds, cfg)
-    rows = np.array([_node_coefficients(bounds, t_j, cfg.p)
-                     for t_j, _omega in nodes])[:, :V.shape[0]]
-    # perfbench's Faber span wraps faber_expm, which X3 no longer needs;
-    # one expansion keeps the span in use until it wraps faber_basis
-    faber_expm(A1, nodes[-1][0], bounds, cfg, basis=(S, V))
-    weights = psi * np.array(nodes)[:, 1:]
-    KV = (rows.T @ (weights * rows)) @ V      # row l: K~_l on S
     P1t = P1.T.toarray()
     X3 = np.zeros((n, n))
-    T, K = S.copy(), S.copy()
-    for l in range(V.shape[0]):
-        T.data, K.data = V[l], KV[l]
-        X3 -= T @ (K @ P1t).T       # T_l (K~_l P1^T)^T = T_l P1 K~_l^T
+    # t_j grows with j, so some node needs the basis iff the last one does
+    basis = (None if _collapses(bounds.scaled(nodes[-1][0]))
+             else faber_basis(A1, bounds, cfg))
+    for t_j, omega_j in nodes:
+        K = faber_expm(A1, t_j, bounds, cfg, basis=basis)
+        if filled(K):
+            K = K.toarray()
+        term = K @ (K @ P1t).T          # K (K P1^T)^T = K P1 K^T
+        term *= psi * omega_j
+        X3 -= term
     X3 = canonicalize(0.5 * (X3 + X3.T))
     info = {
         "spai_residual": spai_residual,
@@ -370,14 +354,17 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
     op.E), on the GL operator ``op`` from the coordinates x0, R from r0 if
     given. As ||M||_2 <= 2 ||E||_F ||Abar||_F, delta ||M||_2^2 <= 1/2: no
     Armijo search would shorten a step. Z and R stay in the operator's
-    working layout from start to end, on the pattern and O, so no step
-    projects. It has converged only when J stagnates, not at
-    ``cfg.max_iter`` or on a stall, a step that does not lower J. Returns
-    the coordinates and a SolveReport whose ``peak_nnz``, the larger
-    space's entry count, is the storage of any iterate.
+    working layout from start to end, on the pattern and O. It has
+    converged only when J stagnates, not at ``cfg.max_iter`` or on a
+    stall, a step that does not lower J. Returns the coordinates and a
+    SolveReport whose ``peak_nnz``, the larger space's entry count, is the
+    storage of any iterate.
     """
-    delta2 = 2.0 * default_delta_bar(op.Abar, op.E)
     r = op.rhs - op @ x0 if r0 is None else r0
+    # 2 delta on the pattern and 0 off it, where a dense layout's adjoint
+    # has entries too: the step and the projection in one product
+    step = (2.0 * default_delta_bar(op.Abar, op.E)
+            * (op.lift(np.ones(op.inputs.size), op.inputs) != 0))
     p = op.lift(op.rhs, op.outputs)
     Z, R = op.lift(x0, op.inputs), op.lift(r, op.outputs)
     J = float(R.ravel() @ R.ravel())
@@ -385,7 +372,7 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
     stalled = stagnated = False
     for _ in range(cfg.max_iter):
         Z_try = op.adjoint(R)
-        Z_try *= delta2
+        Z_try *= step
         Z_try += Z
         R_try = op.apply(Z_try)
         np.subtract(p, R_try, out=R_try)

@@ -216,8 +216,7 @@ class GlOperator(spla.LinearOperator):
       sparse matrix-vector products, the adjoint the same two through
       scipy's transpose views, and no n x n array is allocated.
     - ``"dense"``: each apply and adjoint runs two sparse-times-dense
-      products on three dense n x n buffers that the operator keeps,
-      beside the pattern's n x n mask.
+      products on three dense n x n buffers that the operator keeps.
     - ``"dense-abar"``: the dense form with Abar held as a C-contiguous
       n x n array, when Abar is ``filled``: its product is a BLAS GEMM.
 
@@ -229,9 +228,9 @@ class GlOperator(spla.LinearOperator):
     LAPACK over SuperLU in ``simulate_closed_loop``. The README's
     performance note has the timings both bounds rest on. ``form`` names
     the form and ``stored_entries`` counts its storage, which both methods
-    report: its stored factor entries, or n^2 per dense buffer, for the
-    mask and for a dense Abar. ``refill`` gives an operator in a dense form
-    the equation of the next Newton step.
+    report: its stored factor entries, or n^2 per dense buffer and for a
+    dense Abar. ``refill`` gives an operator in a dense form the equation
+    of the next Newton step.
 
     ``lift``, ``apply``, ``adjoint`` and ``lower`` run it in its working
     layout, where an iterate can stay for a whole solve: the coordinates
@@ -294,9 +293,7 @@ class GlOperator(spla.LinearOperator):
             self._Z = np.zeros((n, n))
             self._R = np.zeros((n, n))
             self._T = np.empty((n, n))
-            self._mask = np.zeros((n, n), dtype=bool)
-            self.inputs.put(self._mask, np.ones(self.inputs.size))
-            self.stored_entries = (5 if form == "dense-abar" else 4) * n * n
+            self.stored_entries = (4 if form == "dense-abar" else 3) * n * n
         self._take(Abar, P)
         super().__init__(np.float64, (self.outputs.size, self.inputs.size))
 
@@ -345,15 +342,15 @@ class GlOperator(spla.LinearOperator):
         return S + S.T
 
     def adjoint(self, R):
-        """mask (H + H^T), H = Abar R E^T, in the working layout."""
+        """H + H^T, H = Abar R E^T, in the working layout: the adjoint on
+        the pattern's entries, which ``lower`` reads."""
         if self.form == "factors":
             return self._K1T @ (self._K2T @ R)
         H = self._half_adjoint(R)
-        G = H + H.T
-        return np.multiply(G, self._mask, out=G)
+        return H + H.T
 
     def _half(self, Z):
-        # S = E^T T. A dense Abar gives T = Z Abar by GEMM; a CSR one as
+        # S = E^T T, T = Z Abar. A dense Abar gives T by GEMM; a CSR one as
         # (Abar^T Z)^T, Z being symmetric, where Abar^T Z is dropped before
         # the second product allocates, so the allocator can reuse its
         # memory instead of faulting in fresh pages
@@ -364,15 +361,16 @@ class GlOperator(spla.LinearOperator):
         return self._ET @ self._T
 
     def _half_adjoint(self, R):
-        # for symmetric R, H^T = E R Abar^T is the adjoint's other half;
-        # GEMM reads the transpose of E R in place
+        # for symmetric R, H^T = E R Abar^T; GEMM reads the transpose of
+        # E R in place
         if self.form == "dense-abar":
             return np.matmul(self._Abar, (self.E @ R).T, out=self._T)
         np.copyto(self._T, (self.E @ R).T)
         return self.Abar @ self._T
 
-    # the coordinates of S + S^T are 2 w (S[i, j] + S[j, i]): 2 gather(S),
-    # bit for bit, without forming S + S^T; so for H + H^T on the pattern
+    # the coordinates of S + S^T are 2 gather(S), bit for bit, and so for
+    # H: Method 1 never forms either sum, which cost its 13^2 Newton loop
+    # 3-6 % and a dense product at 21^2 up to 2x
     def _matvec(self, z):
         if self.form == "factors":
             return self.apply(z)

@@ -101,8 +101,9 @@ def filled(M):
     """M stores more than 1 / FILL_DIVISOR of its entries.
 
     On such an M a dense kernel (BLAS GEMM, LAPACK LU) beats the sparse
-    one; ``GlOperator`` and ``simulate_closed_loop`` switch on this rule,
-    and ``GlOperator``'s docstring records the measurements behind it.
+    one; ``GlOperator``, ``simulate_closed_loop`` and ``initial_guess``
+    switch on this rule, and ``GlOperator``'s docstring records the
+    measurements behind it.
     """
     rows, cols = M.shape
     return M.nnz > rows * cols / FILL_DIVISOR

@@ -510,12 +510,17 @@ class TestInitialGuess:
         assert errs[1] < errs[0]
 
     @pytest.mark.parametrize("case", ["heat-q5", "heat-q40", "scalar",
-                                      "diagonal", "narrow"])
-    def test_dense_accumulation_matches_sparse_reference(self, case):
+                                      "diagonal", "narrow", "heat-q5-csr"])
+    def test_dense_accumulation_matches_sparse_reference(self, case,
+                                                          monkeypatch):
+        # each node's K is filled at these sizes, so its products run by
+        # GEMM; "-csr" takes the CSR x dense products of an unfilled K
         if case.startswith("heat"):
             model, prob = heat_problem((10, 10))
             _F, Abar, P = newton_start(prob)
-            E, cfg = model.E, GpConfig(q=int(case[6:]))
+            E, cfg = model.E, GpConfig(q=int(case.split("-")[1][1:]))
+            if case.endswith("csr"):
+                monkeypatch.setattr(bandlq.lyap_gp, "filled", lambda M: False)
         elif case == "scalar":          # every node collapses
             Abar, E, P = _csr([[-1.0]]), identity(1), _csr([[-2.0]])
             cfg = GpConfig(q=40, p=20)
@@ -541,8 +546,7 @@ class TestInitialGuess:
     @pytest.mark.parametrize("q", [1, 5])
     def test_probed_functions_called_through_module(self, monkeypatch, q):
         # perfbench times X3 by wrapping these module-level names; inlining
-        # one of them would leave its span empty. X3 sums over the basis
-        # terms, not the nodes, so faber_expm runs once whatever q is
+        # one of them would leave its span empty
         import bandlq.lyap_gp as lyap_gp
         calls = {}
         for name in ("spai", "spectrum_bounds", "faber_expm"):
@@ -553,7 +557,8 @@ class TestInitialGuess:
         model, prob = heat_problem((4, 4))
         _F, Abar, P = newton_start(prob)
         initial_guess(Abar, model.E, P, cfg=GpConfig(q=q))
-        assert calls == {"spai": 1, "spectrum_bounds": 1, "faber_expm": 1}
+        assert calls == {"spai": 1, "spectrum_bounds": 1,
+                         "faber_expm": 2 * q + 1}
 
     def test_unstable_input_rejected(self):
         with pytest.raises(UnstableMatrixError):
