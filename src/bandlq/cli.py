@@ -437,13 +437,10 @@ def cmd_bench(cfg, out):
                 else:
                     _Z, rep = solve_lyap(Abar, model.E, P, pat, replace(
                         cfg.newton, lyap_method=method))
-                    # Method 2's peak storage, or the storage of
-                    # Method 1's GL operator
-                    nnz = rep.extra.get("peak_nnz", rep.stored_entries)
-                    iters = rep.iterations
+                    nnz, iters = rep.stored_entries, rep.iterations
                 wall = 1e3 * (time.perf_counter() - t0)
-                rows.append([str(n), method, w, str(nnz), str(iters),
-                             f"{wall:.17g}", "ok"])
+                rows.append([fmt(v) for v in (n, method, w, nnz, iters,
+                                              wall, "ok")])
             except Exception as exc:
                 rows.append([str(n), method, w, "0", "0", "0",
                              f"error: {exc}"])

@@ -38,8 +38,8 @@ class LqProblem:
         Q.flags.writeable = R.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
-        if Q.size != self.model.r or R.size != self.model.m:
-            raise ValueError("Q/R diagonal lengths must match C rows / B cols")
+        if Q.shape != (self.model.r,) or R.shape != (self.model.m,):
+            raise ValueError("Q and R must be 1-D, of lengths r and m")
         if not np.all(R > 0):
             raise ValueError("R must be positive definite")
         if not np.all(Q >= 0):
@@ -320,14 +320,15 @@ def simulate_closed_loop(prob, F, x0, dt, steps, max_rows=1000):
     at fe-bilinear 45^2 Newton step 2, where F is 14 % dense and so filled,
     the product took 793 us with F dense against 302 us with F as CSR.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"simulate_closed_loop: dt = {dt} is not in (0, inf)")
     if steps < 1 or max_rows < 1:
         raise ValueError("steps and max_rows must be >= 1")
     model = prob.model
-    if F.shape != (model.m, model.n):
-        raise ShapeMismatchError("simulate_closed_loop", (model.m, model.n),
-                                 F.shape)
+    for want, got in (((model.m, model.n), F.shape),
+                      ((model.n,), (np.size(x0),))):
+        if got != want:
+            raise ShapeMismatchError("simulate_closed_loop", want, got)
     Abar = canonicalize(model.A - model.B @ F)
     S = canonicalize(model.E - dt * Abar)
     singular = f"singular step matrix at dt={dt}"

@@ -357,8 +357,8 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
     working layout from start to end, on the pattern and O. It has
     converged only when J stagnates, not at ``cfg.max_iter`` or on a
     stall, a step that does not lower J. Returns the coordinates and a
-    SolveReport whose ``peak_nnz``, the larger space's entry count, is the
-    storage of any iterate.
+    SolveReport. On the dense forms the loop also holds about six n x n
+    arrays, Z, R, their trial copies, p and the step, that no report counts.
     """
     r = op.rhs - op @ x0 if r0 is None else r0
     # 2 delta on the pattern and 0 off it, where a dense layout's adjoint
@@ -392,7 +392,6 @@ def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
         stored_entries=op.stored_entries, iterations=len(J_history) - 1,
         final_residual=float(np.sqrt(J)), converged=stagnated,
         extra={"J_history": J_history, "stalled": stalled,
-               "peak_nnz": max(op.inputs.nnz, op.outputs.nnz),
                "operator_form": op.form},
     )
     return op.lower(Z, op.inputs), report

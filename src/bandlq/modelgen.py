@@ -15,7 +15,9 @@ import scipy.sparse as sp
 from .sparsecore import (Permutation, bandwidth, binarize, canonicalize,
                          identity, rcm_order)
 
-DISCRETIZATIONS = ("fd-5point", "fe-linear-1d", "fe-bilinear-2d")
+# each discretization and the grid dimensions it is defined on
+DISCRETIZATIONS = {"fd-5point": (1, 2), "fe-linear-1d": (1,),
+                   "fe-bilinear-2d": (2,)}
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,12 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension not in (1, 2):
             raise ValueError("dimension must be the integer 1 or 2")
+        if (not isinstance(self.discretization, str)
+                or self.discretization not in DISCRETIZATIONS):
+            raise ValueError(f"unsupported discretization {self.discretization!r}")
+        if self.dimension not in DISCRETIZATIONS[self.discretization]:
+            raise ValueError(f"{self.discretization} requires dimension "
+                             f"{DISCRETIZATIONS[self.discretization][0]}")
         if len(self.nodes) != self.dimension or len(self.lengths) != self.dimension:
             raise ValueError("nodes/lengths must match dimension")
         if not all(isinstance(nx, int) for nx in self.nodes):
@@ -37,8 +45,6 @@ class GridSpec:
             raise ValueError("need at least 2 interior nodes per axis")
         if not (all(L > 0 for L in self.lengths) and self.diffusivity > 0):
             raise ValueError("lengths and diffusivity must be positive")
-        if self.discretization not in DISCRETIZATIONS:
-            raise ValueError(f"unsupported discretization {self.discretization!r}")
 
     @property
     def n(self):
@@ -88,10 +94,6 @@ def build_heat_model(grid):
     ((h/6) tridiag(1, 4, 1), T/h) for linear FE. E = M and A = kappa S in
     1D; E = My (x) Mx and A = kappa (My (x) Sx + Sy (x) Mx) in 2D.
     """
-    if grid.discretization == "fe-linear-1d" and grid.dimension != 1:
-        raise ValueError("fe-linear-1d requires dimension 1")
-    if grid.discretization == "fe-bilinear-2d" and grid.dimension != 2:
-        raise ValueError("fe-bilinear-2d requires dimension 2")
     fd = grid.discretization == "fd-5point"
     pairs = [_axis_pair(nx, length, fd)
              for nx, length in zip(grid.nodes, grid.lengths)]

@@ -16,6 +16,7 @@ from bandlq.control import NewtonConfig, newton_start
 from bandlq.lyap_gp import GpConfig
 from bandlq.lyap_lsq import CglsConfig, GlOperator
 from bandlq.mmio import read_matrix, read_pattern, write_pattern
+from bandlq.pattern import apriori_pattern
 from conftest import heat_problem, nan_lyap_solve_at
 
 
@@ -193,7 +194,9 @@ class TestConfigValidation:
         ({"lyap": {"gp": {"p": 512}}}, ("lyap.gp", "p must be <= 511")),
         ({"oracle": {"max_n": 0}}, ("oracle.max_n",)),
         ({"oracle": {"max_n": -5}}, ("oracle.max_n",)),
-        ({"model": {"kind": "wave"}}, ("model.kind", "'heat' or 'scalar'"))])
+        ({"model": {"kind": "wave"}}, ("model.kind", "'heat' or 'scalar'")),
+        ({"model": _HEAT_MODEL | {"discretization": "fe-linear-1d"}},
+         ("model", "fe-linear-1d requires dimension 1"))])
     def test_bad_values_fail_at_load(self, raw, names):
         with pytest.raises(ConfigError) as exc:
             parse_config({"output_dir": "x", "model": {"kind": "scalar"},
@@ -222,7 +225,10 @@ class TestConfigValidation:
         ("lyap.gp", {"q": 0}), ("lyap.gp", {"p": 512}),
         ("riccati.residual_tol", -1),
         # the Faber DFT length is a constant, not a setting
-        ("lyap.gp", {"W": 2048}), ("oracle.max_n", 0)])
+        ("lyap.gp", {"W": 2048}), ("oracle.max_n", 0),
+        # the grid's dimension and its discretization disagree
+        ("model",
+         {"model": _HEAT_MODEL | {"discretization": "fe-linear-1d"}})])
     def test_bad_value_stops_before_any_stage(self, tmp_path, capsys, key,
                                               value):
         # a bare section name gives _heat_config's own overrides, and a
@@ -504,6 +510,25 @@ class TestSolveStages:
         assert capsys.readouterr().err == (
             f"error: {out}: F.mtx not found; run --stage riccati first\n")
 
+    def test_grid_mismatch_keeps_the_old_outputs(self, tmp_path, capsys):
+        # a 1-D discretization on a 2-D grid fails at load, so every
+        # command exits before genmodel deletes the bundle's outputs
+        cfg = _heat_config(tmp_path, out="run_keep")
+        out = tmp_path / "run_keep"
+        assert main(["genmodel", "--config", cfg]) == 0
+        assert main(["solve", "--config", cfg, "--stage", "pattern"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad = _heat_config(tmp_path, out="run_keep", model=_HEAT_MODEL | {
+            "discretization": "fe-linear-1d"})
+        capsys.readouterr()
+        for argv in (["genmodel"], ["bench"],
+                     *(["solve", "--stage", s] for s in _STAGES)):
+            assert main([*argv, "--config", bad]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}: model: fe-linear-1d requires dimension 1\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert "pattern.mtx" in before
+
     def test_readme_lists_each_stage_outputs(self):
         # the README's artifact paragraph names, under each solve stage,
         # the outputs that the stage deletes before it runs
@@ -600,9 +625,14 @@ class TestBench:
         assert by[("16", "lsq")][6] == "ok"
         # GP is capped by lyap.gp.max_iter, as in solve --stage lyap
         assert 0 < int(by[("16", "gp")][4]) <= 50
-        # Method 2's peak storage below the storage of Method 1's GL
-        # operator at equal w
-        assert int(by[("16", "gp")][3]) < int(by[("16", "lsq")][3])
+        # both methods run on one GL operator, and each row gives its
+        # storage
+        model, prob = heat_problem((4, 4))
+        _F, Abar, P = newton_start(prob)
+        op = GlOperator(Abar, model.E, apriori_pattern(Abar, model.E, P, 1),
+                        P)
+        for method in ("lsq", "gp"):
+            assert int(by[("16", method)][3]) == op.stored_entries
 
     def test_bench_records_failures_and_keeps_going(self, tmp_path,
                                                     monkeypatch):

@@ -1,6 +1,7 @@
 """Inexact Newton Riccati solver, feedback, metrics, closed-loop simulation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -723,6 +724,26 @@ class TestSimulateClosedLoop:
             simulate_closed_loop(prob, F, np.ones(model.n), dt=1e-3,
                                  steps=10)
 
+    @pytest.mark.parametrize("shape", [(15,), (17,), (16, 2)])
+    def test_initial_state_of_another_size_rejected(self, shape):
+        # an x0 without n entries is named as the shape error it is, not
+        # as a matmul error inside the first step
+        model, prob = heat_problem((4, 4))
+        F = canonicalize(sp.csr_matrix((model.m, model.n)))
+        msg = ("simulate_closed_loop: incompatible shapes (16,) and "
+               f"({np.prod(shape)},)")
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(msg)}$"):
+            simulate_closed_loop(prob, F, np.ones(shape), dt=1e-3, steps=10)
+
+    def test_infinite_dt_rejected(self):
+        # dt = inf would give a NaN cost and a RuntimeWarning
+        model, prob = heat_problem((4, 4))
+        F = canonicalize(sp.csr_matrix((model.m, model.n)))
+        with pytest.raises(ValueError,
+                           match="^simulate_closed_loop: dt = inf is not"):
+            simulate_closed_loop(prob, F, np.ones(model.n), dt=np.inf,
+                                 steps=10)
+
     def test_invalid_dt(self):
         model, prob = heat_problem((3, 3))
         F = canonicalize(sp.csr_matrix((model.m, model.n)))
@@ -894,6 +915,16 @@ class TestLqProblemValidation:
         model, _prob = heat_problem((3, 3))
         with pytest.raises(ValueError):
             LqProblem(model, Q=np.ones(model.r + 1), R=np.ones(model.m))
+
+    @pytest.mark.parametrize("weight", ["Q", "R"])
+    def test_column_weight_rejected(self, weight):
+        # a column of the right length is not a diagonal; it used to fail
+        # later, inside sp.diags, with a message that named neither
+        model, _prob = heat_problem((4, 4))
+        weights = {"Q": np.ones(model.r), "R": np.ones(model.m)}
+        weights[weight] = weights[weight][:, None]
+        with pytest.raises(ValueError, match="^Q and R must be 1-D"):
+            LqProblem(model, **weights)
 
 
 def test_newton_config_needs_a_step():

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bandlq.modelgen import (DescriptorModel, GridSpec, build_heat_model,
-                             build_model, permute_model, place_io)
+from bandlq.modelgen import (DISCRETIZATIONS, DescriptorModel, GridSpec,
+                             build_heat_model, build_model, permute_model,
+                             place_io)
 from bandlq.oracle import pencil_eigs
 from bandlq.sparsecore import Permutation, bandwidth, canonicalize, identity
 
@@ -88,12 +89,25 @@ class TestBuildHeatModel:
                      diffusivity=diffusivity, discretization="fd-5point")
 
     def test_fe_dimension_checks(self):
-        for disc, dim, nodes in (("fe-linear-1d", 2, (3, 3)),
-                                 ("fe-bilinear-2d", 1, (3,))):
-            grid = GridSpec(dimension=dim, nodes=nodes, lengths=(1.0,) * dim,
-                            diffusivity=1.0, discretization=disc)
-            with pytest.raises(ValueError, match=f"{disc} requires"):
-                build_heat_model(grid)
+        # the grid owns which dimensions each discretization is defined
+        # on: every allowed pair builds, and the others fail at GridSpec
+        for disc, dims in DISCRETIZATIONS.items():
+            for dim in (1, 2):
+                spec = dict(dimension=dim, nodes=(3,) * dim,
+                            lengths=(1.0,) * dim, diffusivity=1.0,
+                            discretization=disc)
+                if dim in dims:
+                    E, A = build_heat_model(GridSpec(**spec))
+                    assert E.shape == A.shape == (3**dim, 3**dim)
+                    continue
+                with pytest.raises(ValueError,
+                                   match=f"^{disc} requires dimension "
+                                         f"{3 - dim}$"):
+                    GridSpec(**spec)
+        assert {(disc, dim) for disc, dims in DISCRETIZATIONS.items()
+                for dim in dims} == {("fd-5point", 1), ("fd-5point", 2),
+                                     ("fe-linear-1d", 1),
+                                     ("fe-bilinear-2d", 2)}
 
     @pytest.mark.parametrize("disc, nodes", [
         ("fd-5point", (2,)), ("fd-5point", (17,)), ("fe-linear-1d", (2,)),
