@@ -229,16 +229,19 @@ def _collapses(sb):
 
 
 def faber_basis(A1, bounds, cfg=GpConfig()):
-    """Weighted, projected Chebyshev matrices of A1 on their union pattern.
+    """Weighted, projected Chebyshev matrices of A1 on one fixed support.
 
     Runs the three-term recurrence in the shifted variable
     A2 = (A1 - c4 I)/sqrt(c3), projected after each step onto the pattern
-    of I + A2 + ... + A2^k2 (not at all when k2 >= n). Returns
-    (S, V): the union pattern S of T_0..T_p and the (p+1) x nnz(S) array
-    whose row l holds the values of T_l on S, weighted by 2 scale^l for
-    l >= 1, so that a Faber sum is a @ V on S. The ellipse constants c1,
-    c2 and c4 scale as t and c3 as t^2, so A2 and scale = sqrt(c3)/(2 c2),
-    hence S and V, are the same for t A1 with the bounds scaled by t.
+    P of I + A2 + ... + A2^min(k2, p); as T_l lies in the pattern of order
+    l, projecting onto order p is projecting onto order k2 for k2 > p.
+    Returns (S, V): the support S = supp(A2) | P, which holds every T_l,
+    and the (p+1) x nnz(S) array whose row l holds the values of T_l on S,
+    weighted by 2 scale^l for l >= 1, so that a Faber sum is a @ V on S.
+    Row l is written as soon as T_l is made, so only two terms are alive
+    at a time. The ellipse constants c1, c2 and c4 scale as t and c3 as
+    t^2, so A2 and scale = sqrt(c3)/(2 c2), hence S and V, are the same
+    for t A1 with the bounds scaled by t.
     """
     n = A1.shape[0]
     _c1, c2, c3, c4 = _faber_constants(bounds)
@@ -246,30 +249,20 @@ def faber_basis(A1, bounds, cfg=GpConfig()):
         raise ValueError(
             f"invalid spectral ellipse (c3 = {c3:.3e}); bounds {bounds}")
     A2 = canonicalize((sp.csr_matrix(A1) - c4 * identity(n)) / np.sqrt(c3))
-    proj_pattern = pattern_power_sum(binarize(A2), cfg.k2) \
-        if cfg.k2 < n else None
+    P = pattern_power_sum(A2, min(cfg.k2, cfg.p))
+    S = binarize(binarize(A2) + P)      # a sum of 0/1 patterns cannot cancel
+    rows, cols = S.nonzero()
     scale = np.sqrt(c3) / (2.0 * c2)
 
-    terms = [(1.0, identity(n))]
-    T_prev = identity(n)
-    T_cur = A2
-    if cfg.p >= 1:
-        terms.append((2.0 * scale, T_cur))
+    V = np.empty((cfg.p + 1, S.nnz))
+    T_prev, T_cur = identity(n), A2
+    V[0] = T_prev[rows, cols]
     pw = scale
-    for _l in range(2, cfg.p + 1):
-        T_next = 2.0 * (A2 @ T_cur) - T_prev
-        if proj_pattern is not None:
-            T_next = project(T_next, proj_pattern)
-        else:
-            T_next = canonicalize(T_next)
-        T_prev, T_cur = T_cur, T_next
-        pw *= scale
-        terms.append((2.0 * pw, T_cur))
-    S = binarize(sum(binarize(T) for _w, T in terms))
-    rows, cols = S.nonzero()
-    V = np.empty((len(terms), S.nnz))
-    for l, (w, T) in enumerate(terms):
-        V[l] = w * T[rows, cols]
+    for l in range(1, cfg.p + 1):
+        if l >= 2:
+            T_prev, T_cur = T_cur, project(2.0 * (A2 @ T_cur) - T_prev, P)
+            pw *= scale
+        V[l] = 2.0 * pw * T_cur[rows, cols]
     return S, V
 
 
@@ -294,15 +287,15 @@ def faber_expm(A1, t_scaled, bounds, cfg=GpConfig(), basis=None):
 def transformed_problem(Abar, E, P, k1):
     """SPAI-based reduction of the GL equation to non-generalized form.
 
-    Returns (A1, P1, spai_residual) with A1 = Einv^T Abar^T and
+    Returns (A1, P1) with A1 = Einv^T Abar^T and
     P1 = Einv^T P Einv, where Einv approximates E^{-1} on the pattern
     I + E + ... + E^{k1}.
     """
     pat = inverse_pattern(E, k1)
-    Einv, residual = spai(E, pat)
+    Einv, _residual = spai(E, pat)
     A1 = canonicalize(Einv.T @ sp.csr_matrix(Abar).T)
     P1 = canonicalize(Einv.T @ sp.csr_matrix(P) @ Einv)
-    return A1, P1, residual
+    return A1, P1
 
 
 def initial_guess(Abar, E, P, cfg=GpConfig()):
@@ -313,9 +306,9 @@ def initial_guess(Abar, E, P, cfg=GpConfig()):
     nodes share one Faber basis of A1; only the coefficients vary. X3 is
     accumulated in one dense n x n array, each term as two products, by
     BLAS GEMM where K~_j is ``filled``, and returned symmetrized as
-    canonical CSR.
+    canonical CSR, with {"fill": its share of the n^2 entries}.
     """
-    A1, P1, spai_residual = transformed_problem(Abar, E, P, cfg.k1)
+    A1, P1 = transformed_problem(Abar, E, P, cfg.k1)
     bounds = spectrum_bounds(A1)
     psi, nodes = quadrature_nodes(cfg.q, bounds)
     n = A1.shape[0]
@@ -332,12 +325,7 @@ def initial_guess(Abar, E, P, cfg=GpConfig()):
         term *= psi * omega_j
         X3 -= term
     X3 = canonicalize(0.5 * (X3 + X3.T))
-    info = {
-        "spai_residual": spai_residual,
-        "fill": X3.nnz / float(n * n),
-        "bounds": bounds,
-    }
-    return X3, info
+    return X3, {"fill": X3.nnz / float(n * n)}
 
 
 def default_delta_bar(Abar, E):

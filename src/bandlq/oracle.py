@@ -103,8 +103,8 @@ def pencil_eigs(A, E, max_n=DEFAULT_CAP):
         raise ValueError(f"pencil_eigs: n={A.shape[0]} exceeds oracle cap {max_n}")
     # det underflows for well-conditioned matrices with tiny entries,
     # so singularity is judged by the condition number instead
-    if not np.isfinite(np.linalg.cond(Em)) or \
-            np.linalg.cond(Em) > 1.0 / np.finfo(float).eps:
+    cond = np.linalg.cond(Em)
+    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise np.linalg.LinAlgError("pencil_eigs: E is numerically singular")
     return np.linalg.eigvals(np.linalg.solve(Em, A))
 

@@ -174,7 +174,7 @@ def test_criterion_08_faber_and_quadrature_convergence():
     t0 = time.perf_counter()
     model, prob = heat_problem((8, 8))
     _F, Abar, P = newton_start(prob)
-    A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
+    A1, _P1 = transformed_problem(Abar, model.E, P, k1=3)
     b = spectrum_bounds(A1)
     t = 0.1
     ref = dense_expm(t * A1.toarray())

@@ -1,6 +1,7 @@
 """Method 2: SPAI, spectrum bounds, quadrature, Faber expansion, gradient
 projection."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -45,7 +46,7 @@ def _fe_mass(n, h=0.1):
 def _heat_a1(nodes, k1=3):
     model, prob = heat_problem(nodes)
     _F, Abar, P = newton_start(prob)
-    A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=k1)
+    A1, _P1 = transformed_problem(Abar, model.E, P, k1=k1)
     return A1
 
 
@@ -72,10 +73,39 @@ def _per_node_faber(A1, t, bounds, cfg):
     return K
 
 
+def _term_list_faber_basis(A1, bounds, cfg):
+    """Reference: the basis built from a list of all p + 1 terms, each
+    projected onto the order-k2 pattern (not at all when k2 >= n), on the
+    union of their supports."""
+    n = A1.shape[0]
+    _c1, c2, c3, c4 = _faber_constants(bounds)
+    A2 = canonicalize((sp.csr_matrix(A1) - c4 * identity(n)) / np.sqrt(c3))
+    pat = pattern_power_sum(binarize(A2), cfg.k2) if cfg.k2 < n else None
+    scale = np.sqrt(c3) / (2.0 * c2)
+    terms = [(1.0, identity(n))]
+    T_prev, T_cur = identity(n), A2
+    if cfg.p >= 1:
+        terms.append((2.0 * scale, T_cur))
+    pw = scale
+    for _l in range(2, cfg.p + 1):
+        T_next = 2.0 * (A2 @ T_cur) - T_prev
+        T_next = project(T_next, pat) if pat is not None \
+            else canonicalize(T_next)
+        T_prev, T_cur = T_cur, T_next
+        pw *= scale
+        terms.append((2.0 * pw, T_cur))
+    S = binarize(sum(binarize(T) for _w, T in terms))
+    rows, cols = S.nonzero()
+    V = np.empty((len(terms), S.nnz))
+    for l, (w, T) in enumerate(terms):
+        V[l] = w * T[rows, cols]
+    return S, V
+
+
 def _sparse_x3(Abar, E, P, cfg):
     """Reference: X3 accumulated as canonical CSR, one triple product per
     node."""
-    A1, P1, _res = transformed_problem(Abar, E, P, cfg.k1)
+    A1, P1 = transformed_problem(Abar, E, P, cfg.k1)
     bounds = spectrum_bounds(A1)
     psi, nodes = quadrature_nodes(cfg.q, bounds)
     n = A1.shape[0]
@@ -245,7 +275,7 @@ class TestSpectrumBounds:
     def test_heat_model_bounds_bracket_dense_eigs(self):
         model, prob = heat_problem((10, 10))
         _F, Abar, P = newton_start(prob)
-        A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
+        A1, _P1 = transformed_problem(Abar, model.E, P, k1=3)
         b = spectrum_bounds(A1)
         lam = np.linalg.eigvals(A1.toarray())
         assert lam.real.min() >= b.lambda_RS - 1e-9
@@ -423,11 +453,12 @@ class TestFaberExpm:
             np.testing.assert_allclose(ct, c * [t, t, t * t, t],
                                        rtol=1e-13)
 
-    @pytest.mark.parametrize("k2", [0, 1, 4, 100])
+    @pytest.mark.parametrize("k2", [0, 1, 4, 40, 100])
     @pytest.mark.parametrize("p", [0, 1, 30])
     def test_shared_basis_matches_per_node_recurrence(self, k2, p):
-        # k2 = 0 leaves T_1 = A2 outside the projection pattern;
-        # k2 = 100 >= n runs the recurrence without projection
+        # k2 = 0 leaves T_1 = A2 outside the projection pattern; for
+        # p < k2 the basis projects onto order p where the reference
+        # projects onto order k2 (k2 = 40 < n = 64) or not at all (k2 = 100)
         A1 = _heat_a1((8, 8))
         b = spectrum_bounds(A1)
         cfg = GpConfig(p=p, k2=k2)
@@ -439,10 +470,38 @@ class TestFaberExpm:
                       faber_expm(A1, t, b, cfg)):
                 assert frobenius(K - ref) <= 1e-12 * frobenius(ref)
 
+    @pytest.mark.parametrize("k2", [0, 1, 4, 40, 100])
+    @pytest.mark.parametrize("p", [0, 1, 30])
+    def test_basis_matches_term_list_bit_for_bit(self, k2, p):
+        # the support fixed before the recurrence and the order-min(k2, p)
+        # projection change no bit of any node's K; for p = 0 the support
+        # also holds supp(A2), whose zero values K drops
+        A1 = _heat_a1((13, 13))
+        b = spectrum_bounds(A1)
+        cfg = GpConfig(p=p, k2=k2)
+        basis, ref = faber_basis(A1, b, cfg), _term_list_faber_basis(A1, b,
+                                                                      cfg)
+        _psi, nodes = quadrature_nodes(cfg.q, b)
+        for t, _w in nodes:
+            assert bitwise_equal(faber_expm(A1, t, b, cfg, basis=basis),
+                                 faber_expm(A1, t, b, cfg, basis=ref))
+
+    def test_basis_keeps_two_terms_alive(self):
+        # at 29^2 V takes 13.7 MiB; a term list beside it peaks at 36.5 MiB
+        A1 = _heat_a1((29, 29))
+        b = spectrum_bounds(A1)
+        tracemalloc.start()
+        try:
+            _S, V = faber_basis(A1, b, GpConfig())
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
+
     def test_heat_model_error_decreases_with_p(self):
         model, prob = heat_problem((8, 8))
         _F, Abar, P = newton_start(prob)
-        A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=3)
+        A1, _P1 = transformed_problem(Abar, model.E, P, k1=3)
         b = spectrum_bounds(A1)
         t = 0.1
         ref = dense_expm(t * A1.toarray())
@@ -457,7 +516,7 @@ class TestFaberExpm:
     def test_result_respects_projection_pattern(self):
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_start(prob)
-        A1, _P1, _res = transformed_problem(Abar, model.E, P, k1=2)
+        A1, _P1 = transformed_problem(Abar, model.E, P, k1=2)
         b = spectrum_bounds(A1)
         from bandlq.sparsecore import pattern_power_sum
         cfg = GpConfig(p=15, k2=1)
@@ -495,7 +554,7 @@ class TestInitialGuess:
         # quadrature error, which must drop sharply from q = 5 to q = 20
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_start(prob)
-        A1, P1, _res = transformed_problem(Abar, model.E, P, k1=3)
+        A1, P1 = transformed_problem(Abar, model.E, P, k1=3)
         bounds = spectrum_bounds(A1)
         Xex = dense_lyap(sp.csr_matrix(A1.toarray().T), identity(model.n),
                          P1, max_n=400)
@@ -532,7 +591,7 @@ class TestInitialGuess:
             Abar, E, P = _csr(np.diag(-1.0 - 1e-12 * np.arange(3) / 2)), \
                 identity(3), _csr(-np.eye(3))
             cfg = GpConfig(q=40)
-            A1, _P1, _res = transformed_problem(Abar, E, P, cfg.k1)
+            A1, _P1 = transformed_problem(Abar, E, P, cfg.k1)
             bounds = spectrum_bounds(A1)
             collapsed = [_collapses(bounds.scaled(t_j)) for t_j, _w
                          in quadrature_nodes(cfg.q, bounds)[1]]
