@@ -17,21 +17,22 @@ class CglsResult:
     x: np.ndarray
     converged: bool
     iterations: int
-    residual: float                  # final ||M^T (b - M x)|| / ||M^T b||
+    residual: float                  # final ||M^T (b - M x)|| / ref
     residual_norm: float             # ||r||, CGLS's running b - M x
     normal_residual_history: list = field(default_factory=list)
 
 
-def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0, r0=None):
-    """Run CGLS on min ||b - M x||.
+def cgls(M, b, tol=1e-10, max_iter=None, forcing=0.0, ref=None):
+    """Run CGLS on min ||b - M x|| from x = 0.
 
-    Terminates when ||M^T r|| <= max(tol ||M^T b||, forcing ||M^T r0||),
-    with r0 = b - M x0 the start's residual and forcing in [0, 1), or after
-    max_iter iterations (default 10 * ncols). A start x0 (copied, never
-    modified) that meets tol ||M^T b|| makes 0 iterations, any other at
-    least one. A given r0 = b - M x0 (copied, read only with x0) saves an
-    apply. A non-finite value in b or in an operator product stops it
-    at once, unconverged.
+    Terminates when ||M^T r|| <= max(tol ref, forcing ||M^T b||), with
+    forcing in [0, 1) and ref = ||M^T b|| unless given, or after max_iter
+    iterations (default max(10 ncols, 100)). A Newton correction passes
+    its start's residual p - M x0 as b and ||M^T p|| as ref, so that tol
+    keeps the target of the equation M x = p. A b that meets tol ref makes
+    0 iterations and returns x = 0, any other at least one. b is copied,
+    never modified. A non-finite value in b, ref or an operator product
+    stops it at once, unconverged.
     """
     if not 0.0 <= forcing < 1.0:
         raise ValueError("CGLS forcing must lie in [0, 1)")
@@ -40,28 +41,25 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0, r0=None):
     ncols = M.shape[1]
     if max_iter is None:
         max_iter = max(10 * ncols, 100)
-    x = np.zeros(ncols) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(ncols)
     Mt = M.H
 
-    s0 = Mt @ b
-    norm_s0 = np.linalg.norm(s0)
-    if x0 is None:
-        r, s = b.copy(), s0
-    else:
-        r = b - M @ x if r0 is None else np.array(r0, dtype=np.float64)
-        s = Mt @ r
-    if not np.isfinite(norm_s0):
+    r = b.copy()
+    s = Mt @ b
+    norm_s = np.linalg.norm(s)
+    ref = norm_s if ref is None else ref
+    if not np.isfinite(ref):
         return CglsResult(x=x, converged=False, iterations=0,
                           residual=float("nan"),
                           residual_norm=float(np.linalg.norm(r)),
                           normal_residual_history=[float("nan")])
-    if norm_s0 == 0.0:
+    if ref == 0.0:
         return CglsResult(x=x, converged=True, iterations=0, residual=0.0,
                           residual_norm=float(np.linalg.norm(r)),
                           normal_residual_history=[0.0])
     p = s.copy()
     gamma = float(s @ s)
-    history = [np.linalg.norm(s) / norm_s0]
+    history = [norm_s / ref]
     target = max(tol, forcing * history[0])
     converged = bool(history[-1] <= tol)
     it = 0
@@ -75,7 +73,7 @@ def cgls(M, b, tol=1e-10, max_iter=None, x0=None, forcing=0.0, r0=None):
         r -= alpha * q
         s = Mt @ r
         gamma_new = float(s @ s)
-        rel = np.sqrt(gamma_new) / norm_s0
+        rel = np.sqrt(gamma_new) / ref
         history.append(rel)
         it += 1
         if not np.isfinite(rel):

@@ -409,8 +409,6 @@ def cmd_solve(cfg, out, stage):
 
 def cmd_bench(cfg, out):
     """Per-size scaling rows; individual failures are recorded, not fatal."""
-    if not cfg.bench["sizes"]:
-        raise ConfigError("bench.sizes is required for the bench command")
     w = str(cfg.newton.w)
     fields = ("n", "method", "w", "nnz", "iterations", "wall_ms", "status")
     rows = []
@@ -486,6 +484,8 @@ def main(argv=None):
                 raise ConfigError("--seed must be an integer >= 0")
             cfg.model["seed"] = args.seed
         out = cfg.output_dir
+        if args.command == "bench" and not cfg.bench["sizes"]:
+            raise ConfigError("bench.sizes is required for the bench command")
         os.makedirs(out, exist_ok=True)
         if args.command == "genmodel":
             return cmd_genmodel(cfg, out)

@@ -183,18 +183,20 @@ def newton_start(prob, cfg=NewtonConfig()):
     return newton_step_matrices(Z0, prob)
 
 
-def inner_solve(op, x0, cfg=NewtonConfig(), forcing=0.0, r0=None):
-    """Method ``cfg.lyap_method`` on the GL operator ``op`` from the
-    coordinates x0, or else LSQ from zero and GP from the X3 initial guess
-    of the operator's equation, LSQ with the term ``forcing`` and r0, if
-    given with x0, as x0's residual p - M x0. Returns the solution's
-    coordinates and a SolveReport whose ``final_residual`` is ||p - M z||."""
-    if cfg.lyap_method == "lsq":
-        return solve_lyap_lsq(op, x0, cfg.cgls, forcing, r0)
-    if x0 is None:
+def inner_solve(op, x=None, r=None, cfg=NewtonConfig(), forcing=0.0):
+    """Method ``cfg.lyap_method`` on the GL operator ``op``: x + d, where d
+    is the correction to the start x on ``op.inputs`` found from zero on
+    its residual r = p - M x, computed if not given; LSQ with the term
+    ``forcing``. Without x, LSQ solves from zero on p and GP corrects the
+    X3 initial guess. Also returns a SolveReport whose ``final_residual``
+    is ||p - M (x + d)||."""
+    if x is None and cfg.lyap_method == "gp":
         X3, _info = initial_guess(op.Abar, op.E, op.P, cfg=cfg.gp)
-        x0, r0 = op.inputs.fold(X3), None
-    return solve_lyap_gp(op, x0, cfg.gp, r0)
+        x = op.inputs.fold(X3)
+    b = op.rhs if x is None else (op.rhs - op @ x if r is None else r)
+    d, report = (solve_lyap_lsq(op, b, cfg.cgls, forcing)
+                 if cfg.lyap_method == "lsq" else solve_lyap_gp(op, b, cfg.gp))
+    return (d if x is None else x + d), report
 
 
 def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
@@ -206,8 +208,8 @@ def solve_lyap(Abar, E, P, pat, cfg=NewtonConfig(), X0=None):
     """
     t0 = time.perf_counter()
     op = GlOperator(Abar, E, pat, P)
-    x0 = None if X0 is None else op.inputs.fold(X0)
-    x, report = inner_solve(op, x0, cfg)
+    x, report = inner_solve(op, None if X0 is None else op.inputs.fold(X0),
+                            cfg=cfg)
     Z = lyap_lsq.scatter_solution(op, x)
     report.wall_ms = 1e3 * (time.perf_counter() - t0)
     return Z, report
@@ -220,17 +222,17 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
 
     Every step solves on ``pattern``, by default the order-``cfg.w`` a
     priori pattern of the first step's GL equation, by ``inner_solve`` on
-    one ``GlOperator`` per step, refilled where it can be, from the last
-    step's coordinates; Z_k is scattered from them for F and the return.
-    v_k = ||D[Z_k]||_F is the norm of step k+1's GL residual at Z_k, its
-    warm start's residual, read off its operator, whose output coordinates
-    are orthonormal, and handed to it. Method 1 runs step 1 with no forcing
-    term and step k >= 2 with the forcing term min(_FORCING_MAX,
-    v_{k-1} / v_1): CGLS stops at ``cfg.cgls.tol`` or once its normal
-    residual has fallen by that factor from its start. The loop ends when
-    v_k <= ``cfg.residual_tol`` v_1, after ``cfg.N_max`` steps, or at a
-    fixed point: a warm-started step whose inner solve makes 0 iterations,
-    as it does only from a start that meets ``cfg.cgls.tol``, returns that
+    one ``GlOperator`` per step, refilled where it can be. Step k+1 solves
+    for the correction to step k's coordinates, from which Z_k is scattered
+    for F and the return, on their residual r_k, read off its operator,
+    whose output coordinates are orthonormal: v_k = ||D[Z_k]||_F is
+    ||r_k||. Method 1 runs step 1 with no forcing term and step k >= 2
+    with the forcing term min(_FORCING_MAX, v_{k-1} / v_1): CGLS stops at
+    ``cfg.cgls.tol`` or once its normal residual has fallen by that factor
+    from ||M^T r_{k-1}||. The loop ends when v_k <= ``cfg.residual_tol``
+    v_1, after ``cfg.N_max`` steps, or at a fixed point: a step k >= 2
+    whose inner solve makes 0 iterations, as it does only on an r_{k-1}
+    that meets ``cfg.cgls.tol``, adds a zero correction and returns its
     start, which every later step would repeat. Raises
     ``RiccatiDivergence`` with the reports so far when v_k is not finite or
     stays above 10 v_1 for 3 consecutive steps within ``cfg.N_max``, the
@@ -249,10 +251,9 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
     growth_streak = 0
     for k in range(1, cfg.N_max + 1):
         t0 = time.perf_counter()
-        warm = x is not None
         forcing = (min(_FORCING_MAX, v_k / v1)
                    if k > 1 and cfg.lyap_method == "lsq" else 0.0)
-        x, lrep = inner_solve(op, x, cfg, forcing, r)
+        x, lrep = inner_solve(op, x, r, cfg, forcing)
         Z = lyap_lsq.scatter_solution(op, x)
         F, Abar, P = newton_step_matrices(Z, prob)
         if not op.refill(Abar, P):
@@ -272,7 +273,7 @@ def solve_riccati(prob, cfg=NewtonConfig(), pattern=None):
         if v_k <= cfg.residual_tol * v1:
             break
         growth_streak = growth_streak + 1 if v_k > 10.0 * v1 else 0
-        fixed = warm and lrep.iterations == 0
+        fixed = k > 1 and lrep.iterations == 0
         # a fixed point's steps k+1 .. N_max would each repeat this v_k
         repeats = cfg.N_max - k if fixed else 0
         if growth_streak and growth_streak + repeats >= 3:

@@ -334,27 +334,27 @@ def default_delta_bar(Abar, E):
                   * frobenius(canonicalize(Abar)) ** 2)
 
 
-def solve_lyap_gp(op, x0, cfg=GpConfig(), r0=None):
+def solve_lyap_gp(op, b, cfg=GpConfig()):
     """Gradient projection iteration on the pattern-constrained objective.
 
     Z^{i+1} = project(Z^i - delta N^i) with N = -2 E R Abar^T - 2 Abar R E^T,
     R = P - E^T Z Abar - Abar^T Z E and delta = default_delta_bar(op.Abar,
-    op.E), on the GL operator ``op`` from the coordinates x0, R from r0 if
-    given. As ||M||_2 <= 2 ||E||_F ||Abar||_F, delta ||M||_2^2 <= 1/2: no
-    Armijo search would shorten a step. Z and R stay in the operator's
-    working layout from start to end, on the pattern and O. It has
-    converged only when J stagnates, not at ``cfg.max_iter`` or on a
-    stall, a step that does not lower J. Returns the coordinates and a
-    SolveReport. On the dense forms the loop also holds about six n x n
-    arrays, Z, R, their trial copies, p and the step, that no report counts.
+    op.E), on the GL operator ``op`` from Z = 0 with P = b: ``op.rhs``, or
+    a start's residual, to find its correction. As ||M||_2 <= 2 ||E||_F
+    ||Abar||_F, delta ||M||_2^2 <= 1/2: no Armijo search would shorten a
+    step. Z and R stay in the operator's working layout from start to end,
+    on the pattern and O. It has converged only when J stagnates, not at
+    ``cfg.max_iter`` or on a stall, a step that does not lower J. Returns
+    Z's coordinates and a SolveReport. On the dense forms the loop also
+    holds about six n x n arrays, Z, R, their trial copies, p and the step,
+    that no report counts.
     """
-    r = op.rhs - op @ x0 if r0 is None else r0
     # 2 delta on the pattern and 0 off it, where a dense layout's adjoint
     # has entries too: the step and the projection in one product
     step = (2.0 * default_delta_bar(op.Abar, op.E)
             * (op.lift(np.ones(op.inputs.size), op.inputs) != 0))
-    p = op.lift(op.rhs, op.outputs)
-    Z, R = op.lift(x0, op.inputs), op.lift(r, op.outputs)
+    Z = op.lift(np.zeros(op.inputs.size), op.inputs)
+    p = R = op.lift(b, op.outputs)
     J = float(R.ravel() @ R.ravel())
     J_history = [J]
     stalled = stagnated = False

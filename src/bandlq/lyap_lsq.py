@@ -460,19 +460,18 @@ def scatter_solution(op, z):
     return op.inputs.to_csr(z)
 
 
-def solve_lyap_lsq(op, x0=None, cfg=CglsConfig(), forcing=0.0, r0=None):
-    """Method 1: CGLS on the GL operator ``op`` from the coordinates x0 on
-    ``op.inputs``, or from zero.
-
-    CGLS stops at ``cfg.tol`` relative to ||M^T p||, or at the Newton
-    step's ``forcing`` term relative to the start's own normal residual,
-    whichever is larger; r0, if given, is the start's residual p - M x0.
-    Returns the solution's coordinates on ``op.inputs`` and a SolveReport
-    with the operator's ``stored_entries``, CGLS's own ||p - M z|| as
-    ``final_residual`` and the operator's form as ``extra["operator_form"]``.
+def solve_lyap_lsq(op, b, cfg=CglsConfig(), forcing=0.0):
+    """Method 1: CGLS from zero on the GL operator ``op`` and b, ``op.rhs``
+    or a start's residual p - M x, to ``cfg.tol`` relative to ||M^T p|| or
+    the Newton step's ``forcing`` term relative to ||M^T b||, whichever is
+    larger. Returns the coordinates on ``op.inputs`` of the solution or of
+    the start's correction, and a SolveReport with the operator's
+    ``stored_entries``, CGLS's own ||b - M z|| as ``final_residual`` and
+    the operator's form as ``extra["operator_form"]``.
     """
-    res = cgls(op, op.rhs, tol=cfg.tol, max_iter=cfg.max_iter, x0=x0,
-               forcing=forcing, r0=r0)
+    ref = None if b is op.rhs else np.linalg.norm(op.rmatvec(op.rhs))
+    res = cgls(op, b, tol=cfg.tol, max_iter=cfg.max_iter, forcing=forcing,
+               ref=ref)
     report = SolveReport(
         method="lsq", n=op.n, nnz_pattern=op.inputs.nnz,
         stored_entries=op.stored_entries, iterations=res.iterations,

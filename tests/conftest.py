@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bandlq.control import LqProblem
 from bandlq.modelgen import GridSpec, build_model
@@ -57,9 +58,9 @@ def scalar_problem():
 
 
 def nan_lyap_solve_at(monkeypatch, step):
-    """Make Newton step ``step`` receive a NaN Method-1 solution.
+    """Make Newton step ``step`` receive NaN from its Method-1 solve.
 
-    Wraps ``bandlq.control.solve_lyap_lsq``, whose solution is coordinates;
+    Wraps ``bandlq.control.solve_lyap_lsq``, which returns coordinates;
     returns the list of the steps it was called at.
     """
     import bandlq.control
@@ -75,6 +76,31 @@ def nan_lyap_solve_at(monkeypatch, step):
 
     monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", wrapped)
     return calls
+
+
+def warm_cgls(M, b, x0, r0, tol, max_iter, forcing=0.0):
+    """Reference: CGLS on min ||b - M x|| that accumulates into a copy of the
+    start x0, whose residual b - M x0 is r0, until ||M^T r|| <=
+    max(tol ||M^T b||, forcing ||M^T r0||). Returns x, the iterations, the
+    normal residual history relative to ||M^T b|| and ||r||."""
+    M = spla.aslinearoperator(M)
+    Mt = M.H
+    x, r = np.array(x0, dtype=np.float64), np.array(r0, dtype=np.float64)
+    norm_b = np.linalg.norm(Mt @ b)
+    s = Mt @ r
+    p, gamma = s.copy(), float(s @ s)
+    history = [np.sqrt(gamma) / norm_b]
+    target = max(tol, forcing * history[0])
+    while history[-1] > target and len(history) <= max_iter:
+        q = M @ p
+        alpha = gamma / float(q @ q)
+        x += alpha * p
+        r -= alpha * q
+        s = Mt @ r
+        gamma, gamma_old = float(s @ s), gamma
+        history.append(np.sqrt(gamma) / norm_b)
+        p = s + (gamma / gamma_old) * p
+    return x, len(history) - 1, history, float(np.linalg.norm(r))
 
 
 def bitwise_equal(X, Y):

@@ -6,7 +6,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bandlq.cgls import cgls
+from bandlq.control import inner_solve
+from bandlq.lyap_lsq import GlOperator
 from bandlq.sparsecore import canonicalize, identity
+from conftest import full_pattern, random_stable_instance, warm_cgls
 
 
 def test_identity_system_one_iteration():
@@ -139,11 +142,18 @@ def test_rhs_orthogonal_to_the_range_returns_zero():
     assert res.normal_residual_history == [0.0]
 
 
+def _correction(M, b, x0, **kwargs):
+    """CGLS's correction to the start x0 of min ||b - M x||: a run from zero
+    on x0's residual, with the target tol ||M^T b||."""
+    return cgls(M, b - M @ x0, ref=np.linalg.norm(M.T @ b), **kwargs)
+
+
 def test_x0_at_solution_returns_at_once():
     M, b, ref, _rng = _lstsq_instance()
-    res = cgls(M, b, tol=1e-10, x0=ref)
+    res = _correction(M, b, ref, tol=1e-10)
     assert res.converged and res.iterations == 0
-    np.testing.assert_array_equal(res.x, ref)
+    np.testing.assert_array_equal(res.x, np.zeros(ref.size))
+    assert (ref + res.x).tobytes() == ref.tobytes()
 
 
 def test_x0_keeps_the_cold_absolute_target():
@@ -154,7 +164,7 @@ def test_x0_keeps_the_cold_absolute_target():
     norm_s0 = np.linalg.norm(M.T @ b)
     cold = cgls(M, b, tol=tol)
     x0 = ref + 1e-3 * rng.standard_normal(ref.size)
-    warm = cgls(M, b, tol=tol, x0=x0)
+    warm = _correction(M, b, x0, tol=tol)
     h = warm.normal_residual_history
     assert cold.converged and cold.normal_residual_history[0] == 1.0
     assert warm.converged and warm.iterations >= 1
@@ -165,19 +175,24 @@ def test_x0_keeps_the_cold_absolute_target():
     # its own normal residual is far from reduced by tol
     d = x0 - ref
     near = ref + 0.5 * tol * norm_s0 / np.linalg.norm(M.T @ (M @ d)) * d
-    res = cgls(M, b, tol=tol, x0=near)
+    res = _correction(M, b, near, tol=tol)
     assert res.converged and res.iterations == 0
     assert res.residual == pytest.approx(0.5 * tol, rel=1e-3)
 
 
-def test_x0_not_modified():
-    M, b, ref, rng = _lstsq_instance()
-    x0 = rng.standard_normal(ref.size)
-    before = x0.copy()
-    res = cgls(M, b, tol=1e-10, x0=x0)
-    assert res.iterations >= 1
-    np.testing.assert_array_equal(x0, before)
-    assert res.x is not x0
+def test_x0_not_modified(rng):
+    # the inner solve leaves the start and its residual alone and returns
+    # the corrected start as a new array; CGLS leaves its b alone
+    Abar, E, P = random_stable_instance(8, rng)
+    op = GlOperator(Abar, E, full_pattern(8), P)
+    x0 = rng.standard_normal(op.shape[1])
+    r0 = op.rhs - op @ x0
+    before = x0.copy(), r0.copy()
+    x, rep = inner_solve(op, x0, r0)
+    assert rep.iterations >= 1 and x is not x0
+    assert (x0.tobytes(), r0.tobytes()) == tuple(v.tobytes() for v in before)
+    res = cgls(op, r0, tol=1e-10)
+    assert res.iterations >= 1 and r0.tobytes() == before[1].tobytes()
 
 
 def _counting(M):
@@ -198,59 +213,66 @@ def _counting(M):
 
 
 def test_operator_calls_cold_and_warm():
-    # a cold start needs only M^T b before the loop, a warm one also
-    # M x0 and M^T r0; each iteration costs one apply and one adjoint
+    # a cold run needs only M^T b before the loop; a correction on a held
+    # residual also the M^T b of its equation for the target; each
+    # iteration costs one apply and one adjoint
     M, b, ref, rng = _lstsq_instance()
     op, calls = _counting(M.toarray())
     cold = cgls(op, b, tol=1e-10)
     assert cold.converged and cold.iterations >= 1
     assert len(calls) == 1 + 2 * cold.iterations
+    r0 = b - M @ rng.standard_normal(ref.size)
     calls.clear()
-    warm = cgls(op, b, tol=1e-10, x0=rng.standard_normal(ref.size))
+    warm = cgls(op, r0, tol=1e-10, ref=np.linalg.norm(op.H @ b))
     assert warm.converged and warm.iterations >= 1
-    assert len(calls) == 3 + 2 * warm.iterations
+    assert len(calls) == 2 + 2 * warm.iterations
 
 
 @pytest.mark.parametrize("forcing", [0.0, 1e-2])
 def test_given_r0_saves_the_start_apply(forcing):
-    # r0 = b - M x0 from the caller gives the run without it bit for bit,
-    # one apply fewer, and the caller's r0 is left alone
+    # the correction on the residual r0 = b - M x0 the caller holds applies
+    # M only in its loop, leaves r0 alone and makes the warm-started run's
+    # iterations: the same residuals bit for bit and x0 + d to rounding
     M, b, ref, rng = _lstsq_instance()
     op, calls = _counting(M.toarray())
     x0 = ref + rng.standard_normal(ref.size)
-    r0 = b - op @ x0
+    r0 = b - M @ x0
     before = r0.copy()
+    x, its, history, rnorm = warm_cgls(op, b, x0, r0, 1e-12, 100, forcing)
+    norm_s0 = np.linalg.norm(op.H @ b)
     calls.clear()
-    own = cgls(op, b, tol=1e-12, x0=x0, forcing=forcing)
-    assert len(calls) == 3 + 2 * own.iterations
-    calls.clear()
-    given = cgls(op, b, tol=1e-12, x0=x0, forcing=forcing, r0=r0)
-    assert len(calls) == 2 + 2 * given.iterations
-    assert given.iterations == own.iterations >= 1
-    assert given.x.tobytes() == own.x.tobytes()
-    assert given.normal_residual_history == own.normal_residual_history
-    assert given.residual_norm == own.residual_norm
+    res = cgls(op, r0, tol=1e-12, forcing=forcing, ref=norm_s0)
+    assert len(calls) == 1 + 2 * res.iterations
+    assert res.iterations == its >= 1
+    assert res.normal_residual_history == history
+    assert res.residual_norm == rnorm
+    assert np.linalg.norm(x0 + res.x - x) <= 1e-14 * np.linalg.norm(x)
     assert r0.tobytes() == before.tobytes()
-    # without x0, r0 is not read
-    cold = cgls(op, b, tol=1e-12, r0=np.full(b.size, np.nan))
-    assert cold.converged and np.isfinite(cold.x).all()
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
 @pytest.mark.parametrize("forcing", [0.5, 1e-2, 1e-4])
 def test_forcing_stops_at_the_first_reduction_by_it(start, forcing):
     # ||M^T r|| <= forcing ||M^T r0|| at the first such iterate, far above
-    # tol; with forcing 0 the run is the unforced one, bit for bit
+    # tol, for a cold run and for a correction; with forcing 0 the run is
+    # the unforced one, bit for bit
     M, b, ref, rng = _lstsq_instance()
-    x0 = None if start == "cold" else ref + rng.standard_normal(ref.size)
-    res = cgls(M, b, tol=1e-13, x0=x0, forcing=forcing)
-    full = cgls(M, b, tol=1e-13, x0=x0)
+    if start == "cold":
+        def run(**kwargs):
+            return cgls(M, b, tol=1e-13, **kwargs)
+    else:
+        x0 = ref + rng.standard_normal(ref.size)
+
+        def run(**kwargs):
+            return _correction(M, b, x0, tol=1e-13, **kwargs)
+    res = run(forcing=forcing)
+    full = run()
     h = full.normal_residual_history
     first = next(i for i, v in enumerate(h) if v <= forcing * h[0])
     assert first >= 1
     assert res.converged and res.iterations == first
     assert res.normal_residual_history == h[:first + 1]
-    unforced = cgls(M, b, tol=1e-13, x0=x0, forcing=0.0)
+    unforced = run(forcing=0.0)
     assert unforced.iterations == full.iterations
     assert unforced.x.tobytes() == full.x.tobytes()
 
@@ -258,9 +280,9 @@ def test_forcing_stops_at_the_first_reduction_by_it(start, forcing):
 @pytest.mark.parametrize("forcing", [0.0, 0.5, 0.999])
 def test_start_meeting_tol_makes_no_iteration_for_any_forcing(forcing):
     M, b, ref, _rng = _lstsq_instance()
-    res = cgls(M, b, tol=1e-10, x0=ref, forcing=forcing)
+    res = _correction(M, b, ref, tol=1e-10, forcing=forcing)
     assert res.converged and res.iterations == 0
-    np.testing.assert_array_equal(res.x, ref)
+    np.testing.assert_array_equal(ref + res.x, ref)
 
 
 @pytest.mark.parametrize("forcing", [-1e-3, 1.0, 2.0, np.nan, np.inf])

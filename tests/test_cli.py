@@ -667,10 +667,12 @@ class TestBench:
                           "bench": {"sizes": [[4, 4]], "gp_max_iter": 50}})
 
     def test_bench_requires_sizes(self, tmp_path, capsys):
+        # the command fails before the output directory is created
         cfg = _heat_config(tmp_path, out="run_nobench")
         rc = main(["bench", "--config", cfg])
         assert rc == 1
         assert "bench.sizes" in capsys.readouterr().err
+        assert not (tmp_path / "run_nobench").exists()
 
 
 class TestDeterminism:

@@ -21,10 +21,12 @@ from bandlq.lyap_lsq import CglsConfig, GlOperator, solve_lyap_lsq
 from bandlq.modelgen import DescriptorModel
 from bandlq.oracle import dense_riccati, pencil_eigs
 from bandlq.pattern import apriori_pattern
+from bandlq.report import SolveReport
 from bandlq.sparsecore import (Permutation, ShapeMismatchError, canonicalize,
                                filled, frobenius, identity)
 from conftest import (bitwise_equal, full_pattern, heat_problem,
-                      nan_lyap_solve_at, random_banded, scalar_problem)
+                      nan_lyap_solve_at, random_banded, scalar_problem,
+                      warm_cgls)
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 
@@ -127,13 +129,17 @@ class TestSolveLyap:
         return solve_lyap(*step1, cfg, X0=X0)
 
     def _method(self, step1, method, X0=None):
-        """Method 1 or 2 by hand on the step's operator, from zero or X0."""
+        """Method 1 or 2 by hand on the step's operator: from zero, or for
+        the correction to X0, from zero on X0's residual."""
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
         x0 = None if X0 is None else op.inputs.fold(X0)
-        solve = solve_lyap_lsq if method == "lsq" else solve_lyap_gp
-        x, rep = solve(op, x0, self.CGLS if method == "lsq" else self.GP)
-        return op.inputs.to_csr(x), rep
+        b = op.rhs if X0 is None else op.rhs - op @ x0
+        if method == "lsq":
+            d, rep = solve_lyap_lsq(op, b, self.CGLS)
+        else:
+            d, rep = solve_lyap_gp(op, b, self.GP)
+        return op.inputs.to_csr(d if X0 is None else x0 + d), rep
 
     def test_lsq_from_zero_is_method_1(self, step1):
         Z, rep = self._solve(step1, "lsq")
@@ -158,11 +164,11 @@ class TestSolveLyap:
 
     def test_gp_defaults_its_first_step(self, step1, monkeypatch):
         # Method 2 steps by default_delta_bar of the Abar and E its
-        # operator holds: its first iterate is x0 - delta g, to rounding,
-        # as the dense forms step in n x n arrays, not in coordinates
+        # operator holds: its first iterate from zero is -delta g, to
+        # rounding, as the dense forms step in n x n arrays, not in
+        # coordinates
         Abar, E, P, pat = step1
         op = GlOperator(Abar, E, pat, P)
-        x0 = np.zeros(op.shape[1])
         calls = []
 
         def spy(*args):
@@ -170,12 +176,12 @@ class TestSolveLyap:
             return default_delta_bar(*args)
 
         monkeypatch.setattr(bandlq.lyap_gp, "default_delta_bar", spy)
-        x, rep = solve_lyap_gp(op, x0, dataclasses.replace(self.GP,
-                                                           max_iter=1))
+        x, rep = solve_lyap_gp(op, op.rhs, dataclasses.replace(self.GP,
+                                                               max_iter=1))
         assert len(calls) == 1
         assert calls[0][0] is op.Abar and calls[0][1] is op.E
-        g = -2.0 * op.rmatvec(op.rhs - op @ x0)
-        step = x0 - default_delta_bar(op.Abar, op.E) * g
+        g = -2.0 * op.rmatvec(op.rhs)
+        step = -default_delta_bar(op.Abar, op.E) * g
         assert rep.iterations == 1
         np.testing.assert_allclose(x, step, rtol=1e-14,
                                    atol=1e-14 * np.abs(x).max())
@@ -259,9 +265,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(op, x0, cfg, *args):
-            seen.append((op.Abar, op.P, x0, op.rhs))
-            return solve(op, x0, cfg, *args)
+        def recorded(op, x, *args):
+            seen.append((op.Abar, op.P, x, op.rhs))
+            return solve(op, x, *args)
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         solve_riccati(prob, cfg=cfg)
@@ -316,8 +322,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def recorded(op, x0, cfg, *args):
-            x, rep = solve(op, x0, cfg, *args)
+        def recorded(op, *args):
+            x, rep = solve(op, *args)
             iterates.append(op.inputs.to_csr(x))
             return x, rep
 
@@ -341,8 +347,8 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         iterates = []
 
-        def run_on(op, x0, cfg, *args):
-            x, rep = solve(op, x0, cfg, *args)
+        def run_on(op, *args):
+            x, rep = solve(op, *args)
             iterates.append(op.inputs.to_csr(x))
             return x, dataclasses.replace(
                 rep, iterations=max(rep.iterations, 1))
@@ -458,9 +464,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         calls = []
 
-        def grown(op, x0, cfg, *args):
+        def grown(op, *args):
             calls.append(len(calls) + 1)
-            x, rep = solve(op, x0, cfg, *args)
+            x, rep = solve(op, *args)
             return (x if calls[-1] == 1 else 1e3 * x), rep
 
         monkeypatch.setattr(bandlq.control, "inner_solve", grown)
@@ -488,10 +494,10 @@ class TestSolveRiccati:
             # step returns its start and reports ``its`` iterations
             solved = []
 
-            def inner(op, x0, cfg, *args):
+            def inner(op, x0, *args):
                 if len(solved) == 2:
                     return x0, dataclasses.replace(solved[-1], iterations=its)
-                x, rep = solve(op, x0, cfg, *args)
+                x, rep = solve(op, x0, *args)
                 solved.append(rep)
                 return (x if len(solved) == 1 else 1e3 * x), rep
             return inner
@@ -530,7 +536,8 @@ class TestSolveRiccati:
         assert np.isfinite(reports[0].v_k) and np.isnan(reports[1].v_k)
 
     def test_warm_start_halves_inner_iterations(self, monkeypatch):
-        # steps k >= 2 start CGLS from Z_{k-1}; the cold reference drops X0.
+        # steps k >= 2 solve for the correction to Z_{k-1}; the cold
+        # reference drops that start.
         # The forcing term is off in both loops, so this measures the warm
         # start alone (test_forcing_saves_iterations_at_the_readme_size
         # measures the forcing term). On fd-5point 6x6 the w = 1 pattern is
@@ -543,12 +550,12 @@ class TestSolveRiccati:
         _model, prob = heat_problem((6, 6), discretization="fd-5point")
         cfg = NewtonConfig(N_max=8, residual_tol=1e-9, w=1)
         _Z, warm, _F = solve_riccati(prob, cfg=cfg)
-        solve = bandlq.control.solve_lyap_lsq
+        solve = bandlq.control.inner_solve
 
-        def cold_solve(op, x0=None, cfg=CglsConfig(), forcing=0.0, r0=None):
-            return solve(op, None, cfg, forcing)
+        def cold_solve(op, x, r, cfg, forcing):
+            return solve(op, None, None, cfg, forcing)
 
-        monkeypatch.setattr(bandlq.control, "solve_lyap_lsq", cold_solve)
+        monkeypatch.setattr(bandlq.control, "inner_solve", cold_solve)
         _Z, cold, _F = solve_riccati(prob, cfg=cfg)
         assert len(warm) == 5 and len(cold) == 8
         assert warm[-1].lyap_iterations == 0
@@ -565,10 +572,10 @@ class TestSolveRiccati:
             assert a.v_k == pytest.approx(b.v_k, rel=1e-5)
 
     def test_warm_solves_reuse_the_residual_of_v_k(self, monkeypatch):
-        # v_k's residual at x_k is the warm start's residual of step k+1:
-        # a warm CGLS solve makes one apply per iteration and 2 + it
-        # adjoints, a cold one 1 + it adjoints, and the loop one apply per
-        # step for v_k
+        # v_k's residual at x_k is the right-hand side of step k+1's
+        # correction: a warm CGLS solve makes one apply per iteration and
+        # 2 + it adjoints, a cold one 1 + it adjoints, and the loop one
+        # apply per step for v_k
         import bandlq.control
         _model, prob = heat_problem((9, 9))
         matvec, rmatvec = GlOperator._matvec, GlOperator._rmatvec
@@ -582,10 +589,10 @@ class TestSolveRiccati:
 
         solve = bandlq.control.solve_lyap_lsq
 
-        def recorded(op, x0, *args):
+        def recorded(op, b, *args):
             start = len(applies), len(adjoints)
-            x, rep = solve(op, x0, *args)
-            solves.append((x0 is None, rep.iterations,
+            x, rep = solve(op, b, *args)
+            solves.append((b is op.rhs, rep.iterations,
                            len(applies) - start[0], len(adjoints) - start[1]))
             return x, rep
 
@@ -605,6 +612,63 @@ class TestSolveRiccati:
         assert len(applies) == total + len(reports)
         assert len(adjoints) == total + 2 * len(reports) - 1
 
+    @pytest.mark.parametrize("side,iterations", [
+        (13, [68, 4, 5, 10, 22, 0]), (21, [107, 4, 6, 9, 22, 6, 0])])
+    def test_corrections_take_the_warm_started_steps(self, monkeypatch, side,
+                                                     iterations):
+        # steps k >= 2 find the correction to x_{k-1} from zero on its
+        # residual. On the README loop they take the steps of CGLS
+        # warm-started at x_{k-1} (the reference below): the same
+        # iterations, lyap_residual and v_k to rounding, for 1 + 2 it
+        # operator calls cold and 2 + 2 it warm
+        import bandlq.control
+        _model, prob = heat_problem((side, side))
+        cfg = NewtonConfig(N_max=12, residual_tol=1e-9, w=1,
+                           cgls=CglsConfig(tol=1e-7))
+        solve = bandlq.control.inner_solve
+        calls, solves = [], []
+
+        def counted(f):
+            def call(self, z):
+                calls.append(z)
+                return f(self, z)
+            return call
+
+        def recorded(op, x, r, cfg, forcing):
+            start = len(calls)
+            x_new, rep = solve(op, x, r, cfg, forcing)
+            solves.append((x is None, rep.iterations, len(calls) - start))
+            return x_new, rep
+
+        def warm_started(op, x, r, cfg, forcing):
+            if x is None:
+                return solve(op, x, r, cfg, forcing)
+            z, its, history, rnorm = warm_cgls(
+                op, op.rhs, x, r, cfg.cgls.tol, cfg.cgls.max_iter, forcing)
+            target = max(cfg.cgls.tol, forcing * history[0])
+            return z, SolveReport(method="lsq", n=op.n, iterations=its,
+                                  final_residual=rnorm,
+                                  converged=history[-1] <= target)
+
+        for name in ("_matvec", "_rmatvec"):
+            monkeypatch.setattr(GlOperator, name,
+                                counted(getattr(GlOperator, name)))
+        monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
+        _Z, reports, _F = solve_riccati(prob, cfg=cfg)
+        monkeypatch.setattr(bandlq.control, "inner_solve", warm_started)
+        _Z, ref, _F = solve_riccati(prob, cfg=cfg)
+        assert [r.lyap_iterations for r in reports] == iterations
+        assert [r.lyap_iterations for r in ref] == iterations
+        assert [cold for cold, *_ in solves] == [True] + [False] * (
+            len(solves) - 1)
+        for cold, its, n_calls in solves:
+            assert n_calls == (1 if cold else 2) + 2 * its
+        for a, b in zip(reports, ref):
+            assert a.lyap_converged and b.lyap_converged
+            assert a.lyap_residual == pytest.approx(b.lyap_residual,
+                                                    rel=1e-13)
+            assert a.v_k == pytest.approx(b.v_k, rel=1e-13)
+
     @pytest.mark.parametrize("method", ["lsq", "gp"])
     def test_forcing_term_per_step(self, monkeypatch, method):
         # Method 1 runs step 1 unforced and step k with min(0.1, v_{k-1}/v_1);
@@ -614,9 +678,9 @@ class TestSolveRiccati:
         solve = bandlq.control.inner_solve
         seen = []
 
-        def recorded(op, x0, cfg, forcing, r0):
+        def recorded(op, x, r, cfg, forcing):
             seen.append(forcing)
-            return solve(op, x0, cfg, forcing, r0)
+            return solve(op, x, r, cfg, forcing)
 
         monkeypatch.setattr(bandlq.control, "inner_solve", recorded)
         cfg = NewtonConfig(N_max=6, residual_tol=0.0, lyap_method=method,

@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 
 import bandlq.lyap_gp
 import bandlq.lyap_lsq
-from bandlq.control import NewtonConfig, metric_e, newton_start, solve_lyap
+from bandlq.control import (NewtonConfig, inner_solve, metric_e, newton_start,
+                            solve_lyap)
 from bandlq.lyap_gp import (GpConfig, SpectrumBounds, UnstableMatrixError,
                             _collapses, _faber_constants, _spai_one_sided,
                             default_delta_bar, faber_basis,
@@ -144,6 +145,12 @@ def _gp_coords(op, x0, cfg):
             if ref <= 0.0 or (ref - J) / ref < rtol:
                 return z, J_history, False, True
     return z, J_history, False, False
+
+
+def _gp_from(op, x0, cfg):
+    """Method 2's correction to the start x0, as ``inner_solve`` finds it,
+    added to x0."""
+    return inner_solve(op, x0, cfg=NewtonConfig(lyap_method="gp", gp=cfg))
 
 
 def _spai_slicing(E, pat):
@@ -755,10 +762,10 @@ class TestSolveLyapGp:
         assert Z.toarray()[0, 0] == 5.0
 
     def test_non_finite_step_stalls_after_one_apply(self, monkeypatch):
-        # a NaN start makes J non-finite: after the start's apply in
-        # coordinates, the first step's one adjoint and one apply in the
-        # working layout stall the solve, where a backtracking search would
-        # try 61 steps
+        # a NaN start makes J non-finite: after the apply in coordinates for
+        # the start's residual, the first step's one adjoint and one apply
+        # in the working layout stall the solve, where a backtracking search
+        # would try 61 steps
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_start(prob)
         op = GlOperator(Abar, model.E, apriori_pattern(Abar, model.E, P),
@@ -772,7 +779,7 @@ class TestSolveLyapGp:
                 return _call(self, z)
             monkeypatch.setattr(GlOperator, name, counted)
         x0 = np.full(op.shape[1], np.nan)
-        _z, rep = solve_lyap_gp(op, x0, GpConfig(max_iter=50))
+        _z, rep = _gp_from(op, x0, GpConfig(max_iter=50))
         assert calls == {"_matvec": 1, "_rmatvec": 0, "apply": 1,
                          "adjoint": 1}
         assert rep.extra["stalled"] and not rep.converged
@@ -809,7 +816,7 @@ class TestSolveLyapGp:
         x0 = (1e-3 * np.random.default_rng(2).standard_normal(op.shape[1])
               if X0 is None else op.inputs.fold(X0))
         cfg = GpConfig(max_iter=max_iter)
-        z, rep = solve_lyap_gp(op, x0, cfg)
+        z, rep = _gp_from(op, x0, cfg)
         z_ref, J_ref, stalled, stagnated = _gp_coords(op, x0, cfg)
         np.testing.assert_allclose(rep.extra["J_history"], J_ref, rtol=1e-12)
         assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
@@ -852,8 +859,8 @@ class TestSolveLyapGp:
         assert default_delta_bar(op.Abar, op.E) * norm ** 2 <= 0.5
 
     def test_given_r0_saves_the_start_apply(self, monkeypatch, rng):
-        # r0 = p - M x0 from the caller gives the run without it bit for
-        # bit, one apply fewer, and the caller's r0 is left alone
+        # r0 = p - M x0 from the caller gives the correction without it bit
+        # for bit, one apply fewer, and the caller's r0 is left alone
         model, prob = heat_problem((6, 6))
         _F, Abar, P = newton_start(prob)
         pat = apriori_pattern(Abar, model.E, P, w=1)
@@ -868,10 +875,10 @@ class TestSolveLyapGp:
             return matvec(self, z)
 
         monkeypatch.setattr(GlOperator, "_matvec", counted)
-        cfg = GpConfig(max_iter=30)
-        z, rep = solve_lyap_gp(op, x0, cfg)
+        cfg = NewtonConfig(lyap_method="gp", gp=GpConfig(max_iter=30))
+        z, rep = inner_solve(op, x0, cfg=cfg)
         own = len(applies)
-        zr, given = solve_lyap_gp(op, x0, cfg, r0)
+        zr, given = inner_solve(op, x0, r0, cfg)
         assert len(applies) - own == own - 1
         assert given.iterations == rep.iterations == 30
         assert zr.tobytes() == z.tobytes()
